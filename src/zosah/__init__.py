@@ -26,7 +26,7 @@ from .baselines import (
     rge_gradient,
     run_baseline,
 )
-from .cache import EvalCache, EvalRecord
+from .cache import EvalCache
 from .estimator import (
     FitSystem,
     GradientEstimate,
@@ -76,7 +76,6 @@ __all__ = [
     "CountedOracle",
     "Dataset",
     "EvalCache",
-    "EvalRecord",
     "ExperimentConfig",
     "FitSystem",
     "GradientEstimate",

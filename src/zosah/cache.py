@@ -1,9 +1,10 @@
-"""Per-pair reuse of recent function evaluations for the curvature fit.
+"""Reuse of recent function evaluations for the curvature fits.
 
 Sampling fresh points for every 2x2 fit would triple the per-step query
-bill.  Instead each pair banks the gradient probes of the two preceding
-steps (plus the fresh samples drawn when a subspace period begins) and
-replays them, recentred on the current slice point:
+bill.  Instead the cache banks, for every pair of the current plan, the
+gradient probes of the two preceding steps (plus the fresh samples drawn
+when a subspace period begins) and replays them, recentred on the current
+slice point:
 
 - first step of a period: nothing to reuse, draw 3 fresh points on a small
   circle around the current point (re-drawn while their fit system is
@@ -11,13 +12,19 @@ replays them, recentred on the current slice point:
 - second step: reuse the previous step's 2 probes and 3 fresh samples;
 - every later step: reuse the 4 gradient probes of the two preceding steps.
 
-The cache holds records for open plans only; it is cleared on every plan
-switch and never serves points recorded under a different plan.
+The window is two arrays over the plan's P pairs, ``points`` (P, 7, 2) in
+absolute slice coordinates and ``values`` (P, 7), split into three slot
+groups: the older probes, the newer probes and the period's fresh samples,
+each tagged with the step it was recorded at. A step's sample set is always
+one contiguous slot range (newer probes + fresh, or older + newer probes),
+so every pair's samples come out as one (P, s, 2) slab for the batched fit.
+A slot not written at its group's step holds NaN and counts as missing. The
+window is cleared on every plan switch, so it never serves points recorded
+under a different plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,24 +32,17 @@ import numpy as np
 from .estimator import GAMMA_FLOOR, quad_monomials
 from .subspace import PairProjection, SubspacePlan
 
-__all__ = ["EvalRecord", "EvalCache", "GatherResult", "PlanMismatchError"]
+__all__ = ["EvalCache", "GatherResult", "PlanMismatchError"]
+
+# Slot groups of the window.
+_OLD = slice(0, 2)  # gradient probes recorded the step before the newer ones
+_NEW = slice(2, 4)  # gradient probes of the latest recorded step
+_FRESH = slice(4, 7)  # fresh samples of the period's first step
+_SLOTS = 7
 
 
 class PlanMismatchError(ValueError):
     """A record or query referenced a pair that is not in the current plan."""
-
-
-@dataclass(frozen=True)
-class EvalRecord:
-    """One banked evaluation: step index, absolute slice coordinates, value."""
-
-    step: int
-    point: np.ndarray  # (2,) coordinates under the pair's projection
-    value: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError(f"cached value must be finite, got {self.value}")
 
 
 class GatherResult(NamedTuple):
@@ -51,15 +51,31 @@ class GatherResult(NamedTuple):
     degraded: bool  # True if fresh sampling never met the conditioning floor
 
 
+def _min_gram_eig(rel: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of phi^T phi for each (..., 3, 2) set of fit points."""
+    phi = quad_monomials(rel)
+    return np.linalg.eigvalsh(np.swapaxes(phi, -1, -2) @ phi)[..., 0]
+
+
+def _circle_points(rng: np.random.Generator, radius: float, n: int) -> np.ndarray:
+    """(n, 3, 2) displacements, 3 uniform angles per set, on the radius circle."""
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=(n, 3))
+    return radius * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+
+
 class EvalCache:
-    """Two-step evaluation memory, kept separately per coordinate pair."""
+    """Two-step evaluation window over every coordinate pair of the plan."""
 
     def __init__(self, gamma_floor: float = GAMMA_FLOOR, max_attempts: int = 10):
         self.gamma_floor = gamma_floor
         self.max_attempts = max_attempts
         self._plan: SubspacePlan | None = None
-        self._probes: dict[tuple[int, int], dict[int, list[EvalRecord]]] = {}
-        self._fresh: dict[tuple[int, int], dict[int, list[EvalRecord]]] = {}
+        self._rows: dict[tuple[int, int], int] = {}
+        self.points = np.empty((0, _SLOTS, 2))
+        self.values = np.empty((0, _SLOTS))
+        self._old_step: int | None = None
+        self._new_step: int | None = None
+        self._fresh_step: int | None = None
 
     @property
     def plan(self) -> SubspacePlan | None:
@@ -68,32 +84,119 @@ class EvalCache:
     def reset(self, plan: SubspacePlan) -> None:
         """Adopt a new plan, dropping everything recorded under the old one."""
         self._plan = plan
-        self._probes = {p.pair: {} for p in plan.pairs}
-        self._fresh = {p.pair: {} for p in plan.pairs}
+        self._rows = {p.pair: j for j, p in enumerate(plan.pairs)}
+        self.points = np.full((len(plan.pairs), _SLOTS, 2), np.nan)
+        self.values = np.full((len(plan.pairs), _SLOTS), np.nan)
+        self._old_step = self._new_step = self._fresh_step = None
 
-    def _store_for(self, store, pair: PairProjection):
-        if self._plan is None or pair.pair not in store:
+    # --- all pairs at once ----------------------------------------------
+
+    def window(self, k: int, T: int) -> tuple[np.ndarray, np.ndarray]:
+        """Banked points (P, s, 2) and values (P, s) reused by step k's fits.
+
+        Views into the window, valid until the next store; s = 0 on a
+        period's first step or when nothing was recorded at the steps reused.
+        """
+        phase = k % T
+        if phase == 0:
+            return self.points[:, :0], self.values[:, :0]
+        if phase == 1:
+            first, second = _NEW, _FRESH
+            use_first, use_second = self._new_step == k - 1, self._fresh_step == k - 1
+        else:
+            first, second = _OLD, _NEW
+            use_first, use_second = self._old_step == k - 2, self._new_step == k - 1
+        # the two groups are adjacent (first.stop == second.start)
+        cols = slice(
+            first.start if use_first else first.stop,
+            second.stop if use_second else second.start,
+        )
+        return self.points[:, cols], self.values[:, cols]
+
+    def store_probes(
+        self, k: int, points: np.ndarray, values: np.ndarray, row=slice(None)
+    ) -> None:
+        """Bank step k's gradient probes: (P, 2, 2) points and (P, 2) values.
+
+        The first store of a new step moves the newer probes to the older
+        slots, so the window holds the probes of the last two steps recorded.
+        ``row`` restricts the store to one pair's row.
+        """
+        if self._new_step != k:
+            self.points[:, _OLD] = self.points[:, _NEW]
+            self.values[:, _OLD] = self.values[:, _NEW]
+            self.values[:, _NEW] = np.nan
+            self._old_step, self._new_step = self._new_step, k
+        self._put(_NEW, row, points, values)
+
+    def store_fresh(
+        self, k: int, points: np.ndarray, values: np.ndarray, row=slice(None)
+    ) -> None:
+        """Bank step k's fresh samples: (P, 3, 2) points and (P, 3) values."""
+        if self._fresh_step != k:
+            self.values[:, _FRESH] = np.nan
+            self._fresh_step = k
+        self._put(_FRESH, row, points, values)
+
+    def _put(self, slots: slice, row, points, values) -> None:
+        values = np.asarray(values, dtype=float)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise FloatingPointError(
+                f"objective returned non-finite value {values[bad][0]} at a cached sample"
+            )
+        self.points[row, slots] = points
+        self.values[row, slots] = values
+
+    def draw_fresh(
+        self, theta: np.ndarray, rng: np.random.Generator, radius: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """3 conditioned points on the radius circle around each pair's point.
+
+        ``theta`` is (P, 2); returns the (P, 3, 2) absolute points and a (P,)
+        degraded mask. Consumes ``rng`` exactly as one :meth:`_sample_conditioned`
+        call per pair in row order: every remaining pair's first draw is taken
+        at once, and at the first pair whose draw misses the floor the
+        generator is rewound to after the accepted pairs' draws and that pair
+        redraws on its own.
+        """
+        if radius <= 0:
+            raise ValueError(f"radius must be positive, got {radius}")
+        n_pairs = len(theta)
+        points = np.empty((n_pairs, 3, 2))
+        degraded = np.zeros(n_pairs, dtype=bool)
+        j = 0
+        while j < n_pairs:
+            state = rng.bit_generator.state
+            rel = _circle_points(rng, radius, n_pairs - j)
+            ok = _min_gram_eig(rel) >= self.gamma_floor
+            n_ok = len(ok) if ok.all() else int(ok.argmin())
+            points[j:j + n_ok] = theta[j:j + n_ok, None, :] + rel[:n_ok]
+            j += n_ok
+            if j < n_pairs:
+                rng.bit_generator.state = state
+                rng.uniform(0.0, 2.0 * np.pi, size=3 * n_ok)
+                points[j], degraded[j] = self._sample_conditioned(theta[j], rng, radius)
+                j += 1
+        return points, degraded
+
+    # --- one pair ---------------------------------------------------------
+
+    def _row(self, pair: PairProjection) -> int:
+        try:
+            return self._rows[pair.pair]
+        except KeyError:
             raise PlanMismatchError(
                 f"pair {pair.pair} is not part of the cache's current plan"
-            )
-        return store[pair.pair]
+            ) from None
 
-    @staticmethod
-    def _evict(per_step: dict[int, list[EvalRecord]], k: int) -> None:
-        for step in [s for s in per_step if s < k - 2]:
-            del per_step[step]
+    def record_probes(self, k: int, pair: PairProjection, samples) -> None:
+        """Bank one pair's 2 gradient probes, (point, value) as in GradientEstimate.probes."""
+        self.store_probes(k, *_unzip(samples), row=self._row(pair))
 
-    def record_probes(self, k: int, pair: PairProjection, records: list[EvalRecord]) -> None:
-        """Bank this step's gradient probes; drops entries older than k-2."""
-        store = self._store_for(self._probes, pair)
-        store.setdefault(k, []).extend(records)
-        self._evict(store, k)
-
-    def record_fresh(self, k: int, pair: PairProjection, records: list[EvalRecord]) -> None:
-        """Bank period-start fresh samples; drops entries older than k-2."""
-        store = self._store_for(self._fresh, pair)
-        store.setdefault(k, []).extend(records)
-        self._evict(store, k)
+    def record_fresh(self, k: int, pair: PairProjection, samples) -> None:
+        """Bank one pair's 3 period-start fresh samples as (point, value)."""
+        self.store_fresh(k, *_unzip(samples), row=self._row(pair))
 
     def gather_samples(
         self,
@@ -104,31 +207,29 @@ class EvalCache:
         rng: np.random.Generator,
         radius: float,
     ) -> GatherResult:
-        """Assemble the fit sample set for step k of the current plan.
+        """One pair's share of the window for step k of the current plan.
 
         Returns recentred (theta_bar, f) samples plus any fresh absolute
         points the caller must still evaluate (non-empty only on a period's
         first step). The caller records fresh evaluations back via
         :meth:`record_fresh`.
         """
-        probes = self._store_for(self._probes, pair)
-        fresh_store = self._store_for(self._fresh, pair)
+        j = self._row(pair)
         theta_current = np.asarray(theta_current, dtype=float)
-
-        phase = k % T
-        if phase == 0:
+        if k % T == 0:
             points, degraded = self._sample_conditioned(theta_current, rng, radius)
-            return GatherResult([], points, degraded)
-        if phase == 1:
-            records = probes.get(k - 1, []) + fresh_store.get(k - 1, [])
-        else:
-            records = probes.get(k - 2, []) + probes.get(k - 1, [])
-        samples = [(rec.point - theta_current, rec.value) for rec in records]
+            return GatherResult([], list(points), bool(degraded))
+        points, values = self.window(k, T)
+        samples = [
+            (point - theta_current, float(value))
+            for point, value in zip(points[j], values[j])
+            if np.isfinite(value)
+        ]
         return GatherResult(samples, [], False)
 
     def _sample_conditioned(
         self, theta: np.ndarray, rng: np.random.Generator, radius: float
-    ) -> tuple[list[np.ndarray], bool]:
+    ) -> tuple[np.ndarray, bool]:
         """Draw 3 points uniformly on the radius circle around theta.
 
         Redraws (up to max_attempts) while the implied Gram matrix of the fit
@@ -137,16 +238,20 @@ class EvalCache:
         """
         if radius <= 0:
             raise ValueError(f"radius must be positive, got {radius}")
-        best_points: list[np.ndarray] | None = None
+        best_points: np.ndarray | None = None
         best_eig = -np.inf
         for _ in range(self.max_attempts):
-            angles = rng.uniform(0.0, 2.0 * np.pi, size=3)
-            rel = radius * np.column_stack([np.cos(angles), np.sin(angles)])
-            phi = np.vstack([quad_monomials(rel[i]) for i in range(3)])
-            min_eig = float(np.linalg.eigvalsh(phi.T @ phi)[0])
+            rel = _circle_points(rng, radius, 1)[0]
+            min_eig = float(_min_gram_eig(rel))
             if min_eig > best_eig:
                 best_eig = min_eig
-                best_points = [theta + rel[i] for i in range(3)]
+                best_points = theta + rel
             if min_eig >= self.gamma_floor:
                 return best_points, False
         return best_points, True
+
+
+def _unzip(samples) -> tuple[np.ndarray, np.ndarray]:
+    points = np.array([point for point, _ in samples], dtype=float)
+    values = np.array([value for _, value in samples], dtype=float)
+    return points, values

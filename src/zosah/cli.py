@@ -3,7 +3,9 @@
 Two subcommands: ``run`` executes a multi-seed experiment and writes trace
 CSVs; ``summarize`` reduces a directory of traces to per-checkpoint
 statistics. Options can also come from a flat key=value config file; flags
-override file entries. Exit codes: 0 success, 2 usage error, 3 data error.
+override file entries. Exit codes: 0 success, 2 usage error, 3 data error
+(an unreadable or malformed dataset, or an objective that returned a
+non-finite value where the optimizer needs a finite one).
 """
 
 from __future__ import annotations
@@ -197,7 +199,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetFormatError, OSError) as exc:
+    except (DatasetFormatError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (UsageError, ValueError) as exc:

@@ -8,10 +8,21 @@ to f(theta) and the measured gradient, each sample contributes one row of
 second-order monomials. The fitted matrix is then eigen-decomposed in closed
 form and repaired to be positive definite so the resulting Newton direction
 always points downhill for the local model.
+
+The optimizer works on all P pairs of a plan at once: ``estimate_gradients``
+and ``fd_hessians`` build every pair's probe points as one (P, n, 2) array,
+which ``probe_values`` lifts and queries, and ``fit_hessians`` fits every
+pair's model in one stacked pass (monomial design, pinned targets, Gram
+matrix, eigenvalue floor test, ridge, one stacked solve). The per-pair
+functions (``estimate_gradient``, ``build_fit_system`` + ``solve_hessian``,
+``fd_subspace_hessian``) give the same bits. The PD repair and the Newton
+solve stay per pair: for a 2x2, scalar arithmetic costs a few numpy calls
+where a batched repair costs about thirty, which loses when P is small.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,19 +36,36 @@ __all__ = [
     "FitSystem",
     "InsufficientSamplesError",
     "HessianUnavailableError",
+    "probe_values",
     "estimate_gradient",
+    "estimate_gradients",
     "quad_monomials",
     "build_fit_system",
     "solve_hessian",
+    "fit_hessians",
     "eig2x2",
     "make_pd",
     "newton_direction",
     "fd_subspace_hessian",
+    "fd_hessians",
 ]
 
 # Conditioning floor for the fit's 3x3 Gram matrix; below it the solve
 # switches to a ridge fallback.
 GAMMA_FLOOR = 1e-10
+
+
+_EYE3 = np.eye(3)
+# Slice displacements, per unit eps, of the gradient probes and of the
+# finite-difference curvature probes.
+_GRAD_STEPS = np.eye(2)
+_FD_STEPS = np.array([[2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+# quad_monomials column c is _MONO_COEF[c] * t[_MONO_A[c]] * t[_MONO_B[c]].
+_MONO_COEF = np.array([0.5, 1.0, 0.5])
+_MONO_A = np.array([0, 0, 1])
+_MONO_B = np.array([0, 1, 1])
+# Fitted parameters h -> row-major symmetric [[h0, h1], [h1, h2]].
+_SYM_2X2 = np.array([0, 1, 1, 2])
 
 
 class InsufficientSamplesError(ValueError):
@@ -76,6 +104,55 @@ class FitSystem:
     min_eig_gram: float
 
 
+def probe_values(
+    oracle: CountedOracle,
+    x: np.ndarray,
+    idx: np.ndarray,
+    points: np.ndarray,
+    what: str = "probe",
+) -> np.ndarray:
+    """Query f at x with pair j's coordinates ``idx[j]`` set to ``points[j, r]``.
+
+    ``idx`` is the (P, 2) array of pair coordinates and ``points`` the
+    (P, n, 2) absolute slice coordinates; returns the (P, n) values, queried
+    pair by pair in row order (P * n queries). To query what
+    :meth:`PairProjection.lift` would build from a displacement delta, pass
+    ``x[idx] + delta``. Raises FloatingPointError naming ``what`` if any value
+    is non-finite.
+    """
+    n_pairs, n, _ = points.shape
+    queried = np.asarray(x, dtype=float)[None, :].repeat(n_pairs * n, axis=0)
+    rows = np.arange(n_pairs)[:, None]
+    queried.reshape(n_pairs, n, -1)[rows, :, idx] = points.transpose(0, 2, 1)
+    values = np.fromiter(map(oracle, queried), dtype=float, count=n_pairs * n)
+    if not np.isfinite(values).all():
+        bad = values[~np.isfinite(values)][0]
+        raise FloatingPointError(f"objective returned non-finite value {bad} at a {what}")
+    return values.reshape(n_pairs, n)
+
+
+def estimate_gradients(
+    oracle: CountedOracle,
+    x: np.ndarray,
+    idx: np.ndarray,
+    eps: float,
+    f_x: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-point forward-difference gradients of every pair in ``idx`` (P, 2).
+
+    ``f_x`` is the already-paid value at x, so this costs exactly 2P queries.
+    Returns ``(g, points, values)``: the (P, 2) slice gradients, the probes'
+    absolute slice coordinates theta + eps*e_i as (P, 2, 2), and their (P, 2)
+    f-values, ready to bank for later curvature fits.
+    """
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    x = np.asarray(x, dtype=float)
+    points = x[idx][:, None, :] + eps * _GRAD_STEPS
+    values = probe_values(oracle, x, idx, points, "gradient probe")
+    return (values - f_x) / eps, points, values
+
+
 def estimate_gradient(
     oracle: CountedOracle,
     x: np.ndarray,
@@ -83,31 +160,24 @@ def estimate_gradient(
     eps: float,
     f_x: float,
 ) -> GradientEstimate:
-    """Two-point forward-difference gradient of the pair's 2-d slice.
+    """Two-point forward-difference gradient of one pair's 2-d slice.
 
     ``f_x`` is the already-paid value at x, so this costs exactly 2 queries.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    theta = p.project(x)
-    g = np.empty(2)
-    probes = []
-    for i, delta in enumerate(((eps, 0.0), (0.0, eps))):
-        f_probe = oracle(p.lift(delta, x))
-        if not np.isfinite(f_probe):
-            raise FloatingPointError(
-                f"objective returned non-finite value {f_probe} at a gradient probe"
-            )
-        g[i] = (f_probe - f_x) / eps
-        probes.append((theta + np.asarray(delta), f_probe))
-    return GradientEstimate(g, tuple(probes), eps)
+    g, points, values = estimate_gradients(oracle, x, np.array([p.pair]), eps, f_x)
+    probes = tuple((points[0, i], float(values[0, i])) for i in range(2))
+    return GradientEstimate(g[0], probes, eps)
 
 
 def quad_monomials(theta_bar: np.ndarray) -> np.ndarray:
-    """Second-order monomial row [t1*t1/2, t1*t2, t2*t2/2] of a slice point."""
-    t1 = float(theta_bar[0])
-    t2 = float(theta_bar[1])
-    return np.array([0.5 * t1 * t1, t1 * t2, 0.5 * t2 * t2])
+    """Second-order monomials [t1*t1/2, t1*t2, t2*t2/2] of slice points.
+
+    Maps a (..., 2) array of points to a C-contiguous (..., 3) array (a
+    fancy index on the last axis would not be, and would take matmul off
+    BLAS); each entry is (c * t_a) * t_b, the same roundings for any shape.
+    """
+    tb = np.asarray(theta_bar, dtype=float)
+    return (_MONO_COEF * np.take(tb, _MONO_A, axis=-1)) * np.take(tb, _MONO_B, axis=-1)
 
 
 def build_fit_system(
@@ -164,6 +234,63 @@ def solve_hessian(
     if not np.all(np.isfinite(h)):
         raise HessianUnavailableError("non-finite fit solution")
     return np.array([[h[0], h[1]], [h[1], h[2]]])
+
+
+def fit_hessians(
+    theta_bar: np.ndarray,
+    values: np.ndarray,
+    g_hat: np.ndarray,
+    f_theta: float,
+    gamma_floor: float = GAMMA_FLOOR,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`build_fit_system` and :func:`solve_hessian` for P pairs at once.
+
+    ``theta_bar`` (P, s, 2) holds each pair's samples relative to its current
+    slice point, ``values`` (P, s) their f-values and ``g_hat`` (P, 2) the
+    pairs' gradients. Returns ``(H, failed)``: the (P, 2, 2) fitted matrices
+    and a (P,) mask of the pairs the per-pair path rejects (fewer than 3
+    samples, a singular or non-finite system, a non-finite solution). A
+    failed pair's matrix is meaningless; the caller falls back to kappa*I.
+
+    Every accepted pair's matrix has the bits of the per-pair path: stacked
+    ``matmul``, ``eigvalsh`` and ``solve`` call the per-matrix BLAS or LAPACK
+    routine the 2-d calls use, provided that each 2-element dot goes through
+    a (..., 1, 2) @ (..., 2, 1) matmul (ddot, as ``g_hat @ tb``; elementwise
+    products and a stacked gemv round differently) and every matmul operand
+    is C-contiguous or a transpose of one (otherwise numpy leaves BLAS).
+    """
+    theta_bar = np.ascontiguousarray(theta_bar, dtype=float)
+    n_pairs, s, _ = theta_bar.shape
+    if s < 3:
+        return np.zeros((n_pairs, 2, 2)), np.ones(n_pairs, dtype=bool)
+    phi = quad_monomials(theta_bar)
+    lin = np.ascontiguousarray(g_hat, dtype=float)[:, None, None, :] @ theta_bar[..., None]
+    q = values - lin[..., 0, 0] - f_theta
+    phi_t = phi.transpose(0, 2, 1)
+    gram = phi_t @ phi
+    rhs = phi_t @ q[..., None]
+    failed = np.zeros(n_pairs, dtype=bool)
+    try:
+        min_eig = np.linalg.eigvalsh(gram)[:, 0]
+    except np.linalg.LinAlgError:  # a non-finite Gram matrix fails the whole stack
+        failed = ~np.isfinite(gram).all(axis=(1, 2))
+        gram[failed] = _EYE3
+        min_eig = np.linalg.eigvalsh(gram)[:, 0]
+    exact = min_eig >= gamma_floor
+    system = gram
+    if not exact.all():
+        trace = gram[:, 0, 0] + gram[:, 1, 1] + gram[:, 2, 2]  # np.trace's order
+        ridge = 1e-8 * trace / 3.0
+        system = np.where(exact[:, None, None], gram, gram + ridge[:, None, None] * _EYE3)
+    try:
+        h = np.linalg.solve(system, rhs)[..., 0]
+    except np.linalg.LinAlgError:  # one singular system fails the stack: retry per pair
+        h = np.full((n_pairs, 3), np.nan)
+        for j in range(n_pairs):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                h[j] = np.linalg.solve(system[j], rhs[j, :, 0])
+    failed |= ~np.isfinite(h).all(axis=1)
+    return h[:, _SYM_2X2].reshape(n_pairs, 2, 2), failed
 
 
 def eig2x2(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,6 +352,33 @@ def newton_direction(A_bar: np.ndarray, g_hat: np.ndarray) -> np.ndarray:
     return np.array([(d * g0 - b * g1) / det, (a * g1 - b * g0) / det])
 
 
+def fd_hessians(
+    oracle: CountedOracle,
+    x: np.ndarray,
+    idx: np.ndarray,
+    eps: float,
+    f_x: float,
+    f_probes: np.ndarray,
+) -> np.ndarray:
+    """Coordinate finite-difference 2x2 curvature of every pair in ``idx``.
+
+    ``f_probes`` (P, 2) are the gradient probe values f(theta + eps e1),
+    f(theta + eps e2); this pays exactly 3P new queries, per pair
+    f(theta + 2 eps e1), f(theta + 2 eps e2) and f(theta + eps e1 + eps e2),
+    and returns the (P, 2, 2) matrices.
+    """
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    x = np.asarray(x, dtype=float)
+    points = x[idx][:, None, :] + eps * _FD_STEPS
+    f = probe_values(oracle, x, idx, points, "curvature probe")
+    eps2 = eps * eps
+    H = np.empty((len(idx), 4))
+    H[:, ::3] = (f[:, :2] - 2.0 * f_probes + f_x) / eps2  # a11, a22
+    H[:, 1:3] = ((f[:, 2] - f_probes[:, 0] - f_probes[:, 1] + f_x) / eps2)[:, None]  # a12
+    return H.reshape(-1, 2, 2)
+
+
 def fd_subspace_hessian(
     oracle: CountedOracle,
     x: np.ndarray,
@@ -234,24 +388,11 @@ def fd_subspace_hessian(
     f_probe1: float,
     f_probe2: float,
 ) -> np.ndarray:
-    """Coordinate finite-difference 2x2 curvature (cache-free ablation).
+    """Coordinate finite-difference 2x2 curvature of one pair (cache-free ablation).
 
     Reuses the gradient probe values f(theta + eps e1), f(theta + eps e2) and
     pays exactly 3 new queries: f(theta + 2 eps e1), f(theta + 2 eps e2), and
     f(theta + eps e1 + eps e2).
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    f_2e1 = oracle(p.lift((2.0 * eps, 0.0), x))
-    f_2e2 = oracle(p.lift((0.0, 2.0 * eps), x))
-    f_e1e2 = oracle(p.lift((eps, eps), x))
-    for value in (f_2e1, f_2e2, f_e1e2):
-        if not np.isfinite(value):
-            raise FloatingPointError(
-                f"objective returned non-finite value {value} at a curvature probe"
-            )
-    eps2 = eps * eps
-    a11 = (f_2e1 - 2.0 * f_probe1 + f_x) / eps2
-    a22 = (f_2e2 - 2.0 * f_probe2 + f_x) / eps2
-    a12 = (f_e1e2 - f_probe1 - f_probe2 + f_x) / eps2
-    return np.array([[a11, a12], [a12, a22]])
+    f_probes = np.array([[f_probe1, f_probe2]], dtype=float)
+    return fd_hessians(oracle, x, np.array([p.pair]), eps, f_x, f_probes)[0]

@@ -225,25 +225,29 @@ def summarize(
     At each checkpoint (grid, 2*grid, ...) a seed contributes its last
     f-value at cum_evals <= checkpoint. Checkpoints where some seed has no
     value yet are omitted. std is the sample standard deviation (0 for a
-    single seed).
+    single seed). Each seed's rows must be in non-decreasing cum_evals
+    order, as every optimizer writes them.
     """
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
     if not rows_by_seed:
         raise ValueError("no traces to summarize")
     last = max(rows[-1].cum_evals for rows in rows_by_seed.values() if rows)
+    checkpoints = np.arange(grid, last + 1, grid)
+    # values[c, s]: seed s's last value at or before checkpoint c, found with
+    # one searchsorted per seed; have[c]: every seed has such a value.
+    values = np.zeros((checkpoints.size, len(rows_by_seed)))
+    have = np.ones(checkpoints.size, dtype=bool)
+    for s, (seed, rows) in enumerate(rows_by_seed.items()):
+        evals = np.array([r.cum_evals for r in rows], dtype=np.int64)
+        if np.any(np.diff(evals) < 0):
+            raise ValueError(f"seed {seed}: trace rows are not in cum_evals order")
+        at = np.searchsorted(evals, checkpoints, side="right") - 1
+        have &= at >= 0
+        if rows:
+            values[:, s] = np.array([r.f_value for r in rows])[np.maximum(at, 0)]
     out: list[SummaryRow] = []
-    for checkpoint in range(grid, last + 1, grid):
-        values = []
-        for rows in rows_by_seed.values():
-            at_or_before = [r.f_value for r in rows if r.cum_evals <= checkpoint]
-            if not at_or_before:
-                values = []
-                break
-            values.append(at_or_before[-1])
-        if not values:
-            continue
-        arr = np.asarray(values)
+    for checkpoint, arr in zip(checkpoints[have].tolist(), values[have]):
         std = float(np.std(arr, ddof=1)) if len(arr) > 1 else 0.0
         out.append(
             SummaryRow(checkpoint, float(arr.mean()), std, float(arr.min()), float(arr.max()))

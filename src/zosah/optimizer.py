@@ -1,13 +1,18 @@
 """Driver for the subspace approximate-Hessian optimizer.
 
 One outer step: refresh the coordinate-pair plan if the period rolled over,
-pay one query for the current value, then for every pair measure the 2-d
-slice gradient, obtain a 2x2 curvature matrix (least-squares fit on cached
-evaluations by default, coordinate finite differences in the ablation mode),
-repair it to be positive definite, and accumulate the per-pair Newton
-directions into one full-space update. A backtracking line search along the
-negated update either accepts a step length or leaves the iterate unchanged,
-so the accepted value sequence never increases.
+pay one query for the current value, then measure every pair's 2-d slice
+gradient (2 probes per pair), obtain every pair's 2x2 curvature matrix in one
+batched pass (a stacked least-squares fit on cached evaluations by default,
+coordinate finite differences in the ablation mode), and, pair by pair,
+repair it to be positive definite and solve for the pair's Newton direction.
+The directions add up to one full-space update. A backtracking line search
+along the negated update either accepts a step length or leaves the iterate
+unchanged, so the accepted value sequence never increases.
+
+The batched stages give the bits of the per-pair functions they replace
+(``estimate_gradient``, ``build_fit_system`` + ``solve_hessian``,
+``fd_subspace_hessian``), so traces do not depend on which path ran.
 
 The line search and the budgeted run loop live here and are shared verbatim
 by the baseline optimizers, keeping query accounting comparable across
@@ -20,16 +25,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cache import EvalCache, EvalRecord
+from .cache import EvalCache
 from .estimator import (
     GAMMA_FLOOR,
-    HessianUnavailableError,
-    InsufficientSamplesError,
+    estimate_gradients,
+    fd_hessians,
+    fit_hessians,
+    make_pd,
+    newton_direction,
+    probe_values,
+)
+# Per-pair estimators the step does not call; bench/tracer.py looks them up
+# in this module.
+from .estimator import (  # noqa: F401
     build_fit_system,
     estimate_gradient,
     fd_subspace_hessian,
-    make_pd,
-    newton_direction,
     solve_hessian,
 )
 from .oracle import CountedOracle, DimensionMismatchError, Objective
@@ -221,6 +232,7 @@ class ZosahOptimizer(BudgetedOptimizer):
             raise ValueError(f"m must be even with 2 <= m <= d={d}, got {self.m}")
         self.rng = np.random.default_rng(cfg.seed) if rng is None else rng
         self.plan = None
+        self._idx = None  # (P, 2) coordinates of the plan's pairs
         self.cache = EvalCache(cfg.gamma_floor)
         self.stats: list[StepStats] = []
 
@@ -230,60 +242,53 @@ class ZosahOptimizer(BudgetedOptimizer):
         if self.plan is None or k % cfg.T == 0:
             self.plan = make_plan(self.oracle.dim, self.m, self.rng, step=k)
             self.cache.reset(self.plan)
+            self._idx = np.array([p.pair for p in self.plan.pairs])
 
         count0 = self.oracle.count
         f_x = self.oracle(self.x)
-        v = np.zeros_like(self.x)
-        grad_evals = 0
-        pair_hess: list[int] = []
+        idx = self._idx
+        n_pairs = len(idx)
+        g, probe_points, probe_f = estimate_gradients(self.oracle, self.x, idx, cfg.eps, f_x)
+        grad_evals = 2 * n_pairs
+        fresh_paid = 0  # per pair
         degraded = 0
 
-        for p in self.plan.pairs:
-            theta = p.project(self.x)
-            grad = estimate_gradient(self.oracle, self.x, p, cfg.eps, f_x)
-            grad_evals += 2
-            fresh_paid = 0
-
-            if cfg.hessian_mode == "fd":
-                A = fd_subspace_hessian(
-                    self.oracle, self.x, p, cfg.eps,
-                    f_x, grad.probes[0][1], grad.probes[1][1],
+        if cfg.hessian_mode == "fd":
+            H = fd_hessians(self.oracle, self.x, idx, cfg.eps, f_x, probe_f)
+            failed = np.zeros(n_pairs, dtype=bool)
+            fresh_paid = 3
+        else:
+            theta = self.x[idx]
+            if k % cfg.T == 0:
+                points, flags = self.cache.draw_fresh(theta, self.rng, cfg.hess_radius)
+                theta_bar = points - theta[:, None, :]
+                # lifted as x[i] + (point - theta), the per-pair path's floats
+                values = probe_values(
+                    self.oracle, self.x, idx, theta[:, None, :] + theta_bar, "curvature sample"
                 )
+                self.cache.store_fresh(k, points, values)
                 fresh_paid = 3
+                degraded = int(flags.sum())
             else:
-                gathered = self.cache.gather_samples(
-                    k, cfg.T, p, theta, self.rng, cfg.hess_radius
-                )
-                if gathered.degraded:
-                    degraded += 1
-                samples = list(gathered.samples)
-                fresh_records = []
-                for point in gathered.fresh:
-                    f_point = self.oracle(p.lift(point - theta, self.x))
-                    fresh_paid += 1
-                    fresh_records.append(EvalRecord(k, point, f_point))
-                    samples.append((point - theta, f_point))
-                if fresh_records:
-                    self.cache.record_fresh(k, p, fresh_records)
-                try:
-                    fit = build_fit_system(samples, grad.g, f_x)
-                    A = solve_hessian(fit, cfg.gamma_floor)
-                except (InsufficientSamplesError, HessianUnavailableError):
-                    A = None
-                self.cache.record_probes(
-                    k, p, [EvalRecord(k, pt, fv) for pt, fv in grad.probes]
-                )
+                points, values = self.cache.window(k, cfg.T)
+                theta_bar = points - theta[:, None, :]
+            H, failed = fit_hessians(theta_bar, values, g, f_x, cfg.gamma_floor)
+            self.cache.store_probes(k, probe_points, probe_f)
 
-            pair_hess.append(fresh_paid)
-            if A is None:
+        w = np.empty((n_pairs, 2))
+        for j in range(n_pairs):
+            if failed[j]:
                 A_bar = cfg.kappa * np.eye(2)  # scaled gradient fallback
             else:
+                A = H[j]
                 if cfg.hessian_mode == "diag":
                     A = np.diag(np.diag(A))
                 A_bar = make_pd(A, cfg.kappa)
-            v = p.lift(newton_direction(A_bar, grad.g), v)
+            w[j] = newton_direction(A_bar, g[j])
+        v = np.zeros_like(self.x)
+        v[idx] += w
 
-        hess_evals = sum(pair_hess)
+        hess_evals = fresh_paid * n_pairs
         rho, accepted, f_new = armijo_search(
             self.oracle, self.x, v, f_x, cfg.line_search
         )
@@ -303,7 +308,7 @@ class ZosahOptimizer(BudgetedOptimizer):
                 grad_evals=grad_evals,
                 hess_evals=hess_evals,
                 search_evals=search_evals,
-                pair_hess_evals=tuple(pair_hess),
+                pair_hess_evals=(fresh_paid,) * n_pairs,
                 accepted=accepted,
                 rho=rho,
                 degraded_pairs=degraded,

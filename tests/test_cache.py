@@ -1,9 +1,9 @@
-"""Tests for the per-pair evaluation cache and its reuse schedule."""
+"""Tests for the evaluation window and its reuse schedule."""
 
 import numpy as np
 import pytest
 
-from zosah.cache import EvalCache, EvalRecord, PlanMismatchError
+from zosah.cache import EvalCache, PlanMismatchError
 from zosah.estimator import quad_monomials
 from zosah.subspace import PairProjection, SubspacePlan
 
@@ -14,25 +14,25 @@ def two_pair_plan(step=0):
 
 
 def records_for(k, values, base=0.0):
-    # distinct 2-d points per record so provenance is detectable downstream
+    # (point, value) samples with distinct 2-d points, so provenance is
+    # detectable downstream; k only documents the step they belong to
     return [
-        EvalRecord(k, np.array([base + i, base - i], dtype=float), v)
+        (np.array([base + i, base - i], dtype=float), v)
         for i, v in enumerate(values)
     ]
 
 
-class TestEvalRecord:
-    def test_fields(self):
-        rec = EvalRecord(3, np.array([1.0, 2.0]), 0.25)
-        assert rec.step == 3
-        assert rec.value == 0.25
-        np.testing.assert_array_equal(rec.point, [1.0, 2.0])
-
+class TestRecordValidation:
     def test_non_finite_value_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            EvalRecord(0, np.zeros(2), float("nan"))
-        with pytest.raises(ValueError, match="finite"):
-            EvalRecord(0, np.zeros(2), float("inf"))
+        cache = EvalCache()
+        pair = PairProjection(0, 1)
+        cache.reset(two_pair_plan())
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            cache.record_probes(0, pair, records_for(0, [1.0, float("nan")]))
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            cache.record_fresh(0, pair, records_for(0, [1.0, 2.0, float("inf")]))
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            cache.store_fresh(0, np.zeros((2, 3, 2)), np.full((2, 3), np.inf))
 
 
 class TestPlanHandling:
@@ -104,11 +104,6 @@ class TestEviction:
         values = sorted(v for _, v in got.samples)
         assert values == [20.0, 21.0, 30.0, 31.0]
 
-        got3 = cache.gather_samples(3, 20, pair, np.zeros(2), np.random.default_rng(0), 0.05)
-        values3 = sorted(v for _, v in got3.samples)
-        assert values3 == [10.0, 11.0, 20.0, 21.0]
-        assert 0.0 not in values3 and 1.0 not in values3
-
     def test_fresh_store_evicts_too(self):
         cache = EvalCache()
         pair = PairProjection(0, 1)
@@ -157,9 +152,9 @@ class TestGatherPhases:
         assert got.fresh == [] and not got.degraded
         assert len(got.samples) == 5
         # probes first, then fresh; recentring is exact subtraction
-        for (s, v), rec in zip(got.samples, probes + fresh):
-            np.testing.assert_array_equal(s, rec.point - theta1)
-            assert v == rec.value
+        for (s, v), (point, value) in zip(got.samples, probes + fresh):
+            np.testing.assert_array_equal(s, point - theta1)
+            assert v == value
 
     def test_mid_period_reuses_two_probe_sets(self):
         cache = EvalCache()
@@ -175,9 +170,9 @@ class TestGatherPhases:
         got = cache.gather_samples(2, 5, pair, theta2, np.random.default_rng(0), 0.05)
         assert got.fresh == [] and not got.degraded
         assert len(got.samples) == 4
-        for (s, v), rec in zip(got.samples, p0 + p1):
-            np.testing.assert_array_equal(s, rec.point - theta2)
-            assert v == rec.value
+        for (s, v), (point, value) in zip(got.samples, p0 + p1):
+            np.testing.assert_array_equal(s, point - theta2)
+            assert v == value
         # fresh samples never reappear after the second step of a period
         assert all(v not in (1.0, 2.0, 3.0) for _, v in got.samples)
 
@@ -248,3 +243,72 @@ class TestConditioning:
         cache.reset(two_pair_plan())
         got = cache.gather_samples(0, 5, pair, np.zeros(2), np.random.default_rng(0), 1e-4)
         assert got.degraded and len(got.fresh) == 3
+
+
+class TestBatchedWindow:
+    def test_window_slabs_follow_the_schedule(self):
+        cache = EvalCache()
+        cache.reset(two_pair_plan())
+        rng = np.random.default_rng(0)
+        fresh_pts, fresh_f = rng.standard_normal((2, 3, 2)), rng.standard_normal((2, 3))
+        p0_pts, p0_f = rng.standard_normal((2, 2, 2)), rng.standard_normal((2, 2))
+        p1_pts, p1_f = rng.standard_normal((2, 2, 2)), rng.standard_normal((2, 2))
+        assert cache.window(0, 5)[0].shape == (2, 0, 2)
+
+        cache.store_fresh(0, fresh_pts, fresh_f)
+        cache.store_probes(0, p0_pts, p0_f)
+        points, values = cache.window(1, 5)
+        np.testing.assert_array_equal(points, np.concatenate([p0_pts, fresh_pts], axis=1))
+        np.testing.assert_array_equal(values, np.concatenate([p0_f, fresh_f], axis=1))
+
+        cache.store_probes(1, p1_pts, p1_f)
+        points, values = cache.window(2, 5)
+        np.testing.assert_array_equal(points, np.concatenate([p0_pts, p1_pts], axis=1))
+        np.testing.assert_array_equal(values, np.concatenate([p0_f, p1_f], axis=1))
+
+    def test_pair_view_matches_batched_window(self):
+        cache = EvalCache()
+        plan = two_pair_plan()
+        cache.reset(plan)
+        rng = np.random.default_rng(1)
+        for k in range(3):
+            cache.store_probes(k, rng.standard_normal((2, 2, 2)), rng.standard_normal((2, 2)))
+        theta = rng.standard_normal((2, 2))
+        points, values = cache.window(3, 20)
+        for j, pair in enumerate(plan.pairs):
+            got = cache.gather_samples(3, 20, pair, theta[j], rng, 0.05)
+            for (tb, f), point, value in zip(got.samples, points[j], values[j]):
+                np.testing.assert_array_equal(tb, point - theta[j])
+                assert f == value
+
+    @pytest.mark.parametrize("floor,radius,redraws", [
+        (1e-10, 0.05, False),  # first draws all meet the floor
+        (1e-8, 0.05, True),  # some first draws miss it and redraw
+        (1e-10, 1e-4, True),  # every draw misses: every pair degraded
+    ])
+    def test_draw_fresh_consumes_rng_like_per_pair_draws(self, floor, radius, redraws):
+        cache = EvalCache(gamma_floor=floor)
+        pairs = tuple(PairProjection(2 * j, 2 * j + 1) for j in range(8))
+        cache.reset(SubspacePlan(16, tuple(range(16)), pairs, 0))
+        theta = np.random.default_rng(9).standard_normal((8, 2))
+        extra_draws = 0
+        for seed in range(10):
+            batched_rng = np.random.default_rng(seed)
+            points, degraded = cache.draw_fresh(theta, batched_rng, radius)
+            serial_rng = np.random.default_rng(seed)
+            for j, pair in enumerate(pairs):
+                got = cache.gather_samples(0, 5, pair, theta[j], serial_rng, radius)
+                np.testing.assert_array_equal(points[j], np.array(got.fresh))
+                assert degraded[j] == got.degraded
+            one_draw_each = np.random.default_rng(seed)
+            one_draw_each.uniform(size=3 * len(pairs))
+            extra_draws += batched_rng.bit_generator.state != one_draw_each.bit_generator.state
+            assert batched_rng.random() == serial_rng.random()
+        assert (extra_draws > 0) == redraws
+        assert degraded.all() == (radius < 1e-3)
+
+    def test_draw_fresh_rejects_bad_radius(self):
+        cache = EvalCache()
+        cache.reset(two_pair_plan())
+        with pytest.raises(ValueError, match="radius"):
+            cache.draw_fresh(np.zeros((2, 2)), np.random.default_rng(0), 0.0)

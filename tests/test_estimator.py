@@ -20,6 +20,9 @@ from zosah import (
 from zosah.estimator import (
     HessianUnavailableError,
     InsufficientSamplesError,
+    estimate_gradients,
+    fd_hessians,
+    fit_hessians,
     quad_monomials,
 )
 
@@ -185,6 +188,149 @@ class TestSolveHessian:
         sys = build_fit_system(samples, np.zeros(2), 0.0)
         with pytest.raises(HessianUnavailableError):
             solve_hessian(sys)
+
+
+def per_pair_fit(theta_bar, values, g_hat, f_theta):
+    """build_fit_system + solve_hessian on one pair; None where it raises."""
+    try:
+        fit = build_fit_system(list(zip(theta_bar, values)), g_hat, f_theta)
+        return fit.min_eig_gram, solve_hessian(fit, 1e-10)
+    except (InsufficientSamplesError, HessianUnavailableError):
+        return None, None
+
+
+class TestBatchedFit:
+    """fit_hessians against the per-pair path, bit for bit."""
+
+    def mixed_stack(self, rng, s):
+        # rows: well spread (exact solve), tiny scale (ridge), duplicated
+        # samples (rank deficient, ridge), nearly on one axis (ridge that
+        # dominates a Gram diagonal entry, so its bits reach the solution),
+        # all at the origin (zero Gram and zero ridge: singular), and a
+        # non-finite value
+        kinds = ["exact", "ridge", "duplicate", "near_axis", "singular", "nonfinite"] * 2
+        rng.shuffle(kinds)
+        theta_bar = np.empty((len(kinds), s, 2))
+        values = rng.standard_normal((len(kinds), s))
+        for j, kind in enumerate(kinds):
+            scale = {"exact": 1.0, "ridge": 1e-4}.get(kind, 0.1)
+            theta_bar[j] = scale * rng.standard_normal((s, 2))
+            if kind == "duplicate":
+                theta_bar[j, 1] = theta_bar[j, 0]
+                theta_bar[j, 2] = -theta_bar[j, 0]
+                theta_bar[j, 3:] = theta_bar[j, 0]
+            elif kind == "near_axis":
+                theta_bar[j, :, 1] *= 1e-3
+            elif kind == "singular":
+                theta_bar[j] = 0.0
+            elif kind == "nonfinite":
+                values[j, s - 1] = np.inf
+        return kinds, theta_bar, values
+
+    @pytest.mark.parametrize("s", [3, 4, 5])
+    def test_matches_per_pair_bits(self, s):
+        rng = np.random.default_rng(100 + s)
+        seen = set()
+        for _ in range(40):
+            kinds, theta_bar, values = self.mixed_stack(rng, s)
+            g = rng.standard_normal((len(kinds), 2))
+            f_theta = float(rng.standard_normal())
+            H, failed = fit_hessians(theta_bar, values, g, f_theta, 1e-10)
+            for j, kind in enumerate(kinds):
+                min_eig, ref = per_pair_fit(theta_bar[j], values[j], g[j], f_theta)
+                if ref is None:
+                    assert failed[j], kind
+                    assert kind in ("singular", "nonfinite")
+                    seen.add("failed")
+                else:
+                    assert not failed[j], kind
+                    assert np.array_equal(H[j], ref), kind
+                    seen.add("exact" if min_eig >= 1e-10 else "ridge")
+        assert seen == {"exact", "ridge", "failed"}
+
+    def test_singular_pair_fails_alone(self):
+        rng = np.random.default_rng(7)
+        theta_bar = rng.standard_normal((3, 4, 2))
+        theta_bar[1] = 0.0  # zero Gram, zero ridge: np.linalg.solve raises
+        values = rng.standard_normal((3, 4))
+        g = rng.standard_normal((3, 2))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.zeros((3, 3)), np.ones(3))
+        H, failed = fit_hessians(theta_bar, values, g, 0.5)
+        assert failed.tolist() == [False, True, False]
+        for j in (0, 2):
+            assert np.array_equal(H[j], per_pair_fit(theta_bar[j], values[j], g[j], 0.5)[1])
+
+    def test_non_finite_point_fails_alone(self):
+        # an overflowing monomial makes that pair's Gram matrix non-finite,
+        # which would make a stacked eigvalsh raise for every pair
+        rng = np.random.default_rng(8)
+        theta_bar = rng.standard_normal((3, 4, 2))
+        theta_bar[2, 1] = [1e200, 0.0]
+        values = rng.standard_normal((3, 4))
+        g = rng.standard_normal((3, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            H, failed = fit_hessians(theta_bar, values, g, 0.5)
+        assert failed.tolist() == [False, False, True]
+        for j in (0, 1):
+            assert np.array_equal(H[j], per_pair_fit(theta_bar[j], values[j], g[j], 0.5)[1])
+
+    def test_fewer_than_three_samples_fail_every_pair(self):
+        H, failed = fit_hessians(np.ones((4, 2, 2)), np.ones((4, 2)), np.zeros((4, 2)), 0.0)
+        assert H.shape == (4, 2, 2)
+        assert failed.all()
+
+
+class TestBatchedProbes:
+    def setup_problem(self):
+        rng = np.random.default_rng(81)
+        B = rng.standard_normal((7, 7))
+        obj = quadratic_objective(B + B.T)
+        x = rng.standard_normal(7)
+        x[3] = -0.0
+        idx = np.array([[4, 0], [3, 6], [1, 5]])
+        return obj, x, idx
+
+    def test_gradients_match_lifted_probes(self):
+        obj, x, idx = self.setup_problem()
+        eps = 1e-3
+        oracle = CountedOracle(obj)
+        f_x = obj(x)
+        g, points, values = estimate_gradients(oracle, x, idx, eps, f_x)
+        assert oracle.count == 2 * len(idx)
+        for j, (i1, i2) in enumerate(idx):
+            p = PairProjection(int(i1), int(i2))
+            for r, delta in enumerate(((eps, 0.0), (0.0, eps))):
+                f_probe = obj(p.lift(delta, x))
+                assert values[j, r] == f_probe
+                assert g[j, r] == (f_probe - f_x) / eps
+                assert np.array_equal(points[j, r], p.project(x) + np.asarray(delta))
+
+    def test_fd_matches_per_pair(self):
+        obj, x, idx = self.setup_problem()
+        eps = 1e-2
+        oracle = CountedOracle(obj)
+        f_x = obj(x)
+        _, _, f_probes = estimate_gradients(oracle, x, idx, eps, f_x)
+        before = oracle.count
+        H = fd_hessians(oracle, x, idx, eps, f_x, f_probes)
+        assert oracle.count - before == 3 * len(idx)
+        for j, (i1, i2) in enumerate(idx):
+            p = PairProjection(int(i1), int(i2))
+            f_2e1 = obj(p.lift((2.0 * eps, 0.0), x))
+            f_2e2 = obj(p.lift((0.0, 2.0 * eps), x))
+            f_e1e2 = obj(p.lift((eps, eps), x))
+            f1, f2 = f_probes[j]
+            eps2 = eps * eps
+            a11 = (f_2e1 - 2.0 * f1 + f_x) / eps2
+            a22 = (f_2e2 - 2.0 * f2 + f_x) / eps2
+            a12 = (f_e1e2 - f1 - f2 + f_x) / eps2
+            assert np.array_equal(H[j], [[a11, a12], [a12, a22]])
+
+    def test_non_finite_probe_names_the_probe(self):
+        oracle = CountedOracle(Objective(lambda x: np.inf if x[1] > 0 else 0.0, 3))
+        with pytest.raises(FloatingPointError, match="gradient probe"):
+            estimate_gradients(oracle, np.zeros(3), np.array([[0, 2], [1, 0]]), 1e-3, 0.0)
 
 
 class TestEig2x2:

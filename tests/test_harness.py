@@ -24,6 +24,7 @@ from zosah.harness import (
     write_summary_csv,
     write_trace_csv,
 )
+from zosah.oracle import Objective
 from zosah.optimizer import TraceRow
 
 
@@ -232,6 +233,15 @@ class TestSummarize:
     def test_grid_beyond_last_row_gives_no_checkpoints(self):
         assert summarize({0: [TraceRow(0, 40, 1.0)]}, grid=100) == []
 
+    def test_rows_out_of_cum_evals_order_rejected(self):
+        rows = {3: [TraceRow(0, 10, 2.0), TraceRow(1, 5, 1.0)]}
+        with pytest.raises(ValueError, match="seed 3"):
+            summarize(rows, grid=5)
+
+    def test_ties_take_the_last_row(self):
+        rows = {0: [TraceRow(0, 1, 5.0), TraceRow(1, 10, 4.0), TraceRow(2, 10, 3.0)]}
+        assert [(r.cum_evals, r.mean) for r in summarize(rows, grid=5)] == [(5, 5.0), (10, 3.0)]
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match="grid"):
             summarize({0: [TraceRow(0, 1, 1.0)]}, grid=0)
@@ -316,6 +326,32 @@ class TestCliRun:
             "--evals", "50", "--out", str(tmp_path / "out"),
         ])
         assert code == 3
+
+
+class TestCliNonFiniteObjective:
+    """A non-finite probe value is a data error (exit 3), whichever probe hit it."""
+
+    @staticmethod
+    def wall(x):
+        return np.inf if x[0] >= 0.9 else float((x[0] - 1.0) ** 2 + x[1] ** 2)
+
+    @pytest.mark.parametrize("alg,x0,probe", [
+        ("zosah", "0.89,0", "curvature sample"),  # fresh circle crosses x[0] = 0.9
+        ("zosah", "0,0", "gradient probe"),  # iterates creep up to the wall
+        ("zosah-fd", "0.8985,0", "curvature probe"),  # x + 2 eps e1 crosses it
+    ])
+    def test_exit_3_with_one_line_error(self, monkeypatch, tmp_path, capsys, alg, x0, probe):
+        monkeypatch.setattr(
+            "zosah.harness.resolve_objective", lambda obj_id: Objective(self.wall, 2)
+        )
+        code = main([
+            "run", "--alg", alg, "--obj", "rosenbrock", "--x0", x0,
+            "--evals", "500", "--out", str(tmp_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"non-finite value inf at a {probe}" in err
 
 
 class TestCliConfigFile:

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 import zosah.optimizer as optimizer_mod
-from zosah.estimator import HessianUnavailableError, make_pd
+from zosah.cache import EvalCache
+from zosah.estimator import (
+    HessianUnavailableError,
+    InsufficientSamplesError,
+    build_fit_system,
+    estimate_gradient,
+    fd_subspace_hessian,
+    make_pd,
+    newton_direction,
+    solve_hessian,
+)
 from zosah.oracle import (
     CountedOracle,
     DimensionMismatchError,
@@ -21,6 +31,7 @@ from zosah.optimizer import (
     default_subspace_size,
     run_zosah,
 )
+from zosah.subspace import make_plan
 
 ROTATED = np.array([[5.5, 4.5], [4.5, 5.5]])
 
@@ -288,15 +299,26 @@ class TestDriverBehaviour:
             ZosahOptimizer(CountedOracle(sphere(4)), np.zeros(3), ZosahConfig(max_evals=10))
 
     def test_hessian_failure_falls_back_to_scaled_gradient(self, monkeypatch):
-        def always_fails(fit, gamma_floor):
-            raise HessianUnavailableError("forced")
+        def always_fails(theta_bar, values, g_hat, f_theta, gamma_floor):
+            n = len(g_hat)
+            return np.full((n, 2, 2), np.nan), np.ones(n, dtype=bool)
 
-        monkeypatch.setattr(optimizer_mod, "solve_hessian", always_fails)
+        seen = []
+        real_newton = optimizer_mod.newton_direction
+
+        def capture(A_bar, g_hat):
+            seen.append(np.array(A_bar))
+            return real_newton(A_bar, g_hat)
+
+        monkeypatch.setattr(optimizer_mod, "fit_hessians", always_fails)
+        monkeypatch.setattr(optimizer_mod, "newton_direction", capture)
         oracle = CountedOracle(sphere(2))
         opt = ZosahOptimizer(oracle, np.array([1.0, 1.0]), ZosahConfig(max_evals=10_000, seed=0, m=2))
         f0 = oracle(opt.x)
         opt.trace.append(TraceRow(0, oracle.count, f0))
         row = opt.step()
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], 0.1 * np.eye(2))
         assert opt.stats[0].accepted
         assert row.f_value < f0
 
@@ -311,7 +333,11 @@ class TestDiagVariant:
             seen.append(np.array(A_bar))
             return real_newton(A_bar, g_hat)
 
-        monkeypatch.setattr(optimizer_mod, "solve_hessian", lambda fit, gamma_floor: fitted.copy())
+        def fit_all(theta_bar, values, g_hat, f_theta, gamma_floor):
+            n = len(g_hat)
+            return np.broadcast_to(fitted, (n, 2, 2)).copy(), np.zeros(n, dtype=bool)
+
+        monkeypatch.setattr(optimizer_mod, "fit_hessians", fit_all)
         monkeypatch.setattr(optimizer_mod, "newton_direction", capture)
 
         for mode, expected in (("diag", np.diag([2.0, 3.0])), ("fit", make_pd(fitted, 0.1))):
@@ -350,3 +376,84 @@ class TestDiagVariant:
         # coupled fit solves the pair exactly; the diagonal variant cannot
         assert finals["fit"] < 1e-8
         assert finals["diag"] > 1e-6
+
+
+def reference_trace(obj, x0, cfg):
+    """The optimizer's loop, pair by pair, from the public per-pair functions.
+
+    Banks probes and fresh samples in plain per-pair dicts and draws each
+    pair's fresh points with the per-pair EvalCache.gather_samples.
+    """
+    oracle = CountedOracle(obj)
+    rng = np.random.default_rng(cfg.seed)
+    sampler = EvalCache(cfg.gamma_floor)
+    x = np.array(x0, dtype=float)
+    trace = [TraceRow(0, 1, oracle(x))]
+    k = 0
+    while oracle.count < cfg.max_evals:
+        if k % cfg.T == 0:
+            plan = make_plan(obj.dim, cfg.m, rng, step=k)
+            sampler.reset(plan)
+            banked = {p.pair: {} for p in plan.pairs}
+        f_x = oracle(x)
+        v = np.zeros_like(x)
+        for p in plan.pairs:
+            theta = p.project(x)
+            grad = estimate_gradient(oracle, x, p, cfg.eps, f_x)
+            if cfg.hessian_mode == "fd":
+                A = fd_subspace_hessian(oracle, x, p, cfg.eps, f_x,
+                                        grad.probes[0][1], grad.probes[1][1])
+            else:
+                store = banked[p.pair]
+                if k % cfg.T == 0:
+                    fresh = sampler.gather_samples(k, cfg.T, p, theta, rng, cfg.hess_radius).fresh
+                    store["fresh"] = [(pt, oracle(p.lift(pt - theta, x))) for pt in fresh]
+                    records = store["fresh"]
+                elif k % cfg.T == 1:
+                    records = store[k - 1] + store["fresh"]
+                else:
+                    records = store[k - 2] + store[k - 1]
+                try:
+                    fit = build_fit_system([(pt - theta, f) for pt, f in records], grad.g, f_x)
+                    A = solve_hessian(fit, cfg.gamma_floor)
+                except (InsufficientSamplesError, HessianUnavailableError):
+                    A = None
+                store[k] = list(grad.probes)
+            if A is None:
+                A_bar = cfg.kappa * np.eye(2)
+            else:
+                if cfg.hessian_mode == "diag":
+                    A = np.diag(np.diag(A))
+                A_bar = make_pd(A, cfg.kappa)
+            v = p.lift(newton_direction(A_bar, grad.g), v)
+        rho, accepted, f_new = armijo_search(oracle, x, v, f_x, cfg.line_search)
+        if accepted:
+            x = x - rho * v
+        k += 1
+        trace.append(TraceRow(k, oracle.count, f_new))
+    return trace
+
+
+class TestBatchedStepMatchesPerPairReference:
+    """Whole-run traces of the batched step against reference_trace, exactly."""
+
+    @pytest.mark.parametrize("mode", ["fit", "diag", "fd"])
+    @pytest.mark.parametrize("radius", [0.05, 0.004])
+    def test_rotated_quadratic_traces(self, mode, radius):
+        # 6-d rotated quadratic, T=3: period phases 0, 1 and 2 all recur; the
+        # small radius makes some fresh draws miss the Gram floor and redraw
+        rng = np.random.default_rng(5)
+        Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        A = (Q * 10.0 ** rng.uniform(0.0, 2.0, 6)) @ Q.T
+        obj = quadratic_objective((A + A.T) / 2.0)
+        x0 = rng.standard_normal(6)
+        for seed in range(3):
+            cfg = ZosahConfig(max_evals=700, seed=seed, m=6, T=3,
+                              hess_radius=radius, hessian_mode=mode)
+            got = run_zosah(obj, x0, cfg)
+            want = reference_trace(obj, x0, cfg)
+            assert len(got) > 20
+            assert [(r.step, r.cum_evals) for r in got] == [
+                (r.step, r.cum_evals) for r in want
+            ]
+            assert np.array_equal([r.f_value for r in got], [r.f_value for r in want])
