@@ -22,7 +22,6 @@ from .baselines import (
     BaselineConfig,
     RspgOptimizer,
     SignSgdOptimizer,
-    fd_full_hessian,
     rge_gradient,
     run_baseline,
 )
@@ -59,7 +58,6 @@ from .oracle import (
     rosenbrock_objective,
 )
 from .optimizer import (
-    LineSearch,
     TraceRow,
     ZosahConfig,
     ZosahOptimizer,
@@ -79,7 +77,6 @@ __all__ = [
     "ExperimentConfig",
     "FitSystem",
     "GradientEstimate",
-    "LineSearch",
     "Objective",
     "PairProjection",
     "RspgOptimizer",
@@ -92,7 +89,6 @@ __all__ = [
     "build_fit_system",
     "eig2x2",
     "estimate_gradient",
-    "fd_full_hessian",
     "fd_subspace_hessian",
     "load_libsvm",
     "logistic_loss",

@@ -8,20 +8,16 @@ the subspace optimizer, so query counts are comparable across algorithms:
 - rspg:    the raw estimate;
 - signsgd: its componentwise sign;
 - adamm:   adaptive momentum (bias-unaware, max-stabilized second moment).
-
-``fd_full_hessian`` is a correctness reference for the classical randomized
-full-space Hessian estimate; its O(d^2) query appetite is the reason the
-subspace method exists, so it is guarded to small d and never benchmarked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .oracle import CountedOracle, Objective
-from .optimizer import BudgetedOptimizer, LineSearch, TraceRow, armijo_search
+from .optimizer import BudgetedOptimizer, TraceRow, ZosahConfig, armijo_search
 
 __all__ = [
     "BaselineConfig",
@@ -31,8 +27,12 @@ __all__ = [
     "AdammOptimizer",
     "BASELINES",
     "run_baseline",
-    "fd_full_hessian",
 ]
+
+# Adamm's first- and second-moment decay rates and the denominator offset.
+BETA1 = 0.9
+BETA2 = 0.5
+DELTA = 1e-8
 
 
 @dataclass(frozen=True)
@@ -42,21 +42,13 @@ class BaselineConfig:
     max_evals: int
     seed: int = 0
     q: int = 10
-    eps: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.5
-    delta: float = 1e-8
-    lam_reg: float = 1e-6
-    line_search: LineSearch = field(default_factory=LineSearch)
+    eps: float = ZosahConfig.eps
 
     def __post_init__(self):
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
         if self.eps <= 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in (0,1)")
 
 
 def rge_gradient(
@@ -83,16 +75,10 @@ def rge_gradient(
 class _RgeDescent(BudgetedOptimizer):
     """Shared step: estimate, pick a direction, backtrack, record."""
 
-    def __init__(
-        self,
-        oracle: CountedOracle,
-        x0: np.ndarray,
-        cfg: BaselineConfig,
-        rng: np.random.Generator | None = None,
-    ):
+    def __init__(self, oracle: CountedOracle, x0: np.ndarray, cfg: BaselineConfig):
         super().__init__(oracle, x0, cfg.max_evals)
         self.cfg = cfg
-        self.rng = np.random.default_rng(cfg.seed) if rng is None else rng
+        self.rng = np.random.default_rng(cfg.seed)
 
     def _direction(self, g: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -102,9 +88,7 @@ class _RgeDescent(BudgetedOptimizer):
         f_x = self.oracle(self.x)
         g = rge_gradient(self.oracle, self.x, cfg.q, cfg.eps, self.rng, f_x)
         v = self._direction(g)
-        rho, accepted, f_new = armijo_search(
-            self.oracle, self.x, v, f_x, cfg.line_search
-        )
+        rho, accepted, f_new = armijo_search(self.oracle, self.x, v, f_x)
         if accepted:
             self.x = self.x - rho * v
             f_accepted = f_new
@@ -137,19 +121,18 @@ class AdammOptimizer(_RgeDescent):
     search accepts the resulting move.
     """
 
-    def __init__(self, oracle, x0, cfg, rng=None):
-        super().__init__(oracle, x0, cfg, rng)
+    def __init__(self, oracle, x0, cfg):
+        super().__init__(oracle, x0, cfg)
         d = oracle.dim
         self.m_avg = np.zeros(d)
         self.v_avg = np.zeros(d)
         self.v_hat = np.zeros(d)
 
     def _direction(self, g: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
-        self.m_avg = cfg.beta1 * self.m_avg + (1.0 - cfg.beta1) * g
-        self.v_avg = cfg.beta2 * self.v_avg + (1.0 - cfg.beta2) * g * g
+        self.m_avg = BETA1 * self.m_avg + (1.0 - BETA1) * g
+        self.v_avg = BETA2 * self.v_avg + (1.0 - BETA2) * g * g
         self.v_hat = np.maximum(self.v_hat, self.v_avg)
-        return self.m_avg / (np.sqrt(self.v_hat) + cfg.delta)
+        return self.m_avg / (np.sqrt(self.v_hat) + DELTA)
 
 
 BASELINES = {
@@ -171,32 +154,3 @@ def run_baseline(
         ) from None
     oracle = CountedOracle(objective)
     return cls(oracle, x0, cfg).run()
-
-
-def fd_full_hessian(
-    oracle: CountedOracle,
-    x: np.ndarray,
-    q: int,
-    eps: float,
-    lam_reg: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Randomized rank-one-sum estimate of the full d x d Hessian.
-
-    Averages central second differences along q Gaussian directions and adds
-    lam_reg * I. Costs 2q+1 queries; guarded to d <= 50 because the query
-    bill grows quadratically with dimension in any serious use.
-    """
-    x = np.asarray(x, dtype=float)
-    d = x.shape[0]
-    if d > 50:
-        raise ValueError(f"full Hessian estimation is guarded to d <= 50, got d={d}")
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    f0 = oracle(x)
-    H = np.zeros((d, d))
-    for _ in range(q):
-        u = rng.standard_normal(d)
-        second_diff = oracle(x + eps * u) + oracle(x - eps * u) - 2.0 * f0
-        H += (second_diff / (2.0 * eps * eps)) * np.outer(u, u)
-    return H / q + lam_reg * np.eye(d)

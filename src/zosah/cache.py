@@ -40,6 +40,10 @@ _NEW = slice(2, 4)  # gradient probes of the latest recorded step
 _FRESH = slice(4, 7)  # fresh samples of the period's first step
 _SLOTS = 7
 
+# Draws of one pair's fresh samples before it settles for the best-conditioned
+# set; a draw is accepted when its Gram matrix clears GAMMA_FLOOR.
+MAX_ATTEMPTS = 10
+
 
 class PlanMismatchError(ValueError):
     """A record or query referenced a pair that is not in the current plan."""
@@ -66,9 +70,7 @@ def _circle_points(rng: np.random.Generator, radius: float, n: int) -> np.ndarra
 class EvalCache:
     """Two-step evaluation window over every coordinate pair of the plan."""
 
-    def __init__(self, gamma_floor: float = GAMMA_FLOOR, max_attempts: int = 10):
-        self.gamma_floor = gamma_floor
-        self.max_attempts = max_attempts
+    def __init__(self):
         self._plan: SubspacePlan | None = None
         self._rows: dict[tuple[int, int], int] = {}
         self.points = np.empty((0, _SLOTS, 2))
@@ -169,7 +171,7 @@ class EvalCache:
         while j < n_pairs:
             state = rng.bit_generator.state
             rel = _circle_points(rng, radius, n_pairs - j)
-            ok = _min_gram_eig(rel) >= self.gamma_floor
+            ok = _min_gram_eig(rel) >= GAMMA_FLOOR
             n_ok = len(ok) if ok.all() else int(ok.argmin())
             points[j:j + n_ok] = theta[j:j + n_ok, None, :] + rel[:n_ok]
             j += n_ok
@@ -232,7 +234,7 @@ class EvalCache:
     ) -> tuple[np.ndarray, bool]:
         """Draw 3 points uniformly on the radius circle around theta.
 
-        Redraws (up to max_attempts) while the implied Gram matrix of the fit
+        Redraws (up to MAX_ATTEMPTS) while the implied Gram matrix of the fit
         is below the conditioning floor; if the floor is never met, the
         best-conditioned batch is returned with a degraded flag.
         """
@@ -240,13 +242,13 @@ class EvalCache:
             raise ValueError(f"radius must be positive, got {radius}")
         best_points: np.ndarray | None = None
         best_eig = -np.inf
-        for _ in range(self.max_attempts):
+        for _ in range(MAX_ATTEMPTS):
             rel = _circle_points(rng, radius, 1)[0]
             min_eig = float(_min_gram_eig(rel))
             if min_eig > best_eig:
                 best_eig = min_eig
                 best_points = theta + rel
-            if min_eig >= self.gamma_floor:
+            if min_eig >= GAMMA_FLOOR:
                 return best_points, False
         return best_points, True
 

@@ -27,23 +27,6 @@ from .oracle import DatasetFormatError
 
 __all__ = ["main", "main_exit", "build_parser"]
 
-# run-subcommand option names that may also appear in a config file
-_RUN_KEYS = (
-    "alg", "obj", "evals", "seeds", "x0", "m", "T",
-    "eps", "kappa", "hess_radius", "q", "out", "jobs",
-)
-_RUN_DEFAULTS = {
-    "seeds": "0",
-    "x0": "auto",
-    "m": None,
-    "T": 20,
-    "eps": 1e-3,
-    "kappa": 0.1,
-    "hess_radius": 0.05,
-    "q": 10,
-    "jobs": 1,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -56,17 +39,23 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--alg", choices=ALGORITHMS, help="algorithm id")
     run.add_argument("--obj", help="objective id: rosenbrock or logistic:<path>")
     run.add_argument("--evals", type=int, help="function-evaluation budget per seed")
-    run.add_argument("--seeds", help="comma-separated seed list (default 0)")
+    run.add_argument("--seeds", help="comma-separated distinct seeds "
+                     f"(default {','.join(map(str, ExperimentConfig.seeds))})")
     run.add_argument("--x0", help="zeros | standard-rosenbrock | comma-separated floats")
     run.add_argument("--m", type=int, help="coordinates per period (even; default min(d,20))")
-    run.add_argument("--T", type=int, help="steps per subspace period (default 20)")
-    run.add_argument("--eps", type=float, help="finite-difference spacing (default 1e-3)")
-    run.add_argument("--kappa", type=float, help="curvature floor for the PD repair (default 0.1)")
+    run.add_argument("--T", type=int,
+                     help=f"steps per subspace period (default {ExperimentConfig.T})")
+    run.add_argument("--eps", type=float,
+                     help=f"finite-difference spacing (default {ExperimentConfig.eps})")
+    run.add_argument("--kappa", type=float,
+                     help=f"curvature floor for the PD repair (default {ExperimentConfig.kappa})")
     run.add_argument("--hess-radius", dest="hess_radius", type=float,
-                     help="fresh-sample circle radius (default 0.05)")
-    run.add_argument("--q", type=int, help="directions per baseline gradient estimate (default 10)")
+                     help=f"fresh-sample circle radius (default {ExperimentConfig.hess_radius})")
+    run.add_argument("--q", type=int, help="directions per baseline gradient estimate "
+                     f"(default {ExperimentConfig.q})")
     run.add_argument("--out", help="output directory for trace CSVs")
-    run.add_argument("--jobs", type=int, help="seeds run in this many threads (default 1)")
+    run.add_argument("--jobs", type=int,
+                     help=f"seeds run in this many threads (default {ExperimentConfig.jobs})")
     run.add_argument("--config", help="flat key=value config file; flags override it")
     run.set_defaults(func=_cmd_run)
 
@@ -93,22 +82,10 @@ def _read_config_file(path: str) -> dict[str, str]:
         if not sep:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key = key.strip().replace("-", "_")
-        if key not in _RUN_KEYS:
+        if key not in _RUN_OPTIONS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         entries[key] = value.strip()
     return entries
-
-
-def _merge_option(args, file_cfg: dict[str, str], key: str, convert):
-    flag_value = getattr(args, key, None)
-    if flag_value is not None:
-        return flag_value
-    if key in file_cfg:
-        try:
-            return convert(file_cfg[key])
-        except ValueError as exc:
-            raise UsageError(f"config key {key!r}: {exc}") from None
-    return _RUN_DEFAULTS.get(key)
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -132,44 +109,43 @@ def _parse_x0(text: str):
         ) from None
 
 
+# run-subcommand options, which may also appear in a config file, and the
+# parser of their text
+_RUN_OPTIONS = {
+    "alg": str, "obj": str, "evals": int, "seeds": _parse_seeds, "x0": _parse_x0,
+    "m": int, "T": int, "eps": float, "kappa": float, "hess_radius": float,
+    "q": int, "out": str, "jobs": int,
+}
+
+
+def _merge_option(args, file_cfg: dict[str, str], key: str):
+    """The option's flag value, else its config-file entry, else None."""
+    parse = _RUN_OPTIONS[key]
+    value = getattr(args, key)
+    if value is not None:
+        return parse(value) if isinstance(value, str) else value
+    if key not in file_cfg:
+        return None
+    try:
+        return parse(file_cfg[key])
+    except ValueError as exc:
+        raise UsageError(f"config key {key!r}: {exc}") from None
+
+
 def _cmd_run(args) -> int:
     file_cfg = _read_config_file(args.config) if args.config else {}
-
-    def opt(key, convert):
-        return _merge_option(args, file_cfg, key, convert)
-
-    alg = opt("alg", str)
-    obj = opt("obj", str)
-    evals = opt("evals", int)
-    out = opt("out", str)
-    for name, value in (("--alg", alg), ("--obj", obj), ("--evals", evals), ("--out", out)):
-        if value is None:
-            raise UsageError(f"{name} is required (flag or config file)")
-    if alg not in ALGORITHMS:
-        raise UsageError(f"unknown algorithm {alg!r}; expected one of {ALGORITHMS}")
-
-    x0 = opt("x0", str)
-    if isinstance(x0, str):
-        x0 = _parse_x0(x0)
-    seeds = opt("seeds", str)
-    if isinstance(seeds, str):
-        seeds = _parse_seeds(seeds)
-
-    cfg = ExperimentConfig(
-        alg=alg,
-        obj=obj,
-        max_evals=evals,
-        seeds=seeds,
-        x0=x0,
-        m=opt("m", int),
-        T=opt("T", int),
-        eps=opt("eps", float),
-        kappa=opt("kappa", float),
-        hess_radius=opt("hess_radius", float),
-        q=opt("q", int),
-        jobs=opt("jobs", int),
-    )
-    paths = run_experiment(cfg, out)
+    given = {}
+    for key in _RUN_OPTIONS:
+        value = _merge_option(args, file_cfg, key)
+        if value is not None:
+            given[key] = value
+    for key in ("alg", "obj", "evals", "out"):
+        if key not in given:
+            raise UsageError(f"--{key} is required (flag or config file)")
+    out = given.pop("out")
+    given["max_evals"] = given.pop("evals")
+    # options left unset take ExperimentConfig's defaults
+    paths = run_experiment(ExperimentConfig(**given), out)
     for path in paths:
         print(path)
     return 0

@@ -59,19 +59,22 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment byte-for-byte."""
+    """Everything needed to reproduce one experiment byte-for-byte.
+
+    The hyperparameter defaults are the optimizer configs' own.
+    """
 
     alg: str
     obj: str
     max_evals: int
     seeds: tuple[int, ...] = (0,)
     x0: str | tuple[float, ...] = "auto"
-    m: int | None = None
-    T: int = 20
-    eps: float = 1e-3
-    kappa: float = 0.1
-    hess_radius: float = 0.05
-    q: int = 10
+    m: int | None = ZosahConfig.m
+    T: int = ZosahConfig.T
+    eps: float = ZosahConfig.eps
+    kappa: float = ZosahConfig.kappa
+    hess_radius: float = ZosahConfig.hess_radius
+    q: int = BaselineConfig.q
     jobs: int = 1
 
     def __post_init__(self):
@@ -81,6 +84,8 @@ class ExperimentConfig:
             )
         if not self.seeds:
             raise UsageError("seeds must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise UsageError(f"seeds must be distinct, got {self.seeds}")
         if self.max_evals <= 0:
             raise UsageError("max_evals must be positive")
         if self.jobs < 1:

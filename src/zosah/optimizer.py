@@ -21,13 +21,12 @@ algorithms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cache import EvalCache
 from .estimator import (
-    GAMMA_FLOOR,
     estimate_gradients,
     fd_hessians,
     fit_hessians,
@@ -47,7 +46,6 @@ from .oracle import CountedOracle, DimensionMismatchError, Objective
 from .subspace import make_plan
 
 __all__ = [
-    "LineSearch",
     "ZosahConfig",
     "TraceRow",
     "StepStats",
@@ -61,23 +59,13 @@ __all__ = [
 
 HESSIAN_MODES = ("fit", "diag", "fd")
 
-
-@dataclass(frozen=True)
-class LineSearch:
-    """Backtracking constants shared by every optimizer in the package."""
-
-    init_step: float = 1.0
-    c1: float = 1e-4
-    shrink: float = 0.5
-    min_step: float = 1e-6
-
-    def __post_init__(self):
-        if self.init_step <= 0 or self.min_step <= 0:
-            raise ValueError("step sizes must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError(f"shrink must lie in (0,1), got {self.shrink}")
-        if not 0.0 < self.c1 < 1.0:
-            raise ValueError(f"c1 must lie in (0,1), got {self.c1}")
+# Backtracking constants shared by every optimizer in the package: first
+# trial step, Armijo sufficient-decrease factor, step shrink factor, and the
+# step below which a search gives up.
+INIT_STEP = 1.0
+C1 = 1e-4
+SHRINK = 0.5
+MIN_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -96,9 +84,7 @@ class ZosahConfig:
     eps: float = 1e-3
     kappa: float = 0.1
     hess_radius: float = 0.05
-    gamma_floor: float = GAMMA_FLOOR
     hessian_mode: str = "fit"
-    line_search: LineSearch = field(default_factory=LineSearch)
 
     def __post_init__(self):
         if self.max_evals < 0:
@@ -154,31 +140,28 @@ def armijo_search(
     x: np.ndarray,
     v: np.ndarray,
     f_x: float,
-    ls: LineSearch | None = None,
 ) -> tuple[float, bool, float]:
     """Backtracking line search along -v.
 
-    Tries rho = init_step, then geometrically shrinks, accepting the first
-    rho with f(x - rho v) <= f_x - c1 rho ||v||^2. The floor test runs after
+    Tries rho = INIT_STEP, then shrinks it by SHRINK, accepting the first
+    rho with f(x - rho v) <= f_x - C1 rho ||v||^2. The floor test runs after
     each trial, so a search that never succeeds pays one trial per rho down
-    to the first value below min_step. Returns (rho, accepted, f_new) with
+    to the first value below MIN_STEP. Returns (rho, accepted, f_new) with
     f_new == f_x when nothing was accepted; a zero direction returns
     immediately without spending queries.
     """
-    if ls is None:
-        ls = LineSearch()
     v = np.asarray(v, dtype=float)
     vv = float(v @ v)
     if vv == 0.0:
         return 0.0, False, f_x
-    rho = ls.init_step
+    rho = INIT_STEP
     while True:
         f_try = oracle(x - rho * v)
-        if np.isfinite(f_try) and f_try <= f_x - ls.c1 * rho * vv:
+        if np.isfinite(f_try) and f_try <= f_x - C1 * rho * vv:
             return rho, True, f_try
-        if rho < ls.min_step:
+        if rho < MIN_STEP:
             return rho, False, f_x
-        rho *= ls.shrink
+        rho *= SHRINK
 
 
 class BudgetedOptimizer:
@@ -186,7 +169,8 @@ class BudgetedOptimizer:
 
     The budget is checked between steps only; a step begun under budget runs
     to completion, so the final count can overshoot by at most one step's
-    worst-case cost.
+    worst-case cost. A non-finite value at the start point raises
+    ``FloatingPointError``: no step can descend from it.
     """
 
     def __init__(self, oracle: CountedOracle, x0: np.ndarray, max_evals: int):
@@ -206,6 +190,11 @@ class BudgetedOptimizer:
     def run(self) -> list[TraceRow]:
         if not self.trace:
             f0 = self.oracle(self.x)
+            if not np.isfinite(f0):
+                raise FloatingPointError(
+                    f"objective returned non-finite value {f0} at the start point "
+                    f"x0 = {self.x.tolist()}"
+                )
             self.trace.append(TraceRow(0, self.oracle.count, f0))
         while self.oracle.count < self.max_evals:
             self.step()
@@ -215,13 +204,7 @@ class BudgetedOptimizer:
 class ZosahOptimizer(BudgetedOptimizer):
     """Subspace approximate-Hessian optimizer with evaluation caching."""
 
-    def __init__(
-        self,
-        oracle: CountedOracle,
-        x0: np.ndarray,
-        cfg: ZosahConfig,
-        rng: np.random.Generator | None = None,
-    ):
+    def __init__(self, oracle: CountedOracle, x0: np.ndarray, cfg: ZosahConfig):
         super().__init__(oracle, x0, cfg.max_evals)
         d = oracle.dim
         if d < 2:
@@ -230,10 +213,10 @@ class ZosahOptimizer(BudgetedOptimizer):
         self.m = cfg.m if cfg.m is not None else default_subspace_size(d)
         if self.m % 2 != 0 or not 2 <= self.m <= d:
             raise ValueError(f"m must be even with 2 <= m <= d={d}, got {self.m}")
-        self.rng = np.random.default_rng(cfg.seed) if rng is None else rng
+        self.rng = np.random.default_rng(cfg.seed)
         self.plan = None
         self._idx = None  # (P, 2) coordinates of the plan's pairs
-        self.cache = EvalCache(cfg.gamma_floor)
+        self.cache = EvalCache()
         self.stats: list[StepStats] = []
 
     def step(self) -> TraceRow:
@@ -272,7 +255,7 @@ class ZosahOptimizer(BudgetedOptimizer):
             else:
                 points, values = self.cache.window(k, cfg.T)
                 theta_bar = points - theta[:, None, :]
-            H, failed = fit_hessians(theta_bar, values, g, f_x, cfg.gamma_floor)
+            H, failed = fit_hessians(theta_bar, values, g, f_x)
             self.cache.store_probes(k, probe_points, probe_f)
 
         w = np.empty((n_pairs, 2))
@@ -289,9 +272,7 @@ class ZosahOptimizer(BudgetedOptimizer):
         v[idx] += w
 
         hess_evals = fresh_paid * n_pairs
-        rho, accepted, f_new = armijo_search(
-            self.oracle, self.x, v, f_x, cfg.line_search
-        )
+        rho, accepted, f_new = armijo_search(self.oracle, self.x, v, f_x)
         search_evals = self.oracle.count - count0 - 1 - grad_evals - hess_evals
         if accepted:
             self.x = self.x - rho * v

@@ -1,0 +1,62 @@
+"""The benchmark's seams into the package, checked without the benchmark run.
+
+``bench/`` drives the package from outside: it builds ``ExperimentConfig``
+from each workload's settings and replaces package functions with timed
+wrappers by name. A checked pass of every workload, shrunk to one seed and a
+few hundred queries, runs here untraced and traced, so a change that drops
+or re-signs a name the benchmark uses fails in the test suite.
+"""
+
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+    import workloads
+
+    return tracer, workloads
+
+
+@pytest.fixture(params=["rosenbrock", "quad20", "logistic123"])
+def workload(request, bench):
+    return bench[1].WORKLOADS[request.param]
+
+
+def test_every_workload_config_is_accepted(bench, workload):
+    _, workloads = bench
+    z = workloads.zosah_modules()
+    for alg in z.harness.ALGORITHMS:
+        cfg = z.harness.ExperimentConfig(alg=alg, obj="rosenbrock", max_evals=workload.max_evals,
+                                         seeds=workload.seeds, jobs=1, **workload.settings)
+        for key, value in workload.settings.items():
+            assert getattr(cfg, key) == value
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_shrunk_pass_is_correct(bench, workload, tmp_path, traced):
+    tracer_mod, workloads = bench
+    z = workloads.zosah_modules()
+    original_run_single = z.harness.run_single
+    small = dataclasses.replace(workload, max_evals=300, seeds=(0,))
+    inputs = workloads.setup(small, z, tmp_path)
+    tracer = tracer_mod.Tracer()
+    recorder = tracer_mod.RunRecorder()
+    with tracer_mod.Patcher() as patcher:
+        if traced:
+            tracer.install(patcher, z)
+        recorder.install(patcher, z)
+        res = workloads.run_pass(small, inputs, z, recorder, tmp_path, z.harness.ALGORITHMS)
+    assert z.harness.run_single is original_run_single
+    assert res.problems == [] and not res.failed
+    assert len(res.run_sha) == len(z.harness.ALGORITHMS)
+    if traced:
+        metrics = tracer.layer_metrics()
+        assert metrics["oracle.queries"] == res.queries
+        assert metrics["optimizer.steps"] > 0

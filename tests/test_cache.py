@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import zosah.cache as cache_mod
 from zosah.cache import EvalCache, PlanMismatchError
-from zosah.estimator import quad_monomials
+from zosah.estimator import GAMMA_FLOOR, quad_monomials
 from zosah.subspace import PairProjection, SubspacePlan
 
 
@@ -227,7 +228,7 @@ class TestConditioning:
             assert np.linalg.norm(p - theta) == pytest.approx(1e-4, rel=1e-12)
 
     def test_returned_batch_meets_gram_floor(self):
-        cache = EvalCache(gamma_floor=1e-10)
+        cache = EvalCache()
         pair = PairProjection(0, 1)
         cache.reset(two_pair_plan())
         theta = np.array([3.0, -2.0])
@@ -235,14 +236,19 @@ class TestConditioning:
             got = cache.gather_samples(0, 5, pair, theta, np.random.default_rng(seed), 0.05)
             assert not got.degraded
             phi = np.vstack([quad_monomials(p - theta) for p in got.fresh])
-            assert np.linalg.eigvalsh(phi.T @ phi)[0] >= 1e-10
+            assert np.linalg.eigvalsh(phi.T @ phi)[0] >= GAMMA_FLOOR
 
-    def test_single_attempt_cache_degrades_on_bad_geometry(self):
-        cache = EvalCache(max_attempts=1)
+    def test_single_attempt_cache_degrades_on_bad_geometry(self, monkeypatch):
+        monkeypatch.setattr(cache_mod, "MAX_ATTEMPTS", 1)
+        cache = EvalCache()
         pair = PairProjection(0, 1)
         cache.reset(two_pair_plan())
-        got = cache.gather_samples(0, 5, pair, np.zeros(2), np.random.default_rng(0), 1e-4)
+        rng = np.random.default_rng(0)
+        got = cache.gather_samples(0, 5, pair, np.zeros(2), rng, 1e-4)
         assert got.degraded and len(got.fresh) == 3
+        one_draw = np.random.default_rng(0)
+        one_draw.uniform(size=3)
+        assert rng.bit_generator.state == one_draw.bit_generator.state
 
 
 class TestBatchedWindow:
@@ -286,8 +292,11 @@ class TestBatchedWindow:
         (1e-8, 0.05, True),  # some first draws miss it and redraw
         (1e-10, 1e-4, True),  # every draw misses: every pair degraded
     ])
-    def test_draw_fresh_consumes_rng_like_per_pair_draws(self, floor, radius, redraws):
-        cache = EvalCache(gamma_floor=floor)
+    def test_draw_fresh_consumes_rng_like_per_pair_draws(
+        self, monkeypatch, floor, radius, redraws
+    ):
+        monkeypatch.setattr(cache_mod, "GAMMA_FLOOR", floor)
+        cache = EvalCache()
         pairs = tuple(PairProjection(2 * j, 2 * j + 1) for j in range(8))
         cache.reset(SubspacePlan(16, tuple(range(16)), pairs, 0))
         theta = np.random.default_rng(9).standard_normal((8, 2))

@@ -44,6 +44,7 @@ class TestExperimentConfig:
             {"seeds": ()},
             {"max_evals": 0},
             {"jobs": 0},
+            {"seeds": (0, 0, 1)},
         ],
     )
     def test_invalid_config(self, kwargs):
@@ -329,7 +330,7 @@ class TestCliRun:
 
 
 class TestCliNonFiniteObjective:
-    """A non-finite probe value is a data error (exit 3), whichever probe hit it."""
+    """A non-finite value is a data error (exit 3), whichever probe or start hit it."""
 
     @staticmethod
     def wall(x):
@@ -352,6 +353,19 @@ class TestCliNonFiniteObjective:
         assert code == 3
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert f"non-finite value inf at a {probe}" in err
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_non_finite_start_value_is_fatal(self, tmp_path, capsys, alg):
+        code = main([
+            "run", "--alg", alg, "--obj", "rosenbrock", "--x0", "nan,1",
+            "--evals", "50", "--out", str(tmp_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == (
+            "error: objective returned non-finite value nan at the start point x0 = [nan, 1.0]\n"
+        )
+        assert not (tmp_path / "combined.csv").exists()
 
 
 class TestCliConfigFile:

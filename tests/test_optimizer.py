@@ -23,7 +23,6 @@ from zosah.oracle import (
     rosenbrock_objective,
 )
 from zosah.optimizer import (
-    LineSearch,
     TraceRow,
     ZosahConfig,
     ZosahOptimizer,
@@ -38,31 +37,6 @@ ROTATED = np.array([[5.5, 4.5], [4.5, 5.5]])
 
 def sphere(d):
     return Objective(lambda x: 0.5 * float(x @ x), d)
-
-
-class TestLineSearchConfig:
-    def test_defaults(self):
-        ls = LineSearch()
-        assert ls.init_step == 1.0
-        assert ls.c1 == 1e-4
-        assert ls.shrink == 0.5
-        assert ls.min_step == 1e-6
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"init_step": 0.0},
-            {"min_step": 0.0},
-            {"min_step": -1e-9},
-            {"shrink": 0.0},
-            {"shrink": 1.0},
-            {"c1": 0.0},
-            {"c1": 1.0},
-        ],
-    )
-    def test_invalid_fields(self, kwargs):
-        with pytest.raises(ValueError):
-            LineSearch(**kwargs)
 
 
 class TestZosahConfig:
@@ -130,11 +104,13 @@ class TestArmijoSearch:
         assert f_new == 0.0
         assert oracle.count == 2
 
-    def test_custom_constants(self):
+    def test_custom_constants(self, monkeypatch):
+        constants = {"INIT_STEP": 0.25, "C1": 0.5, "SHRINK": 0.1, "MIN_STEP": 0.05}
+        for name, value in constants.items():
+            monkeypatch.setattr(optimizer_mod, name, value)
         obj = Objective(lambda x: float(x[0]) ** 2, 1)
         oracle = CountedOracle(obj)
-        ls = LineSearch(init_step=0.25, c1=0.5, shrink=0.1, min_step=0.05)
-        rho, accepted, f_new = armijo_search(oracle, np.array([1.0]), np.array([1.0]), 1.0, ls)
+        rho, accepted, f_new = armijo_search(oracle, np.array([1.0]), np.array([1.0]), 1.0)
         assert accepted and rho == 0.25
         assert f_new == pytest.approx(0.5625)
         assert oracle.count == 1
@@ -299,7 +275,7 @@ class TestDriverBehaviour:
             ZosahOptimizer(CountedOracle(sphere(4)), np.zeros(3), ZosahConfig(max_evals=10))
 
     def test_hessian_failure_falls_back_to_scaled_gradient(self, monkeypatch):
-        def always_fails(theta_bar, values, g_hat, f_theta, gamma_floor):
+        def always_fails(theta_bar, values, g_hat, f_theta):
             n = len(g_hat)
             return np.full((n, 2, 2), np.nan), np.ones(n, dtype=bool)
 
@@ -333,7 +309,7 @@ class TestDiagVariant:
             seen.append(np.array(A_bar))
             return real_newton(A_bar, g_hat)
 
-        def fit_all(theta_bar, values, g_hat, f_theta, gamma_floor):
+        def fit_all(theta_bar, values, g_hat, f_theta):
             n = len(g_hat)
             return np.broadcast_to(fitted, (n, 2, 2)).copy(), np.zeros(n, dtype=bool)
 
@@ -386,7 +362,7 @@ def reference_trace(obj, x0, cfg):
     """
     oracle = CountedOracle(obj)
     rng = np.random.default_rng(cfg.seed)
-    sampler = EvalCache(cfg.gamma_floor)
+    sampler = EvalCache()
     x = np.array(x0, dtype=float)
     trace = [TraceRow(0, 1, oracle(x))]
     k = 0
@@ -415,7 +391,7 @@ def reference_trace(obj, x0, cfg):
                     records = store[k - 2] + store[k - 1]
                 try:
                     fit = build_fit_system([(pt - theta, f) for pt, f in records], grad.g, f_x)
-                    A = solve_hessian(fit, cfg.gamma_floor)
+                    A = solve_hessian(fit)
                 except (InsufficientSamplesError, HessianUnavailableError):
                     A = None
                 store[k] = list(grad.probes)
@@ -426,7 +402,7 @@ def reference_trace(obj, x0, cfg):
                     A = np.diag(np.diag(A))
                 A_bar = make_pd(A, cfg.kappa)
             v = p.lift(newton_direction(A_bar, grad.g), v)
-        rho, accepted, f_new = armijo_search(oracle, x, v, f_x, cfg.line_search)
+        rho, accepted, f_new = armijo_search(oracle, x, v, f_x)
         if accepted:
             x = x - rho * v
         k += 1
