@@ -12,6 +12,7 @@ the subspace optimizer, so query counts are comparable across algorithms:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ class BaselineConfig:
     def __post_init__(self):
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
 
 
 def rge_gradient(

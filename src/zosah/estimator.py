@@ -11,18 +11,22 @@ always points downhill for the local model.
 
 The optimizer works on all P pairs of a plan at once: ``estimate_gradients``
 and ``fd_hessians`` build every pair's probe points as one (P, n, 2) array,
-which ``probe_values`` lifts and queries, and ``fit_hessians`` fits every
+which ``probe_values`` lifts and queries, ``fit_hessians`` fits every
 pair's model in one stacked pass (monomial design, pinned targets, Gram
-matrix, eigenvalue floor test, ridge, one stacked solve). The per-pair
+matrix, eigenvalue floor test, ridge, one stacked solve), and
+``newton_directions`` repairs and solves every pair in one pass. The per-pair
 functions (``estimate_gradient``, ``build_fit_system`` + ``solve_hessian``,
-``fd_subspace_hessian``) give the same bits. The PD repair and the Newton
-solve stay per pair: for a 2x2, scalar arithmetic costs a few numpy calls
-where a batched repair costs about thirty, which loses when P is small.
+``fd_subspace_hessian``, ``make_pd`` + ``newton_direction``) give the same
+bits. The repair keeps its branches on Python floats and sends only the
+steps whose rounding belongs to a library routine (``hypot``, the BLAS dot
+and matrix product) through one stacked call each, so one pair costs no more
+than the scalar per-pair code did and ten cost about a third.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +50,7 @@ __all__ = [
     "eig2x2",
     "make_pd",
     "newton_direction",
+    "newton_directions",
     "fd_subspace_hessian",
     "fd_hessians",
 ]
@@ -66,6 +71,15 @@ _MONO_A = np.array([0, 0, 1])
 _MONO_B = np.array([0, 1, 1])
 # Fitted parameters h -> row-major symmetric [[h0, h1], [h1, h2]].
 _SYM_2X2 = np.array([0, 1, 1, 2])
+# Row-major eigenvectors of a diagonal 2x2 (kept or swapped order), and the
+# smallest normal double, below which a squared norm has lost precision.
+_EYE2 = (1.0, 0.0, 0.0, 1.0)
+_SWAP2 = (0.0, 1.0, 1.0, 0.0)
+_TINY = float(np.finfo(float).tiny)
+_NAN2 = (math.nan, math.nan)
+# Largest half eigenvalue gap (disc) for which 8 * disc**2, a bound on the
+# eigenvector candidates' squared norms, stays finite.
+_BIG = 4e153
 
 
 class InsufficientSamplesError(ValueError):
@@ -293,6 +307,84 @@ def fit_hessians(
     return h[:, _SYM_2X2].reshape(n_pairs, 2, 2), failed
 
 
+def _larger_rescaled(v_a: tuple, v_b: tuple) -> tuple[tuple, float]:
+    """Of two 2-vectors divided by their largest entry, the longer and its squared norm.
+
+    Both are nan when that entry is not finite (a non-finite input), so the
+    caller's normalisation never divides by zero.
+    """
+    s = max(map(abs, v_a + v_b))
+    if not s < math.inf:
+        return _NAN2, math.nan
+    v_a = (v_a[0] / s, v_a[1] / s)
+    v_b = (v_b[0] / s, v_b[1] / s)
+    vv_a = v_a[0] * v_a[0] + v_a[1] * v_a[1]
+    vv_b = v_b[0] * v_b[0] + v_b[1] * v_b[1]
+    return (v_a, vv_a) if vv_a >= vv_b else (v_b, vv_b)
+
+
+def _eig2x2s(H: np.ndarray) -> tuple[list, list]:
+    """:func:`eig2x2` of every matrix in the (P, 2, 2) stack ``H``, as lists.
+
+    Returns per pair (lam1, lam2) and the row-major entries of V.
+
+    The branches (diagonal input, eigenvalue order, eigenvector candidate)
+    run on Python floats, which round like numpy's elementwise ops; the steps
+    whose rounding belongs to a library routine run once for all pairs: one
+    ``np.hypot``, and the candidates' squared norms as one stacked
+    (n, 1, 2) @ (n, 2, 1) matmul, the ddot of a 1-d ``v @ v``
+    (``np.linalg.norm(v)`` is ``sqrt(v @ v)``, so the chosen candidate's dot
+    also gives its norm).
+
+    A chosen squared norm that is not a normal number (a candidate below
+    about 1e-154 or above 1e154) is recomputed from both candidates rescaled
+    by their largest entry, so V stays orthonormal at any finite scale.
+    """
+    rows = H.reshape(-1, 4).tolist()
+    off = [(0.5 * (a - d), b) for a, b, _, d in rows if b != 0.0]
+    disc = np.hypot(*zip(*off)).tolist() if off else []
+    lam = []
+    V = []
+    pending = []  # (pair, candidates) of the non-diagonal pairs
+    for a, b, _, d in rows:
+        if b == 0.0:
+            # Already diagonal; eigenvectors are the axes.
+            if (abs(a), a) >= (abs(d), d):
+                lam.append((a, d))
+                V.append(_EYE2)
+            else:
+                lam.append((d, a))
+                V.append(_SWAP2)
+            continue
+        half_tr = 0.5 * (a + d)
+        r = disc[len(pending)]  # off and disc list the non-diagonal pairs in order
+        hi = half_tr + r
+        lo = half_tr - r
+        # hi >= lo always; put the larger magnitude first (signed ties keep hi).
+        lam1, lam2 = (lo, hi) if abs(lo) > abs(hi) else (hi, lo)
+        # Eigenvector for lam1 from (A - lam1 I) v = 0; of the two candidate
+        # rows pick the one with the larger norm for stability.
+        pending.append((len(V), (b, lam1 - a), (lam1 - d, b)))
+        lam.append((lam1, lam2))
+        V.append(None)
+    if pending:
+        cand = np.array([x for _, v_a, v_b in pending for x in v_a + v_b]).reshape(-1, 1, 2)
+        # Candidate entries are at most 2 * disc, so below _BIG no squared
+        # norm overflows; above it the rescaled path below takes over.
+        quiet = max(disc) < _BIG
+        with contextlib.nullcontext() if quiet else np.errstate(over="ignore", invalid="ignore"):
+            dots = (cand @ cand.transpose(0, 2, 1)).reshape(-1, 2).tolist()
+        for (j, v_a, v_b), (vv_a, vv_b) in zip(pending, dots):
+            v, vv = (v_a, vv_a) if vv_a >= vv_b else (v_b, vv_b)
+            if not _TINY <= vv < math.inf:
+                v, vv = _larger_rescaled(v_a, v_b)
+            norm = math.sqrt(vv)
+            e0 = v[0] / norm
+            e1 = v[1] / norm
+            V[j] = (e0, -e1, e1, e0)  # columns: e and its perpendicular
+    return lam, V
+
+
 def eig2x2(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigendecomposition of a symmetric 2x2 matrix.
 
@@ -300,31 +392,28 @@ def eig2x2(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (ties broken by descending signed value) and the matching orthonormal
     eigenvectors as columns of V.
     """
-    a = float(A[0, 0])
-    b = float(A[0, 1])
-    d = float(A[1, 1])
+    lam, V = _eig2x2s(np.asarray(A, dtype=float)[None])
+    return np.array(lam[0]), np.array(V[0]).reshape(2, 2)
 
-    if b == 0.0:
-        # Already diagonal; eigenvectors are the axes.
-        if (abs(a), a) >= (abs(d), d):
-            return np.array([a, d]), np.eye(2)
-        return np.array([d, a]), np.array([[0.0, 1.0], [1.0, 0.0]])
 
-    half_tr = 0.5 * (a + d)
-    disc = float(np.hypot(0.5 * (a - d), b))
-    hi = half_tr + disc
-    lo = half_tr - disc
-    # hi >= lo always; put the larger magnitude first (signed ties keep hi).
-    lam1, lam2 = (lo, hi) if abs(lo) > abs(hi) else (hi, lo)
+def _make_pds(H: np.ndarray, kappa: float) -> tuple[np.ndarray, list, list]:
+    """:func:`make_pd` of every matrix in ``H``; also returns V and lam_bar.
 
-    # Eigenvector for lam1 from (A - lam1 I) v = 0; of the two candidate rows
-    # pick the one with the larger norm for stability.
-    v_a = np.array([b, lam1 - a])
-    v_b = np.array([lam1 - d, b])
-    v = v_a if v_a @ v_a >= v_b @ v_b else v_b
-    e1 = v / np.linalg.norm(v)
-    e2 = np.array([-e1[1], e1[0]])  # perpendicular; the other eigenvector
-    return np.array([lam1, lam2]), np.column_stack([e1, e2])
+    ``V * lam_bar`` is formed on Python floats and the product with V^T is
+    one stacked matmul, the gemm of the 2-d ``(V * lam_bar) @ V.T``.
+    """
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
+    lam, V = _eig2x2s(H)
+    lam_bar = []
+    VL = []
+    for (l1, l2), (v00, v01, v10, v11) in zip(lam, V):
+        l1 = max(abs(l1), kappa)
+        l2 = max(abs(l2), kappa)
+        lam_bar.append((l1, l2))
+        VL += (v00 * l1, v01 * l2, v10 * l1, v11 * l2)
+    VL, Vs = np.array(VL + [x for v in V for x in v]).reshape(2, -1, 2, 2)
+    return VL @ Vs.transpose(0, 2, 1), V, lam_bar
 
 
 def make_pd(A: np.ndarray, kappa: float = 0.1) -> np.ndarray:
@@ -334,22 +423,62 @@ def make_pd(A: np.ndarray, kappa: float = 0.1) -> np.ndarray:
     floors everything at kappa, so the result is symmetric with both
     eigenvalues >= kappa.
     """
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    lam, V = eig2x2(A)
-    lam_bar = np.maximum(np.abs(lam), kappa)
-    return (V * lam_bar) @ V.T
+    return _make_pds(np.asarray(A, dtype=float)[None], kappa)[0][0]
+
+
+def _adjugate_solve(A_bar: np.ndarray, g_hat: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Solve A_bar[j] w = g_hat[j] for every pair via the 2x2 adjugate.
+
+    Returns the (P, 2) solutions and the pairs where the adjugate fails: a
+    determinant that is not positive and finite (their rows hold nan) or a
+    non-finite solution.
+    """
+    w = []
+    failed = []
+    for j, ((a, b, _, d), (g0, g1)) in enumerate(
+        zip(A_bar.reshape(-1, 4).tolist(), g_hat.tolist())
+    ):
+        det = a * d - b * b
+        if 0.0 < det < math.inf:
+            w0 = (d * g0 - b * g1) / det
+            w1 = (a * g1 - b * g0) / det
+            w.append((w0, w1))
+            if math.isfinite(w0) and math.isfinite(w1):
+                continue
+        else:
+            w.append(_NAN2)
+        failed.append(j)
+    return np.array(w), failed
 
 
 def newton_direction(A_bar: np.ndarray, g_hat: np.ndarray) -> np.ndarray:
-    """Solve A_bar w = g_hat for a positive-definite 2x2 via the adjugate."""
-    a = float(A_bar[0, 0])
-    b = float(A_bar[0, 1])
-    d = float(A_bar[1, 1])
-    det = a * d - b * b
-    g0 = float(g_hat[0])
-    g1 = float(g_hat[1])
-    return np.array([(d * g0 - b * g1) / det, (a * g1 - b * g0) / det])
+    """Solve A_bar w = g_hat for a positive-definite 2x2 via the adjugate.
+
+    Returns nan when A_bar is not numerically positive definite.
+    """
+    A_bar = np.asarray(A_bar, dtype=float)[None]
+    return _adjugate_solve(A_bar, np.asarray(g_hat, dtype=float)[None])[0][0]
+
+
+def newton_directions(H: np.ndarray, g_hat: np.ndarray, kappa: float) -> np.ndarray:
+    """PD repair and Newton solve of every pair at once.
+
+    ``H`` (P, 2, 2) holds the pairs' curvature matrices and ``g_hat`` (P, 2)
+    their gradients; row j of the (P, 2) result has the bits of
+    ``newton_direction(make_pd(H[j], kappa), g_hat[j])``. Where the adjugate
+    fails, as it does for a repaired matrix whose condition number exceeds
+    1/machine epsilon, the direction is solved in the repaired eigenbasis
+    instead, V diag(1/lam_bar) V^T g, which is finite whenever g / kappa is.
+    """
+    g_hat = np.asarray(g_hat, dtype=float)
+    A_bar, V, lam_bar = _make_pds(np.asarray(H, dtype=float), kappa)
+    w, failed = _adjugate_solve(A_bar, g_hat)
+    if failed:
+        Vf = np.array(V).reshape(-1, 2, 2)[failed]
+        gf = g_hat[failed, :, None]
+        lf = np.array(lam_bar)[failed, :, None]
+        w[failed] = (Vf @ ((Vf.transpose(0, 2, 1) @ gf) / lf))[..., 0]
+    return w
 
 
 def fd_hessians(

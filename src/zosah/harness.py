@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise UsageError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise UsageError(f"seeds must be distinct, got {self.seeds}")
+        if min(self.seeds) < 0:
+            raise UsageError(f"seeds must be non-negative, got {self.seeds}")
         if self.max_evals <= 0:
             raise UsageError("max_evals must be positive")
         if self.jobs < 1:

@@ -4,15 +4,16 @@ One outer step: refresh the coordinate-pair plan if the period rolled over,
 pay one query for the current value, then measure every pair's 2-d slice
 gradient (2 probes per pair), obtain every pair's 2x2 curvature matrix in one
 batched pass (a stacked least-squares fit on cached evaluations by default,
-coordinate finite differences in the ablation mode), and, pair by pair,
-repair it to be positive definite and solve for the pair's Newton direction.
-The directions add up to one full-space update. A backtracking line search
-along the negated update either accepts a step length or leaves the iterate
-unchanged, so the accepted value sequence never increases.
+coordinate finite differences in the ablation mode), then repair every matrix
+to be positive definite and solve for every pair's Newton direction in one
+more pass. The directions add up to one full-space update. A backtracking
+line search along the negated update either accepts a step length or leaves
+the iterate unchanged, so the accepted value sequence never increases.
 
 The batched stages give the bits of the per-pair functions they replace
 (``estimate_gradient``, ``build_fit_system`` + ``solve_hessian``,
-``fd_subspace_hessian``), so traces do not depend on which path ran.
+``fd_subspace_hessian``, ``make_pd`` + ``newton_direction``), so traces do not
+depend on which path ran.
 
 The line search and the budgeted run loop live here and are shared verbatim
 by the baseline optimizers, keeping query accounting comparable across
@@ -21,6 +22,7 @@ algorithms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +32,7 @@ from .estimator import (
     estimate_gradients,
     fd_hessians,
     fit_hessians,
-    make_pd,
-    newton_direction,
+    newton_directions,
     probe_values,
 )
 # Per-pair estimators the step does not call; bench/tracer.py looks them up
@@ -40,6 +41,8 @@ from .estimator import (  # noqa: F401
     build_fit_system,
     estimate_gradient,
     fd_subspace_hessian,
+    make_pd,
+    newton_direction,
     solve_hessian,
 )
 from .oracle import CountedOracle, DimensionMismatchError, Objective
@@ -92,8 +95,9 @@ class ZosahConfig:
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
         for name in ("eps", "kappa", "hess_radius"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.m is not None and (self.m < 2 or self.m % 2 != 0):
             raise ValueError(f"m must be an even integer >= 2, got {self.m}")
         if self.hessian_mode not in HESSIAN_MODES:
@@ -157,7 +161,7 @@ def armijo_search(
     rho = INIT_STEP
     while True:
         f_try = oracle(x - rho * v)
-        if np.isfinite(f_try) and f_try <= f_x - C1 * rho * vv:
+        if math.isfinite(f_try) and f_try <= f_x - C1 * rho * vv:
             return rho, True, f_try
         if rho < MIN_STEP:
             return rho, False, f_x
@@ -258,18 +262,12 @@ class ZosahOptimizer(BudgetedOptimizer):
             H, failed = fit_hessians(theta_bar, values, g, f_x)
             self.cache.store_probes(k, probe_points, probe_f)
 
-        w = np.empty((n_pairs, 2))
-        for j in range(n_pairs):
-            if failed[j]:
-                A_bar = cfg.kappa * np.eye(2)  # scaled gradient fallback
-            else:
-                A = H[j]
-                if cfg.hessian_mode == "diag":
-                    A = np.diag(np.diag(A))
-                A_bar = make_pd(A, cfg.kappa)
-            w[j] = newton_direction(A_bar, g[j])
+        if failed.any():
+            H[failed] = cfg.kappa * np.eye(2)  # scaled gradient fallback
+        if cfg.hessian_mode == "diag":
+            H[:, 0, 1] = H[:, 1, 0] = 0.0
         v = np.zeros_like(self.x)
-        v[idx] += w
+        v[idx] += newton_directions(H, g, cfg.kappa)
 
         hess_evals = fresh_paid * n_pairs
         rho, accepted, f_new = armijo_search(self.oracle, self.x, v, f_x)

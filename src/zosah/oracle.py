@@ -13,7 +13,7 @@ sparse dataset read from LIBSVM-format text files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -108,10 +108,17 @@ def quadratic_model(A: np.ndarray, b: np.ndarray, c: float, theta: np.ndarray) -
 
 @dataclass(frozen=True)
 class Dataset:
-    """Sparse feature rows with labels in {-1, +1}."""
+    """Sparse feature rows with labels in {-1, +1}.
+
+    ``signed`` holds the rows -(y_i z_i), built once: a copy of ``features``
+    with only ``.data`` scaled, so ``signed @ x`` sums each row in the same
+    index order as ``features @ x`` and, the labels being +-1, has the bits of
+    ``-(labels * (features @ x))``.
+    """
 
     features: sp.csr_matrix  # shape (n, dim)
     labels: np.ndarray  # shape (n,), values -1.0 or +1.0
+    signed: sp.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, _ = self.features.shape
@@ -122,6 +129,9 @@ class Dataset:
         bad = ~np.isin(self.labels, (-1.0, 1.0))
         if bad.any():
             raise ValueError("labels must be -1 or +1")
+        signed = self.features.copy()
+        signed.data *= np.repeat(-self.labels, np.diff(signed.indptr))
+        object.__setattr__(self, "signed", signed)
 
     @property
     def n(self) -> int:
@@ -145,8 +155,9 @@ def logistic_loss(data: Dataset, x: np.ndarray) -> float:
         raise DimensionMismatchError(
             f"expected point of shape ({data.dim},), got {x.shape}"
         )
-    margins = data.labels * (data.features @ x)
-    return float(np.mean(np.logaddexp(0.0, -margins)))
+    t = data.signed @ x  # -y_i z_i . x
+    np.logaddexp(0.0, t, out=t)
+    return float(np.add.reduce(t) / data.n)  # np.mean's sum and division
 
 
 def load_libsvm(path, expected_dim: int | None = None) -> Dataset:

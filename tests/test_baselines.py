@@ -28,6 +28,8 @@ class TestBaselineConfig:
             {"q": 0},
             {"eps": 0.0},
             {"eps": -1.0},
+            {"eps": float("nan")},
+            {"eps": float("inf")},
         ],
     )
     def test_invalid_fields(self, kwargs):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zosah import (
     CountedOracle,
@@ -23,6 +25,7 @@ from zosah.estimator import (
     estimate_gradients,
     fd_hessians,
     fit_hessians,
+    newton_directions,
     quad_monomials,
 )
 
@@ -422,6 +425,146 @@ class TestNewtonDirection:
             if g @ g == 0.0:
                 continue
             assert g @ newton_direction(A_bar, g) > 0.0
+
+
+def ref_eig2x2(A):
+    """The per-pair eig2x2 the batched pass replaced, verbatim."""
+    a = float(A[0, 0])
+    b = float(A[0, 1])
+    d = float(A[1, 1])
+    if b == 0.0:
+        if (abs(a), a) >= (abs(d), d):
+            return np.array([a, d]), np.eye(2)
+        return np.array([d, a]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    half_tr = 0.5 * (a + d)
+    disc = float(np.hypot(0.5 * (a - d), b))
+    hi = half_tr + disc
+    lo = half_tr - disc
+    lam1, lam2 = (lo, hi) if abs(lo) > abs(hi) else (hi, lo)
+    v_a = np.array([b, lam1 - a])
+    v_b = np.array([lam1 - d, b])
+    v = v_a if v_a @ v_a >= v_b @ v_b else v_b
+    e1 = v / np.linalg.norm(v)
+    e2 = np.array([-e1[1], e1[0]])
+    return np.array([lam1, lam2]), np.column_stack([e1, e2])
+
+
+def ref_make_pd(A, kappa):
+    lam, V = ref_eig2x2(A)
+    lam_bar = np.maximum(np.abs(lam), kappa)
+    return (V * lam_bar) @ V.T
+
+
+def ref_newton_direction(A_bar, g_hat):
+    a = float(A_bar[0, 0])
+    b = float(A_bar[0, 1])
+    d = float(A_bar[1, 1])
+    det = a * d - b * b
+    g0 = float(g_hat[0])
+    g1 = float(g_hat[1])
+    return np.array([(d * g0 - b * g1) / det, (a * g1 - b * g0) / det])
+
+
+def mixed_stack(rng, kappa):
+    """Random (P, 2, 2) stack of the rows a step hands the pass, with the
+    per-pair path's inputs: general, diagonal, -0.0 off-diagonal,
+    equal-diagonal, negative-curvature and failed (kappa*I) rows."""
+    n = int(rng.integers(1, 12))
+    B = rng.standard_normal((n, 2, 2)) * 10.0 ** rng.uniform(-3, 3, (n, 1, 1))
+    H = (B + B.transpose(0, 2, 1)) / 2.0
+    kind = rng.integers(0, 6, n)
+    H[kind == 1, 0, 1] = H[kind == 1, 1, 0] = 0.0
+    H[kind == 2, 0, 1] = H[kind == 2, 1, 0] = -0.0
+    H[kind == 3, 1, 1] = H[kind == 3, 0, 0]
+    H[kind == 4] = -np.abs(H[kind == 4])
+    failed = kind == 5
+    per_pair = [None if f else A for f, A in zip(failed, H)]
+    H[failed] = kappa * np.eye(2)
+    return H, per_pair
+
+
+class TestBatchedNewtonPass:
+    """newton_directions against the per-pair loop it replaced, bit for bit."""
+
+    def reference(self, per_pair, g, kappa, diag):
+        w = np.empty((len(per_pair), 2))
+        for j, A in enumerate(per_pair):
+            if A is None:
+                A_bar = kappa * np.eye(2)
+            else:
+                if diag:
+                    A = np.diag(np.diag(A))
+                A_bar = ref_make_pd(A, kappa)
+            w[j] = ref_newton_direction(A_bar, g[j])
+        return w
+
+    @pytest.mark.parametrize("diag", [False, True])
+    @pytest.mark.parametrize("kappa", [0.1, 1e-3, 7.5])
+    def test_mixed_stacks_match_per_pair_loop(self, diag, kappa):
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            H, per_pair = mixed_stack(rng, kappa)
+            if diag:  # the step zeroes the off-diagonals before the pass
+                H[:, 0, 1] = H[:, 1, 0] = 0.0
+            g = rng.standard_normal((len(H), 2))
+            expected = self.reference(per_pair, g, kappa, diag)
+            assert np.array_equal(newton_directions(H, g, kappa), expected)
+
+    def test_per_pair_functions_match_reference(self):
+        rng = np.random.default_rng(62)
+        for _ in range(300):
+            H, per_pair = mixed_stack(rng, 0.1)
+            for A in H:
+                lam, V = eig2x2(A)
+                ref_lam, ref_V = ref_eig2x2(A)
+                assert np.array_equal(lam, ref_lam) and np.array_equal(V, ref_V)
+                A_bar = make_pd(A, 0.1)
+                assert np.array_equal(A_bar, ref_make_pd(A, 0.1))
+                g = rng.standard_normal(2)
+                assert np.array_equal(newton_direction(A_bar, g), ref_newton_direction(A_bar, g))
+
+    @pytest.mark.parametrize("A,expected", [
+        ([[1.0, 1e-300], [1e-300, 1.0]], np.eye(2)),  # squared norms underflowed: nan
+        ([[2.0, 1e-170], [1e-170, 2.0]], 2.0 * np.eye(2)),
+        ([[1.0, 1e200], [1e200, 1.0]], 1e200 * np.eye(2)),  # overflowed: zero matrix
+    ])
+    def test_extreme_scales_keep_the_contract(self, A, expected):
+        A_bar = make_pd(np.array(A), 0.1)
+        np.testing.assert_allclose(A_bar, expected, rtol=1e-15, atol=1e-15 * expected.max())
+        g = np.array([[1.0, -2.0]])
+        w = newton_directions(np.array([A]), g, 0.1)
+        np.testing.assert_allclose(w[0], g[0] / expected.max(), rtol=1e-15)
+
+    def test_singular_repair_solves_in_the_eigenbasis(self):
+        # rank-one at 1e300: the repaired matrix's small eigenvalue (kappa)
+        # is below its rounding, so the adjugate's determinant is not finite
+        H = np.full((1, 2, 2), 1e300)
+        w = newton_directions(H, np.array([[1.0, 2.0]]), 0.1)
+        np.testing.assert_allclose(w, [[-5.0, 5.0]], rtol=1e-12)
+
+
+def scaled_floats(lo, hi, mantissa=st.floats(-10.0, 10.0, exclude_min=True, exclude_max=True)):
+    """Finite floats m * 10**e with e in [lo, hi] (|m| < 10 by default)."""
+    return st.builds(lambda m, e: m * 10.0 ** e, mantissa, st.integers(lo, hi))
+
+
+class TestPdRepairProperty:
+    # g / kappa stays below 1e202, so the exact direction is finite
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(a=scaled_floats(-300, 300), b=scaled_floats(-300, 300), d=scaled_floats(-300, 300),
+           kappa=scaled_floats(-100, 100, st.floats(1.0, 10.0, exclude_max=True)),
+           g0=scaled_floats(-100, 100), g1=scaled_floats(-100, 100))
+    def test_repair_and_direction_at_any_finite_scale(self, a, b, d, kappa, g0, g1):
+        A = np.array([[a, b], [b, d]])
+        A_bar = make_pd(A, kappa)
+        assert np.isfinite(A_bar).all()
+        scale = np.abs(A_bar).max()
+        assert abs(A_bar[0, 1] - A_bar[1, 0]) <= 1e-14 * scale
+        lam = np.linalg.eigvalsh(A_bar)
+        assert lam[0] >= kappa - 1e-12 * max(kappa, lam[1])
+        w = newton_directions(A[None], np.array([[g0, g1]]), kappa)
+        assert np.isfinite(w).all()
 
 
 class TestFdSubspaceHessian:

@@ -45,6 +45,7 @@ class TestExperimentConfig:
             {"max_evals": 0},
             {"jobs": 0},
             {"seeds": (0, 0, 1)},
+            {"seeds": (3, -1)},
         ],
     )
     def test_invalid_config(self, kwargs):
@@ -327,6 +328,25 @@ class TestCliRun:
             "--evals", "50", "--out", str(tmp_path / "out"),
         ])
         assert code == 3
+
+
+class TestCliNonFiniteSettings:
+    """NaN or inf where a positive setting belongs is a usage error (exit 2)."""
+
+    @pytest.mark.parametrize("args,message", [
+        (["--alg", "rspg", "--eps", "nan"], "eps must be finite and positive, got nan"),
+        (["--alg", "zosah", "--kappa", "nan"], "kappa must be finite and positive, got nan"),
+        (["--alg", "zosah", "--eps", "nan"], "eps must be finite and positive, got nan"),
+        (["--alg", "zosah", "--hess-radius", "inf"],
+         "hess_radius must be finite and positive, got inf"),
+        (["--alg", "zosah", "--seeds", "-1"], "seeds must be non-negative, got (-1,)"),
+    ])
+    def test_exit_2_with_one_line_error(self, tmp_path, capsys, args, message):
+        code = main(["run", "--obj", "rosenbrock", "--evals", "200",
+                     "--out", str(tmp_path), *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {message}\n"
 
 
 class TestCliNonFiniteObjective:

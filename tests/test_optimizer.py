@@ -48,6 +48,9 @@ class TestZosahConfig:
             {"max_evals": 100, "eps": 0.0},
             {"max_evals": 100, "kappa": 0.0},
             {"max_evals": 100, "hess_radius": -0.05},
+            {"max_evals": 100, "eps": float("nan")},
+            {"max_evals": 100, "kappa": float("nan")},
+            {"max_evals": 100, "hess_radius": float("inf")},
             {"max_evals": 100, "m": 3},
             {"max_evals": 100, "m": 0},
             {"max_evals": 100, "hessian_mode": "newton"},
@@ -280,14 +283,14 @@ class TestDriverBehaviour:
             return np.full((n, 2, 2), np.nan), np.ones(n, dtype=bool)
 
         seen = []
-        real_newton = optimizer_mod.newton_direction
+        real_pass = optimizer_mod.newton_directions
 
-        def capture(A_bar, g_hat):
-            seen.append(np.array(A_bar))
-            return real_newton(A_bar, g_hat)
+        def capture(H, g_hat, kappa):
+            seen.extend(make_pd(A, kappa) for A in H)  # the matrices the pass solves with
+            return real_pass(H, g_hat, kappa)
 
         monkeypatch.setattr(optimizer_mod, "fit_hessians", always_fails)
-        monkeypatch.setattr(optimizer_mod, "newton_direction", capture)
+        monkeypatch.setattr(optimizer_mod, "newton_directions", capture)
         oracle = CountedOracle(sphere(2))
         opt = ZosahOptimizer(oracle, np.array([1.0, 1.0]), ZosahConfig(max_evals=10_000, seed=0, m=2))
         f0 = oracle(opt.x)
@@ -303,18 +306,18 @@ class TestDiagVariant:
     def test_off_diagonal_suppressed_before_pd_repair(self, monkeypatch):
         fitted = np.array([[2.0, 1.0], [1.0, 3.0]])
         seen = []
-        real_newton = optimizer_mod.newton_direction
+        real_pass = optimizer_mod.newton_directions
 
-        def capture(A_bar, g_hat):
-            seen.append(np.array(A_bar))
-            return real_newton(A_bar, g_hat)
+        def capture(H, g_hat, kappa):
+            seen.extend(make_pd(A, kappa) for A in H)  # the matrices the pass solves with
+            return real_pass(H, g_hat, kappa)
 
         def fit_all(theta_bar, values, g_hat, f_theta):
             n = len(g_hat)
             return np.broadcast_to(fitted, (n, 2, 2)).copy(), np.zeros(n, dtype=bool)
 
         monkeypatch.setattr(optimizer_mod, "fit_hessians", fit_all)
-        monkeypatch.setattr(optimizer_mod, "newton_direction", capture)
+        monkeypatch.setattr(optimizer_mod, "newton_directions", capture)
 
         for mode, expected in (("diag", np.diag([2.0, 3.0])), ("fit", make_pd(fitted, 0.1))):
             seen.clear()

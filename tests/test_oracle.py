@@ -164,6 +164,16 @@ class TestLogisticLoss:
                    + (1.0 - t) * logistic_loss(synth123_data, x2))
             assert lhs <= rhs + 1e-12
 
+    def test_bits_of_the_margin_formula(self, synth123_data):
+        data = synth123_data
+        features = data.features.copy()
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            x = rng.standard_normal(data.dim) * 10.0 ** rng.uniform(-3.0, 2.0)
+            margins = data.labels * (data.features @ x)
+            assert logistic_loss(data, x) == float(np.mean(np.logaddexp(0.0, -margins)))
+        assert (data.features != features).nnz == 0  # signed rows are a copy
+
     def test_empty_dataset_rejected(self):
         data = Dataset(sp.csr_matrix((0, 3)), np.zeros(0))
         with pytest.raises(ValueError):
