@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimator import GAMMA_FLOOR, quad_monomials
+from .estimator import GAMMA_FLOOR, _all_finite, quad_monomials
 from .subspace import PairProjection, SubspacePlan
 
 __all__ = ["EvalCache", "GatherResult", "PlanMismatchError"]
@@ -142,10 +142,10 @@ class EvalCache:
 
     def _put(self, slots: slice, row, points, values) -> None:
         values = np.asarray(values, dtype=float)
-        bad = ~np.isfinite(values)
-        if bad.any():
+        if not _all_finite(values.ravel().tolist()):
+            bad = values[~np.isfinite(values)][0]
             raise FloatingPointError(
-                f"objective returned non-finite value {values[bad][0]} at a cached sample"
+                f"objective returned non-finite value {bad} at a cached sample"
             )
         self.points[row, slots] = points
         self.values[row, slots] = values

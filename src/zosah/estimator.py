@@ -9,18 +9,30 @@ second-order monomials. The fitted matrix is then eigen-decomposed in closed
 form and repaired to be positive definite so the resulting Newton direction
 always points downhill for the local model.
 
-The optimizer works on all P pairs of a plan at once: ``estimate_gradients``
-and ``fd_hessians`` build every pair's probe points as one (P, n, 2) array,
-which ``probe_values`` lifts and queries, ``fit_hessians`` fits every
-pair's model in one stacked pass (monomial design, pinned targets, Gram
-matrix, eigenvalue floor test, ridge, one stacked solve), and
-``newton_directions`` repairs and solves every pair in one pass. The per-pair
-functions (``estimate_gradient``, ``build_fit_system`` + ``solve_hessian``,
-``fd_subspace_hessian``, ``make_pd`` + ``newton_direction``) give the same
-bits. The repair keeps its branches on Python floats and sends only the
-steps whose rounding belongs to a library routine (``hypot``, the BLAS dot
-and matrix product) through one stacked call each, so one pair costs no more
-than the scalar per-pair code did and ten cost about a third.
+The optimizer runs all P pairs of a plan through one pass from probes to
+Newton directions. ``_gradients`` and ``_fd_rows`` lift every pair's probe
+points into one array of query points (``_probe``) and query them in row
+order.
+``_fit_rows`` fits every pair's model in one stacked computation (monomial
+design, pinned targets, Gram matrix, eigenvalue floor test, ridge, one
+stacked solve) and hands each pair's coefficients (h0, h1, h2), the matrix
+[[h0, h1], [h1, h2]], to ``_newton_rows`` as a row of Python floats, with an
+outcome code: ``EXACT``, ``RIDGE`` or ``FAILED``. ``_newton_rows`` repairs
+and solves every row. The branches, the finiteness checks and the adjugate
+solve run on Python floats, which round like numpy's elementwise ops. Numpy
+is called once per step for all pairs together: to lift the probe points, to
+form the monomials and pinned targets, and for each step whose rounding
+belongs to a library routine: the ddot of g . theta_bar, the Gram gemm and
+rhs gemv, ``eigvalsh``, ``solve``, ``hypot``, the eigenvector candidates'
+ddot and the repair's gemm. No (P, 2, 2) matrix stack is built on the way.
+So the pass costs about as much for one pair as for ten.
+
+The public stacked functions (``probe_values``, ``estimate_gradients``,
+``fd_hessians``, ``fit_hessians``, ``newton_directions``) and per-pair
+functions (``estimate_gradient``, ``fd_subspace_hessian``, ``eig2x2``,
+``make_pd``, ``newton_direction``) are array views of the same private code.
+``build_fit_system`` + ``solve_hessian`` are the per-pair reference of the
+fit, and the stacked fit gives their bits.
 """
 
 from __future__ import annotations
@@ -36,6 +48,9 @@ from .subspace import PairProjection
 
 __all__ = [
     "GAMMA_FLOOR",
+    "EXACT",
+    "RIDGE",
+    "FAILED",
     "GradientEstimate",
     "FitSystem",
     "InsufficientSamplesError",
@@ -59,18 +74,20 @@ __all__ = [
 # switches to a ridge fallback.
 GAMMA_FLOOR = 1e-10
 
+# Outcome of one pair's curvature fit: solved from the normal equations,
+# solved with the ridge (Gram matrix below the floor), or no usable fit (too
+# few samples, a singular or non-finite system or solution), where the
+# optimizer falls back to kappa * I.
+EXACT, RIDGE, FAILED = 0, 1, 2
 
 _EYE3 = np.eye(3)
 # Slice displacements, per unit eps, of the gradient probes and of the
 # finite-difference curvature probes.
 _GRAD_STEPS = np.eye(2)
 _FD_STEPS = np.array([[2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-# quad_monomials column c is _MONO_COEF[c] * t[_MONO_A[c]] * t[_MONO_B[c]].
+# quad_monomials column c is _MONO_COEF[c] * t[_MONO_AB[0, c]] * t[_MONO_AB[1, c]].
 _MONO_COEF = np.array([0.5, 1.0, 0.5])
-_MONO_A = np.array([0, 0, 1])
-_MONO_B = np.array([0, 1, 1])
-# Fitted parameters h -> row-major symmetric [[h0, h1], [h1, h2]].
-_SYM_2X2 = np.array([0, 1, 1, 2])
+_MONO_AB = np.array([[0, 0, 1], [0, 1, 1]])
 # Row-major eigenvectors of a diagonal 2x2 (kept or swapped order), and the
 # smallest normal double, below which a squared norm has lost precision.
 _EYE2 = (1.0, 0.0, 0.0, 1.0)
@@ -118,6 +135,30 @@ class FitSystem:
     min_eig_gram: float
 
 
+def _all_finite(values) -> bool:
+    """True if every float in ``values`` is finite.
+
+    A finite sum proves it in one pass; only a non-finite sum (a nan or an
+    inf, or finite values whose sum overflows) checks value by value.
+    """
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
+def _probe(
+    oracle: CountedOracle, x: np.ndarray, idx: np.ndarray, points: np.ndarray, what: str
+) -> list[float]:
+    """:func:`probe_values` as a flat list, for float arrays ``x`` and ``points``."""
+    n_pairs, n, _ = points.shape
+    queried = np.empty((n_pairs, n, x.size))
+    queried[...] = x
+    queried[np.arange(n_pairs)[:, None], :, idx] = points.transpose(0, 2, 1)
+    values = list(map(oracle, queried.reshape(n_pairs * n, -1)))
+    if not _all_finite(values):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise FloatingPointError(f"objective returned non-finite value {bad} at a {what}")
+    return values
+
+
 def probe_values(
     oracle: CountedOracle,
     x: np.ndarray,
@@ -134,15 +175,24 @@ def probe_values(
     ``x[idx] + delta``. Raises FloatingPointError naming ``what`` if any value
     is non-finite.
     """
-    n_pairs, n, _ = points.shape
-    queried = np.asarray(x, dtype=float)[None, :].repeat(n_pairs * n, axis=0)
-    rows = np.arange(n_pairs)[:, None]
-    queried.reshape(n_pairs, n, -1)[rows, :, idx] = points.transpose(0, 2, 1)
-    values = np.fromiter(map(oracle, queried), dtype=float, count=n_pairs * n)
-    if not np.isfinite(values).all():
-        bad = values[~np.isfinite(values)][0]
-        raise FloatingPointError(f"objective returned non-finite value {bad} at a {what}")
-    return values.reshape(n_pairs, n)
+    points = np.asarray(points, dtype=float)
+    values = _probe(oracle, np.asarray(x, dtype=float), np.asarray(idx), points, what)
+    return np.array(values).reshape(points.shape[:2])
+
+
+def _gradients(
+    oracle: CountedOracle,
+    x: np.ndarray,
+    idx: np.ndarray,
+    theta: np.ndarray,
+    steps: np.ndarray,
+    eps: float,
+    f_x: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`estimate_gradients` given ``theta = x[idx]`` and ``steps = eps * _GRAD_STEPS``."""
+    points = theta[:, None, :] + steps
+    values = np.array(_probe(oracle, x, idx, points, "gradient probe")).reshape(len(idx), 2)
+    return (values - f_x) / eps, points, values
 
 
 def estimate_gradients(
@@ -162,9 +212,8 @@ def estimate_gradients(
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     x = np.asarray(x, dtype=float)
-    points = x[idx][:, None, :] + eps * _GRAD_STEPS
-    values = probe_values(oracle, x, idx, points, "gradient probe")
-    return (values - f_x) / eps, points, values
+    idx = np.asarray(idx)
+    return _gradients(oracle, x, idx, x[idx], eps * _GRAD_STEPS, eps, f_x)
 
 
 def estimate_gradient(
@@ -190,8 +239,8 @@ def quad_monomials(theta_bar: np.ndarray) -> np.ndarray:
     fancy index on the last axis would not be, and would take matmul off
     BLAS); each entry is (c * t_a) * t_b, the same roundings for any shape.
     """
-    tb = np.asarray(theta_bar, dtype=float)
-    return (_MONO_COEF * np.take(tb, _MONO_A, axis=-1)) * np.take(tb, _MONO_B, axis=-1)
+    t = np.take(np.asarray(theta_bar, dtype=float), _MONO_AB, axis=-1)
+    return (_MONO_COEF * t[..., 0, :]) * t[..., 1, :]
 
 
 def build_fit_system(
@@ -250,6 +299,77 @@ def solve_hessian(
     return np.array([[h[0], h[1]], [h[1], h[2]]])
 
 
+def _traces(gram: np.ndarray) -> list[float]:
+    """Each 3x3 matrix's trace, summed in np.trace's order."""
+    return [(a + b) + c for a, b, c in gram.reshape(-1, 9)[:, ::4].tolist()]
+
+
+def _fit_rows(
+    theta_bar: np.ndarray,
+    values: np.ndarray,
+    g_hat: np.ndarray,
+    f_theta: float,
+    gamma_floor: float = GAMMA_FLOOR,
+) -> tuple[list, list[int]]:
+    """:func:`fit_hessians` as Python rows.
+
+    ``theta_bar`` (P, s, 2) and ``g_hat`` (P, 2) must be C-contiguous float
+    arrays. Returns each pair's fitted (h0, h1, h2), the matrix
+    [[h0, h1], [h1, h2]], and its outcome code (EXACT, RIDGE or FAILED); a
+    failed pair's row is meaningless.
+
+    The Gram matrices' smallest eigenvalues decide exact against ridge, but
+    when every trace is below half the floor no eigenvalue can clear it
+    (lambda_min <= trace / 3, and eigvalsh rounds by a few ulps of the
+    trace), so the stack skips ``eigvalsh``.
+    """
+    n_pairs, s, _ = theta_bar.shape
+    if s < 3:
+        return [(0.0, 0.0, 0.0)] * n_pairs, [FAILED] * n_pairs
+    phi = quad_monomials(theta_bar)
+    lin = g_hat[:, None, None, :] @ theta_bar[..., None]
+    q = values - lin[..., 0, 0] - f_theta
+    phi_t = phi.transpose(0, 2, 1)
+    gram = phi_t @ phi
+    rhs = phi_t @ q[..., None]
+    traces = _traces(gram)
+    bad_gram = None
+    if all(t < 0.5 * gamma_floor for t in traces):
+        exact = [False] * n_pairs
+    else:
+        try:
+            min_eig = np.linalg.eigvalsh(gram)[:, 0]
+        except np.linalg.LinAlgError:  # a non-finite Gram matrix fails the whole stack
+            bad = ~np.isfinite(gram).all(axis=(1, 2))
+            gram[bad] = _EYE3
+            min_eig = np.linalg.eigvalsh(gram)[:, 0]
+            bad_gram = bad.tolist()
+            traces = _traces(gram)
+        exact = [e >= gamma_floor for e in min_eig.tolist()]
+    system = gram
+    if not all(exact):
+        ridge = np.array([1e-8 * t / 3.0 for t in traces])
+        system = gram + ridge[:, None, None] * _EYE3
+        if any(exact):
+            system = np.where(np.array(exact)[:, None, None], gram, system)
+    try:
+        h = np.linalg.solve(system, rhs).ravel().tolist()
+    except np.linalg.LinAlgError:  # one singular system fails the stack: retry per pair
+        h = []
+        for j in range(n_pairs):
+            try:
+                h += np.linalg.solve(system[j], rhs[j, :, 0]).tolist()
+            except np.linalg.LinAlgError:
+                h += [math.nan] * 3
+    rows = [h[i:i + 3] for i in range(0, len(h), 3)]
+    outcome = [EXACT if ex else RIDGE for ex in exact]
+    if not _all_finite(h):  # a non-finite solution fails its pair
+        outcome = [o if _all_finite(row) else FAILED for row, o in zip(rows, outcome)]
+    if bad_gram is not None:
+        outcome = [FAILED if b else o for o, b in zip(outcome, bad_gram)]
+    return rows, outcome
+
+
 def fit_hessians(
     theta_bar: np.ndarray,
     values: np.ndarray,
@@ -261,10 +381,12 @@ def fit_hessians(
 
     ``theta_bar`` (P, s, 2) holds each pair's samples relative to its current
     slice point, ``values`` (P, s) their f-values and ``g_hat`` (P, 2) the
-    pairs' gradients. Returns ``(H, failed)``: the (P, 2, 2) fitted matrices
-    and a (P,) mask of the pairs the per-pair path rejects (fewer than 3
-    samples, a singular or non-finite system, a non-finite solution). A
-    failed pair's matrix is meaningless; the caller falls back to kappa*I.
+    pairs' gradients. Returns ``(H, outcome)``: the (P, 2, 2) fitted matrices
+    and a (P,) array of outcome codes, EXACT or RIDGE as the Gram matrix
+    clears ``gamma_floor`` or not, and FAILED where the per-pair path raises
+    (fewer than 3 samples, a singular or non-finite system, a non-finite
+    solution). A failed pair's matrix is meaningless; the caller falls back
+    to kappa*I.
 
     Every accepted pair's matrix has the bits of the per-pair path: stacked
     ``matmul``, ``eigvalsh`` and ``solve`` call the per-matrix BLAS or LAPACK
@@ -273,38 +395,24 @@ def fit_hessians(
     products and a stacked gemv round differently) and every matmul operand
     is C-contiguous or a transpose of one (otherwise numpy leaves BLAS).
     """
-    theta_bar = np.ascontiguousarray(theta_bar, dtype=float)
-    n_pairs, s, _ = theta_bar.shape
-    if s < 3:
-        return np.zeros((n_pairs, 2, 2)), np.ones(n_pairs, dtype=bool)
-    phi = quad_monomials(theta_bar)
-    lin = np.ascontiguousarray(g_hat, dtype=float)[:, None, None, :] @ theta_bar[..., None]
-    q = values - lin[..., 0, 0] - f_theta
-    phi_t = phi.transpose(0, 2, 1)
-    gram = phi_t @ phi
-    rhs = phi_t @ q[..., None]
-    failed = np.zeros(n_pairs, dtype=bool)
-    try:
-        min_eig = np.linalg.eigvalsh(gram)[:, 0]
-    except np.linalg.LinAlgError:  # a non-finite Gram matrix fails the whole stack
-        failed = ~np.isfinite(gram).all(axis=(1, 2))
-        gram[failed] = _EYE3
-        min_eig = np.linalg.eigvalsh(gram)[:, 0]
-    exact = min_eig >= gamma_floor
-    system = gram
-    if not exact.all():
-        trace = gram[:, 0, 0] + gram[:, 1, 1] + gram[:, 2, 2]  # np.trace's order
-        ridge = 1e-8 * trace / 3.0
-        system = np.where(exact[:, None, None], gram, gram + ridge[:, None, None] * _EYE3)
-    try:
-        h = np.linalg.solve(system, rhs)[..., 0]
-    except np.linalg.LinAlgError:  # one singular system fails the stack: retry per pair
-        h = np.full((n_pairs, 3), np.nan)
-        for j in range(n_pairs):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                h[j] = np.linalg.solve(system[j], rhs[j, :, 0])
-    failed |= ~np.isfinite(h).all(axis=1)
-    return h[:, _SYM_2X2].reshape(n_pairs, 2, 2), failed
+    rows, outcome = _fit_rows(
+        np.ascontiguousarray(theta_bar, dtype=float),
+        np.asarray(values, dtype=float),
+        np.ascontiguousarray(g_hat, dtype=float),
+        f_theta,
+        gamma_floor,
+    )
+    return _matrices(rows), np.array(outcome, dtype=np.int8)
+
+
+def _rows(H: np.ndarray) -> list[tuple[float, float, float]]:
+    """(a, b, d) of every [[a, b], [c, d]] in the (..., 2, 2) stack ``H``; c is not read."""
+    return [(a, b, d) for a, b, _, d in np.asarray(H, dtype=float).reshape(-1, 4).tolist()]
+
+
+def _matrices(rows) -> np.ndarray:
+    """The (P, 2, 2) symmetric matrices [[a, b], [b, d]] of (a, b, d) rows."""
+    return np.array(rows, dtype=float).reshape(-1, 3)[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
 
 
 def _larger_rescaled(v_a: tuple, v_b: tuple) -> tuple[tuple, float]:
@@ -323,30 +431,28 @@ def _larger_rescaled(v_a: tuple, v_b: tuple) -> tuple[tuple, float]:
     return (v_a, vv_a) if vv_a >= vv_b else (v_b, vv_b)
 
 
-def _eig2x2s(H: np.ndarray) -> tuple[list, list]:
-    """:func:`eig2x2` of every matrix in the (P, 2, 2) stack ``H``, as lists.
+def _eigs(rows) -> tuple[list, list]:
+    """:func:`eig2x2` of every (a, b, d) row, as lists.
 
     Returns per pair (lam1, lam2) and the row-major entries of V.
 
     The branches (diagonal input, eigenvalue order, eigenvector candidate)
-    run on Python floats, which round like numpy's elementwise ops; the steps
-    whose rounding belongs to a library routine run once for all pairs: one
-    ``np.hypot``, and the candidates' squared norms as one stacked
-    (n, 1, 2) @ (n, 2, 1) matmul, the ddot of a 1-d ``v @ v``
-    (``np.linalg.norm(v)`` is ``sqrt(v @ v)``, so the chosen candidate's dot
-    also gives its norm).
+    run on Python floats; the steps whose rounding belongs to a library
+    routine run once for all pairs: one ``np.hypot``, and the candidates'
+    squared norms as one stacked (n, 1, 2) @ (n, 2, 1) matmul, the ddot of a
+    1-d ``v @ v`` (``np.linalg.norm(v)`` is ``sqrt(v @ v)``, so the chosen
+    candidate's dot also gives its norm).
 
     A chosen squared norm that is not a normal number (a candidate below
     about 1e-154 or above 1e154) is recomputed from both candidates rescaled
     by their largest entry, so V stays orthonormal at any finite scale.
     """
-    rows = H.reshape(-1, 4).tolist()
-    off = [(0.5 * (a - d), b) for a, b, _, d in rows if b != 0.0]
+    off = [(0.5 * (a - d), b) for a, b, d in rows if b != 0.0]
     disc = np.hypot(*zip(*off)).tolist() if off else []
     lam = []
     V = []
     pending = []  # (pair, candidates) of the non-diagonal pairs
-    for a, b, _, d in rows:
+    for a, b, d in rows:
         if b == 0.0:
             # Already diagonal; eigenvectors are the axes.
             if (abs(a), a) >= (abs(d), d):
@@ -392,28 +498,46 @@ def eig2x2(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (ties broken by descending signed value) and the matching orthonormal
     eigenvectors as columns of V.
     """
-    lam, V = _eig2x2s(np.asarray(A, dtype=float)[None])
+    lam, V = _eigs(_rows(A))
     return np.array(lam[0]), np.array(V[0]).reshape(2, 2)
 
 
-def _make_pds(H: np.ndarray, kappa: float) -> tuple[np.ndarray, list, list]:
-    """:func:`make_pd` of every matrix in ``H``; also returns V and lam_bar.
+def _repair(rows, kappa: float) -> tuple[list, list, list]:
+    """:func:`make_pd` of every (a, b, d) row: row-major A_bar, V and lam_bar.
 
-    ``V * lam_bar`` is formed on Python floats and the product with V^T is
-    one stacked matmul, the gemm of the 2-d ``(V * lam_bar) @ V.T``.
+    A non-diagonal pair's A_bar is ``(V * lam_bar) @ V.T``, with ``V * lam_bar``
+    formed on Python floats and the product as one stacked matmul for all such
+    pairs, the gemm of the 2-d expression. For a diagonal pair (b == 0) that
+    product has exact zeros and ones in V, so it is
+    diag(max(|a|, kappa), max(|d|, kappa)) exactly and costs no gemm (an
+    infinite eigenvalue, where the gemm would put nan off the diagonal, fails
+    the adjugate either way).
     """
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    lam, V = _eig2x2s(H)
+    lam, V = _eigs(rows)
     lam_bar = []
+    A_bar = []
     VL = []
-    for (l1, l2), (v00, v01, v10, v11) in zip(lam, V):
+    Vs = []
+    pending = []
+    for (l1, l2), v, (_, b, _) in zip(lam, V, rows):
         l1 = max(abs(l1), kappa)
         l2 = max(abs(l2), kappa)
         lam_bar.append((l1, l2))
+        if b == 0.0:
+            A_bar.append((l1, 0.0, 0.0, l2) if v is _EYE2 else (l2, 0.0, 0.0, l1))
+            continue
+        v00, v01, v10, v11 = v
+        pending.append(len(A_bar))
+        A_bar.append(None)
         VL += (v00 * l1, v01 * l2, v10 * l1, v11 * l2)
-    VL, Vs = np.array(VL + [x for v in V for x in v]).reshape(2, -1, 2, 2)
-    return VL @ Vs.transpose(0, 2, 1), V, lam_bar
+        Vs += v
+    if pending:
+        VL, Vs = np.array(VL + Vs).reshape(2, -1, 2, 2)
+        for j, a in zip(pending, (VL @ Vs.transpose(0, 2, 1)).reshape(-1, 4).tolist()):
+            A_bar[j] = a
+    return A_bar, V, lam_bar
 
 
 def make_pd(A: np.ndarray, kappa: float = 0.1) -> np.ndarray:
@@ -423,21 +547,19 @@ def make_pd(A: np.ndarray, kappa: float = 0.1) -> np.ndarray:
     floors everything at kappa, so the result is symmetric with both
     eigenvalues >= kappa.
     """
-    return _make_pds(np.asarray(A, dtype=float)[None], kappa)[0][0]
+    return np.array(_repair(_rows(A), kappa)[0][0]).reshape(2, 2)
 
 
-def _adjugate_solve(A_bar: np.ndarray, g_hat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Solve A_bar[j] w = g_hat[j] for every pair via the 2x2 adjugate.
+def _adjugate(A_bar: list, g_rows) -> tuple[list, list[int]]:
+    """Solve A_bar[j] w = g[j] for every row-major A_bar via the 2x2 adjugate.
 
-    Returns the (P, 2) solutions and the pairs where the adjugate fails: a
+    Returns the solutions and the pairs where the adjugate fails: a
     determinant that is not positive and finite (their rows hold nan) or a
     non-finite solution.
     """
     w = []
     failed = []
-    for j, ((a, b, _, d), (g0, g1)) in enumerate(
-        zip(A_bar.reshape(-1, 4).tolist(), g_hat.tolist())
-    ):
+    for j, ((a, b, _, d), (g0, g1)) in enumerate(zip(A_bar, g_rows)):
         det = a * d - b * b
         if 0.0 < det < math.inf:
             w0 = (d * g0 - b * g1) / det
@@ -448,7 +570,7 @@ def _adjugate_solve(A_bar: np.ndarray, g_hat: np.ndarray) -> tuple[np.ndarray, l
         else:
             w.append(_NAN2)
         failed.append(j)
-    return np.array(w), failed
+    return w, failed
 
 
 def newton_direction(A_bar: np.ndarray, g_hat: np.ndarray) -> np.ndarray:
@@ -456,8 +578,21 @@ def newton_direction(A_bar: np.ndarray, g_hat: np.ndarray) -> np.ndarray:
 
     Returns nan when A_bar is not numerically positive definite.
     """
-    A_bar = np.asarray(A_bar, dtype=float)[None]
-    return _adjugate_solve(A_bar, np.asarray(g_hat, dtype=float)[None])[0][0]
+    A_bar = np.asarray(A_bar, dtype=float).reshape(1, 4).tolist()
+    return np.array(_adjugate(A_bar, [np.asarray(g_hat, dtype=float).tolist()])[0][0])
+
+
+def _newton_rows(rows, g_rows, kappa: float) -> list[tuple[float, float]]:
+    """:func:`newton_directions` of (a, b, d) rows and (g0, g1) gradient rows."""
+    A_bar, V, lam_bar = _repair(rows, kappa)
+    w, failed = _adjugate(A_bar, g_rows)
+    if failed:
+        Vf = np.array(V).reshape(-1, 2, 2)[failed]
+        gf = np.array(g_rows, dtype=float)[failed, :, None]
+        lf = np.array(lam_bar)[failed, :, None]
+        for j, wj in zip(failed, (Vf @ ((Vf.transpose(0, 2, 1) @ gf) / lf))[..., 0].tolist()):
+            w[j] = tuple(wj)
+    return w
 
 
 def newton_directions(H: np.ndarray, g_hat: np.ndarray, kappa: float) -> np.ndarray:
@@ -470,15 +605,33 @@ def newton_directions(H: np.ndarray, g_hat: np.ndarray, kappa: float) -> np.ndar
     1/machine epsilon, the direction is solved in the repaired eigenbasis
     instead, V diag(1/lam_bar) V^T g, which is finite whenever g / kappa is.
     """
-    g_hat = np.asarray(g_hat, dtype=float)
-    A_bar, V, lam_bar = _make_pds(np.asarray(H, dtype=float), kappa)
-    w, failed = _adjugate_solve(A_bar, g_hat)
-    if failed:
-        Vf = np.array(V).reshape(-1, 2, 2)[failed]
-        gf = g_hat[failed, :, None]
-        lf = np.array(lam_bar)[failed, :, None]
-        w[failed] = (Vf @ ((Vf.transpose(0, 2, 1) @ gf) / lf))[..., 0]
-    return w
+    g_rows = np.asarray(g_hat, dtype=float).reshape(-1, 2).tolist()
+    return np.array(_newton_rows(_rows(H), g_rows, kappa)).reshape(-1, 2)
+
+
+def _fd_rows(
+    oracle: CountedOracle,
+    x: np.ndarray,
+    idx: np.ndarray,
+    theta: np.ndarray,
+    steps: np.ndarray,
+    eps: float,
+    f_x: float,
+    f_probes,
+) -> list[tuple[float, float, float]]:
+    """:func:`fd_hessians` as (a11, a12, a22) rows, given ``theta = x[idx]``,
+    ``steps = eps * _FD_STEPS`` and the gradient probe values as (f1, f2) rows."""
+    f = _probe(oracle, x, idx, theta[:, None, :] + steps, "curvature probe")
+    eps2 = eps * eps
+    rows = []
+    for j, (f1, f2) in enumerate(f_probes):
+        f_2e1, f_2e2, f_e1e2 = f[3 * j:3 * j + 3]
+        rows.append((
+            (f_2e1 - 2.0 * f1 + f_x) / eps2,
+            (f_e1e2 - f1 - f2 + f_x) / eps2,
+            (f_2e2 - 2.0 * f2 + f_x) / eps2,
+        ))
+    return rows
 
 
 def fd_hessians(
@@ -499,13 +652,9 @@ def fd_hessians(
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     x = np.asarray(x, dtype=float)
-    points = x[idx][:, None, :] + eps * _FD_STEPS
-    f = probe_values(oracle, x, idx, points, "curvature probe")
-    eps2 = eps * eps
-    H = np.empty((len(idx), 4))
-    H[:, ::3] = (f[:, :2] - 2.0 * f_probes + f_x) / eps2  # a11, a22
-    H[:, 1:3] = ((f[:, 2] - f_probes[:, 0] - f_probes[:, 1] + f_x) / eps2)[:, None]  # a12
-    return H.reshape(-1, 2, 2)
+    idx = np.asarray(idx)
+    f_probes = np.asarray(f_probes, dtype=float).tolist()
+    return _matrices(_fd_rows(oracle, x, idx, x[idx], eps * _FD_STEPS, eps, f_x, f_probes))
 
 
 def fd_subspace_hessian(

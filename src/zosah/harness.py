@@ -20,6 +20,7 @@ import numpy as np
 
 from .baselines import BASELINES, BaselineConfig, run_baseline
 from .oracle import (
+    DatasetFormatError,
     Objective,
     load_libsvm,
     logistic_objective,
@@ -201,18 +202,43 @@ def write_trace_csv(path, rows_by_seed: dict[int, list[TraceRow]]) -> None:
 
 
 def read_trace_csv(path) -> dict[int, list[TraceRow]]:
-    """Inverse of :func:`write_trace_csv`; rows grouped by seed column."""
-    text = Path(path).read_text(encoding="ascii")
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != TRACE_HEADER:
-        raise ValueError(f"{path}: missing trace header {TRACE_HEADER!r}")
+    """Inverse of :func:`write_trace_csv`; rows grouped by seed column.
+
+    Raises :class:`DatasetFormatError` naming ``path:line`` when the header is
+    missing, a row does not have exactly four fields or a field does not parse.
+    """
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not an ASCII trace file ({exc.reason})") from None
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln]
+    if not lines or lines[0][1] != TRACE_HEADER:
+        where = lines[0][0] if lines else 1
+        raise DatasetFormatError(f"{path}:{where}: missing trace header {TRACE_HEADER!r}")
     out: dict[int, list[TraceRow]] = {}
-    for ln in lines[1:]:
-        seed_s, step_s, evals_s, f_s = ln.split(",")
-        out.setdefault(int(seed_s), []).append(
-            TraceRow(int(step_s), int(evals_s), float(f_s))
-        )
+    for lineno, ln in lines[1:]:
+        fields = ln.split(",")
+        try:
+            seed_s, step_s, evals_s, f_s = fields
+            row = TraceRow(int(step_s), int(evals_s), float(f_s))
+            seed = int(seed_s)
+        except ValueError:
+            raise DatasetFormatError(f"{path}:{lineno}: {_row_problem(fields)}") from None
+        out.setdefault(seed, []).append(row)
     return out
+
+
+def _row_problem(fields: list[str]) -> str:
+    """What is wrong with a trace row that does not parse."""
+    names = TRACE_HEADER.split(",")
+    if len(fields) != len(names):
+        return f"expected {len(names)} fields ({TRACE_HEADER}), got {len(fields)}"
+    for name, text, parse in zip(names, fields, (int, int, int, float)):
+        try:
+            parse(text)
+        except ValueError:
+            return f"non-numeric {name} {text!r}"
+    return f"malformed row {','.join(fields)!r}"
 
 
 @dataclass(frozen=True)

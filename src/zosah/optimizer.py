@@ -2,18 +2,22 @@
 
 One outer step: refresh the coordinate-pair plan if the period rolled over,
 pay one query for the current value, then measure every pair's 2-d slice
-gradient (2 probes per pair), obtain every pair's 2x2 curvature matrix in one
-batched pass (a stacked least-squares fit on cached evaluations by default,
-coordinate finite differences in the ablation mode), then repair every matrix
-to be positive definite and solve for every pair's Newton direction in one
-more pass. The directions add up to one full-space update. A backtracking
-line search along the negated update either accepts a step length or leaves
-the iterate unchanged, so the accepted value sequence never increases.
+gradient (2 probes per pair), obtain every pair's 2x2 curvature matrix (a
+stacked least-squares fit on cached evaluations by default, coordinate finite
+differences in the ablation mode), then repair every matrix to be positive
+definite and solve for every pair's Newton direction. The directions add up
+to one full-space update. A backtracking line search along the negated update
+either accepts a step length or leaves the iterate unchanged, so the accepted
+value sequence never increases.
 
-The batched stages give the bits of the per-pair functions they replace
-(``estimate_gradient``, ``build_fit_system`` + ``solve_hessian``,
-``fd_subspace_hessian``, ``make_pd`` + ``newton_direction``), so traces do not
-depend on which path ran.
+The step runs all pairs through one pass (see ``estimator``): the curvature
+stage hands each pair's matrix on as a row of Python floats with its fit
+outcome, the step swaps a failed fit's row for kappa * I (and, in the diag
+variant, drops the off-diagonal) on those rows, and the repair-and-solve
+stage turns the rows into directions. The pass gives the bits of the
+per-pair functions (``estimate_gradient``, ``build_fit_system`` +
+``solve_hessian``, ``fd_subspace_hessian``, ``make_pd`` +
+``newton_direction``), so traces do not depend on which path ran.
 
 The line search and the budgeted run loop live here and are shared verbatim
 by the baseline optimizers, keeping query accounting comparable across
@@ -22,6 +26,7 @@ algorithms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,10 +34,13 @@ import numpy as np
 
 from .cache import EvalCache
 from .estimator import (
-    estimate_gradients,
-    fd_hessians,
-    fit_hessians,
-    newton_directions,
+    _FD_STEPS,
+    _GRAD_STEPS,
+    FAILED,
+    _fd_rows,
+    _fit_rows,
+    _gradients,
+    _newton_rows,
     probe_values,
 )
 # Per-pair estimators the step does not call; bench/tracer.py looks them up
@@ -139,6 +147,26 @@ def default_subspace_size(d: int) -> int:
     return m - (m % 2)
 
 
+@functools.lru_cache(maxsize=4)
+def _step_lengths(init_step: float, shrink: float, min_step: float) -> tuple[tuple, np.ndarray]:
+    """A search's trial step lengths, init_step, init_step * shrink, ... down
+    to the first one below min_step; also all but the first as a read-only
+    (n-1, 1) column."""
+    rhos = [init_step]
+    while rhos[-1] >= min_step:
+        rhos.append(rhos[-1] * shrink)
+    rest = np.array(rhos[1:])[:, None]
+    rest.flags.writeable = False
+    return tuple(rhos), rest
+
+
+def _trial_points(x: np.ndarray, v: np.ndarray, rhos: tuple, rest: np.ndarray):
+    """x - rho v for every rho: the first on its own, the rest, needed only
+    after a rejection, as one (n-1, d) block (the same roundings row by row)."""
+    yield x - rhos[0] * v
+    yield from x - rest * v
+
+
 def armijo_search(
     oracle: CountedOracle,
     x: np.ndarray,
@@ -153,19 +181,21 @@ def armijo_search(
     to the first value below MIN_STEP. Returns (rho, accepted, f_new) with
     f_new == f_x when nothing was accepted; a zero direction returns
     immediately without spending queries.
+
+    The trial points do not depend on the values queried, so after a
+    rejected first trial the remaining ones are formed together; the queries
+    stay one at a time and stop at the first accepted trial.
     """
     v = np.asarray(v, dtype=float)
     vv = float(v @ v)
     if vv == 0.0:
         return 0.0, False, f_x
-    rho = INIT_STEP
-    while True:
-        f_try = oracle(x - rho * v)
+    rhos, rest = _step_lengths(INIT_STEP, SHRINK, MIN_STEP)
+    for rho, x_try in zip(rhos, _trial_points(x, v, rhos, rest)):
+        f_try = oracle(x_try)
         if math.isfinite(f_try) and f_try <= f_x - C1 * rho * vv:
             return rho, True, f_try
-        if rho < MIN_STEP:
-            return rho, False, f_x
-        rho *= SHRINK
+    return rho, False, f_x
 
 
 class BudgetedOptimizer:
@@ -222,6 +252,9 @@ class ZosahOptimizer(BudgetedOptimizer):
         self._idx = None  # (P, 2) coordinates of the plan's pairs
         self.cache = EvalCache()
         self.stats: list[StepStats] = []
+        # probe displacements of every step of the run
+        self._grad_steps = cfg.eps * _GRAD_STEPS
+        self._fd_steps = cfg.eps * _FD_STEPS
 
     def step(self) -> TraceRow:
         cfg = self.cfg
@@ -231,27 +264,32 @@ class ZosahOptimizer(BudgetedOptimizer):
             self.cache.reset(self.plan)
             self._idx = np.array([p.pair for p in self.plan.pairs])
 
-        count0 = self.oracle.count
-        f_x = self.oracle(self.x)
+        oracle = self.oracle
+        x = self.x
+        count0 = oracle.count
+        f_x = oracle(x)
         idx = self._idx
         n_pairs = len(idx)
-        g, probe_points, probe_f = estimate_gradients(self.oracle, self.x, idx, cfg.eps, f_x)
+        theta = x[idx]
+        g, probe_points, probe_f = _gradients(
+            oracle, x, idx, theta, self._grad_steps, cfg.eps, f_x
+        )
         grad_evals = 2 * n_pairs
         fresh_paid = 0  # per pair
         degraded = 0
 
         if cfg.hessian_mode == "fd":
-            H = fd_hessians(self.oracle, self.x, idx, cfg.eps, f_x, probe_f)
-            failed = np.zeros(n_pairs, dtype=bool)
+            rows = _fd_rows(
+                oracle, x, idx, theta, self._fd_steps, cfg.eps, f_x, probe_f.tolist()
+            )
             fresh_paid = 3
         else:
-            theta = self.x[idx]
             if k % cfg.T == 0:
                 points, flags = self.cache.draw_fresh(theta, self.rng, cfg.hess_radius)
                 theta_bar = points - theta[:, None, :]
                 # lifted as x[i] + (point - theta), the per-pair path's floats
                 values = probe_values(
-                    self.oracle, self.x, idx, theta[:, None, :] + theta_bar, "curvature sample"
+                    oracle, x, idx, theta[:, None, :] + theta_bar, "curvature sample"
                 )
                 self.cache.store_fresh(k, points, values)
                 fresh_paid = 3
@@ -259,21 +297,24 @@ class ZosahOptimizer(BudgetedOptimizer):
             else:
                 points, values = self.cache.window(k, cfg.T)
                 theta_bar = points - theta[:, None, :]
-            H, failed = fit_hessians(theta_bar, values, g, f_x)
+            rows, outcome = _fit_rows(theta_bar, values, g, f_x)
             self.cache.store_probes(k, probe_points, probe_f)
-
-        if failed.any():
-            H[failed] = cfg.kappa * np.eye(2)  # scaled gradient fallback
-        if cfg.hessian_mode == "diag":
-            H[:, 0, 1] = H[:, 1, 0] = 0.0
-        v = np.zeros_like(self.x)
-        v[idx] += newton_directions(H, g, cfg.kappa)
+            # a failed fit falls back to a scaled gradient step (kappa * I);
+            # the diag variant drops the fitted off-diagonal
+            kappa_eye = (cfg.kappa, 0.0, cfg.kappa)
+            diag = cfg.hessian_mode == "diag"
+            rows = [
+                kappa_eye if o == FAILED else (h[0], 0.0, h[2]) if diag else h
+                for h, o in zip(rows, outcome)
+            ]
+        v = np.zeros(x.size)
+        v[idx] += _newton_rows(rows, g.tolist(), cfg.kappa)
 
         hess_evals = fresh_paid * n_pairs
-        rho, accepted, f_new = armijo_search(self.oracle, self.x, v, f_x)
-        search_evals = self.oracle.count - count0 - 1 - grad_evals - hess_evals
+        rho, accepted, f_new = armijo_search(oracle, x, v, f_x)
+        search_evals = oracle.count - count0 - 1 - grad_evals - hess_evals
         if accepted:
-            self.x = self.x - rho * v
+            self.x = x - rho * v
             f_accepted = f_new
         else:
             f_accepted = f_x

@@ -40,7 +40,7 @@ class DimensionMismatchError(ValueError):
 
 
 class DatasetFormatError(ValueError):
-    """A LIBSVM file could not be parsed; the message names the line."""
+    """A LIBSVM or trace CSV file could not be parsed; the message names the line."""
 
 
 class Objective:

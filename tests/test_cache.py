@@ -35,6 +35,28 @@ class TestRecordValidation:
         with pytest.raises(FloatingPointError, match="non-finite"):
             cache.store_fresh(0, np.zeros((2, 3, 2)), np.full((2, 3), np.inf))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_non_finite_kind_rejected(self, bad):
+        # the check sums first; an inf beside a -inf, or a nan, must still raise
+        cache = EvalCache()
+        cache.reset(two_pair_plan())
+        message = f"objective returned non-finite value {bad} at a cached sample"
+        probes = np.array([[1.0, 2.0], [bad, -bad if np.isinf(bad) else 3.0]])
+        with pytest.raises(FloatingPointError, match=f"^{message}$"):
+            cache.store_probes(0, np.zeros((2, 2, 2)), probes)
+        fresh = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, bad]])
+        with pytest.raises(FloatingPointError, match=f"^{message}$"):
+            cache.store_fresh(0, np.zeros((2, 3, 2)), fresh)
+
+    def test_finite_values_whose_sum_overflows_are_stored(self):
+        cache = EvalCache()
+        cache.reset(two_pair_plan())
+        big = np.full((2, 2), 1e308)
+        cache.store_probes(0, np.zeros((2, 2, 2)), big)
+        cache.store_fresh(0, np.zeros((2, 3, 2)), np.full((2, 3), -1e308))
+        points, values = cache.window(1, 5)
+        assert np.array_equal(values, [[1e308, 1e308, -1e308, -1e308, -1e308]] * 2)
+
 
 class TestPlanHandling:
     def test_reset_adopts_plan(self):

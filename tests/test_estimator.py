@@ -20,12 +20,17 @@ from zosah import (
     solve_hessian,
 )
 from zosah.estimator import (
+    EXACT,
+    FAILED,
+    GAMMA_FLOOR,
+    RIDGE,
     HessianUnavailableError,
     InsufficientSamplesError,
     estimate_gradients,
     fd_hessians,
     fit_hessians,
     newton_directions,
+    probe_values,
     quad_monomials,
 )
 
@@ -238,16 +243,17 @@ class TestBatchedFit:
             kinds, theta_bar, values = self.mixed_stack(rng, s)
             g = rng.standard_normal((len(kinds), 2))
             f_theta = float(rng.standard_normal())
-            H, failed = fit_hessians(theta_bar, values, g, f_theta, 1e-10)
+            H, outcome = fit_hessians(theta_bar, values, g, f_theta, 1e-10)
             for j, kind in enumerate(kinds):
                 min_eig, ref = per_pair_fit(theta_bar[j], values[j], g[j], f_theta)
                 if ref is None:
-                    assert failed[j], kind
+                    assert outcome[j] == FAILED, kind
                     assert kind in ("singular", "nonfinite")
                     seen.add("failed")
                 else:
-                    assert not failed[j], kind
+                    assert outcome[j] != FAILED, kind
                     assert np.array_equal(H[j], ref), kind
+                    assert outcome[j] == (EXACT if min_eig >= 1e-10 else RIDGE), kind
                     seen.add("exact" if min_eig >= 1e-10 else "ridge")
         assert seen == {"exact", "ridge", "failed"}
 
@@ -259,8 +265,8 @@ class TestBatchedFit:
         g = rng.standard_normal((3, 2))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(np.zeros((3, 3)), np.ones(3))
-        H, failed = fit_hessians(theta_bar, values, g, 0.5)
-        assert failed.tolist() == [False, True, False]
+        H, outcome = fit_hessians(theta_bar, values, g, 0.5)
+        assert (outcome == FAILED).tolist() == [False, True, False]
         for j in (0, 2):
             assert np.array_equal(H[j], per_pair_fit(theta_bar[j], values[j], g[j], 0.5)[1])
 
@@ -273,15 +279,59 @@ class TestBatchedFit:
         values = rng.standard_normal((3, 4))
         g = rng.standard_normal((3, 2))
         with np.errstate(over="ignore", invalid="ignore"):
-            H, failed = fit_hessians(theta_bar, values, g, 0.5)
-        assert failed.tolist() == [False, False, True]
+            H, outcome = fit_hessians(theta_bar, values, g, 0.5)
+        assert (outcome == FAILED).tolist() == [False, False, True]
         for j in (0, 1):
             assert np.array_equal(H[j], per_pair_fit(theta_bar[j], values[j], g[j], 0.5)[1])
 
     def test_fewer_than_three_samples_fail_every_pair(self):
-        H, failed = fit_hessians(np.ones((4, 2, 2)), np.ones((4, 2)), np.zeros((4, 2)), 0.0)
+        H, outcome = fit_hessians(np.ones((4, 2, 2)), np.ones((4, 2)), np.zeros((4, 2)), 0.0)
         assert H.shape == (4, 2, 2)
-        assert failed.all()
+        assert (outcome == FAILED).all()
+
+    def test_small_traces_skip_eigvalsh(self, monkeypatch):
+        # every Gram trace below half the floor: lambda_min <= trace / 3 cannot
+        # clear it, so the stack is ridge without an eigvalsh call; one large
+        # pair in the stack brings the call back
+        rng = np.random.default_rng(9)
+        theta_bar = 1e-4 * rng.standard_normal((3, 4, 2))
+        values = rng.standard_normal((3, 4))
+        g = rng.standard_normal((3, 2))
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or real(a))
+        H, outcome = fit_hessians(theta_bar, values, g, 0.5)
+        assert calls == []
+        assert (outcome == RIDGE).all()
+        for j in range(3):
+            min_eig, ref = per_pair_fit(theta_bar[j], values[j], g[j], 0.5)
+            assert min_eig < GAMMA_FLOOR
+            assert np.array_equal(H[j], ref)
+        theta_bar[1] *= 1e4
+        calls.clear()
+        H, outcome = fit_hessians(theta_bar, values, g, 0.5)
+        assert len(calls) == 1
+        assert outcome.tolist() == [RIDGE, EXACT, RIDGE]
+        for j in range(3):
+            assert np.array_equal(H[j], per_pair_fit(theta_bar[j], values[j], g[j], 0.5)[1])
+
+
+    def test_gram_just_above_the_floor_is_exact(self):
+        # samples (r, 0), (0, r), (u, u), (u, -u) give a Gram matrix with
+        # eigenvalues r^4/4, 2 u^4 and r^4/4 + u^4; at r^4/4 = 2 u^4 = 1.05 *
+        # floor the trace is 3.5 * lambda_min, so a trace test looser than
+        # trace < 3 * floor would wrongly call this fit ridge
+        a = 1.05 * GAMMA_FLOOR
+        r = (4.0 * a) ** 0.25
+        u = (0.5 * a) ** 0.25
+        theta_bar = np.array([[[r, 0.0], [0.0, r], [u, u], [u, -u]]])
+        values = np.array([[0.3, -0.2, 0.1, 0.4]])
+        g = np.array([[0.5, -1.0]])
+        min_eig, ref = per_pair_fit(theta_bar[0], values[0], g[0], 0.2)
+        assert GAMMA_FLOOR <= min_eig < 1.1 * GAMMA_FLOOR
+        H, outcome = fit_hessians(theta_bar, values, g, 0.2)
+        assert outcome.tolist() == [EXACT]
+        assert np.array_equal(H[0], ref)
 
 
 class TestBatchedProbes:
@@ -334,6 +384,30 @@ class TestBatchedProbes:
         oracle = CountedOracle(Objective(lambda x: np.inf if x[1] > 0 else 0.0, 3))
         with pytest.raises(FloatingPointError, match="gradient probe"):
             estimate_gradients(oracle, np.zeros(3), np.array([[0, 2], [1, 0]]), 1e-3, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_non_finite_kind_rejected(self, bad):
+        # the check sums first; an inf beside a -inf, or a nan, must still
+        # raise, naming the first non-finite value in query order
+        def f(x):
+            return {0: 1.0, 1: -np.inf if bad != -np.inf else np.inf}.get(int(x[2]), bad)
+
+        oracle = CountedOracle(Objective(f, 3))
+        points = np.array([[[0.0, 0.0], [0.0, 1.0]], [[0.0, 2.0], [0.0, 3.0]]])
+        first = -np.inf if bad != -np.inf else np.inf
+        with pytest.raises(FloatingPointError,
+                           match=f"^objective returned non-finite value {first} at a probe$"):
+            probe_values(oracle, np.zeros(3), np.array([[0, 2], [1, 2]]), points)
+        oracle = CountedOracle(Objective(lambda x: bad if x[2] > 0 else 1e308, 3))
+        with pytest.raises(FloatingPointError,
+                           match=f"^objective returned non-finite value {bad} at a probe$"):
+            probe_values(oracle, np.zeros(3), np.array([[0, 2], [1, 2]]), points)
+
+    def test_finite_values_whose_sum_overflows_pass(self):
+        oracle = CountedOracle(Objective(lambda x: 1e308, 3))
+        points = np.zeros((2, 2, 2))
+        values = probe_values(oracle, np.zeros(3), np.array([[0, 2], [1, 2]]), points)
+        assert np.array_equal(values, np.full((2, 2), 1e308))
 
 
 class TestEig2x2:

@@ -24,7 +24,7 @@ from zosah.harness import (
     write_summary_csv,
     write_trace_csv,
 )
-from zosah.oracle import Objective
+from zosah.oracle import DatasetFormatError, Objective
 from zosah.optimizer import TraceRow
 
 
@@ -185,6 +185,37 @@ class TestTraceCsv:
         path.write_text("")
         with pytest.raises(ValueError, match="missing trace header"):
             read_trace_csv(path)
+
+
+MALFORMED_TRACES = {
+    "no_header": ("\n0,0,1,2.5\n", 2, "missing trace header"),
+    "short_row": (f"{TRACE_HEADER}\n0,0,1,2.5\n0,1,5\n", 3,
+                  r"expected 4 fields \(seed,step,cum_evals,f_value\), got 3"),
+    "long_row": (f"{TRACE_HEADER}\n0,0,1,2.5,7\n", 2, "expected 4 fields"),
+    "text_value": (f"{TRACE_HEADER}\n0,0,1,abc\n", 2, "non-numeric f_value 'abc'"),
+    "float_count": (f"{TRACE_HEADER}\n0,0,1.5,2.0\n", 2, "non-numeric cum_evals '1.5'"),
+}
+
+
+class TestMalformedTraceCsv:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TRACES))
+    def test_error_names_path_and_line(self, tmp_path, case):
+        text, line, message = MALFORMED_TRACES[case]
+        path = tmp_path / "seed_0.csv"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError, match=f"^{path}:{line}: {message}"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TRACES))
+    def test_summarize_exits_3_with_one_error_line(self, tmp_path, capsys, case):
+        text, line, message = MALFORMED_TRACES[case]
+        path = tmp_path / "seed_0.csv"
+        path.write_text(text)
+        code = main(["summarize", "--in", str(tmp_path), "--out", str(tmp_path / "s.csv")])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {path}:{line}: ")
 
 
 class TestSummarize:

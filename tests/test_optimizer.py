@@ -6,6 +6,9 @@ import pytest
 import zosah.optimizer as optimizer_mod
 from zosah.cache import EvalCache
 from zosah.estimator import (
+    EXACT,
+    FAILED,
+    RIDGE,
     HessianUnavailableError,
     InsufficientSamplesError,
     build_fit_system,
@@ -37,6 +40,19 @@ ROTATED = np.array([[5.5, 4.5], [4.5, 5.5]])
 
 def sphere(d):
     return Objective(lambda x: 0.5 * float(x @ x), d)
+
+
+def capture_repairs(seen):
+    """A stand-in for the step's repair-and-solve pass that records, in
+    ``seen``, make_pd of each (a, b, d) row it receives: the matrices the
+    pass solves with."""
+    real_pass = optimizer_mod._newton_rows
+
+    def capture(rows, g_rows, kappa):
+        seen.extend(make_pd(np.array([[a, b], [b, d]]), kappa) for a, b, d in rows)
+        return real_pass(rows, g_rows, kappa)
+
+    return capture
 
 
 class TestZosahConfig:
@@ -117,6 +133,34 @@ class TestArmijoSearch:
         assert accepted and rho == 0.25
         assert f_new == pytest.approx(0.5625)
         assert oracle.count == 1
+        # a failing search follows the patched schedule too: 0.25, then
+        # 0.025, the first value below MIN_STEP
+        oracle = CountedOracle(Objective(lambda x: float(x[0]), 1))
+        rho, accepted, _ = armijo_search(oracle, np.array([0.0]), np.array([-1.0]), 0.0)
+        assert not accepted and oracle.count == 2
+        assert rho == 0.25 * 0.1
+
+    def test_trial_points_have_the_bits_of_one_trial_at_a_time(self):
+        # the trials after the first are formed as one block; each must equal
+        # x - rho * v computed on its own, subnormal products and -0.0 included
+        seen = []
+        oracle = CountedOracle(Objective(lambda x: seen.append(x.copy()) or 1.0, 5))
+        x = np.array([0.3, -0.0, 1e-300, -7.25, 0.0])
+        # 5 * 2^-1074 * 2^-3 rounds up to 2^-1074, halving it three times
+        # rounds down to 0
+        v = np.array([1e-310, 3.7, -2.2e-308, 0.0, 5 * 2.0**-1074])
+        armijo_search(oracle, x, v, 0.5)
+        want = []
+        rho = 1.0
+        while True:
+            want.append(x - rho * v)
+            if rho < 1e-6:
+                break
+            rho *= 0.5
+        assert len(seen) == len(want) == 21
+        for got, exp in zip(seen, want):
+            assert np.array_equal(got, exp)
+            assert np.array_equal(np.signbit(got), np.signbit(exp))
 
 
 class TestStepAccounting:
@@ -280,17 +324,11 @@ class TestDriverBehaviour:
     def test_hessian_failure_falls_back_to_scaled_gradient(self, monkeypatch):
         def always_fails(theta_bar, values, g_hat, f_theta):
             n = len(g_hat)
-            return np.full((n, 2, 2), np.nan), np.ones(n, dtype=bool)
+            return [(np.nan, np.nan, np.nan)] * n, [FAILED] * n
 
         seen = []
-        real_pass = optimizer_mod.newton_directions
-
-        def capture(H, g_hat, kappa):
-            seen.extend(make_pd(A, kappa) for A in H)  # the matrices the pass solves with
-            return real_pass(H, g_hat, kappa)
-
-        monkeypatch.setattr(optimizer_mod, "fit_hessians", always_fails)
-        monkeypatch.setattr(optimizer_mod, "newton_directions", capture)
+        monkeypatch.setattr(optimizer_mod, "_fit_rows", always_fails)
+        monkeypatch.setattr(optimizer_mod, "_newton_rows", capture_repairs(seen))
         oracle = CountedOracle(sphere(2))
         opt = ZosahOptimizer(oracle, np.array([1.0, 1.0]), ZosahConfig(max_evals=10_000, seed=0, m=2))
         f0 = oracle(opt.x)
@@ -306,18 +344,13 @@ class TestDiagVariant:
     def test_off_diagonal_suppressed_before_pd_repair(self, monkeypatch):
         fitted = np.array([[2.0, 1.0], [1.0, 3.0]])
         seen = []
-        real_pass = optimizer_mod.newton_directions
-
-        def capture(H, g_hat, kappa):
-            seen.extend(make_pd(A, kappa) for A in H)  # the matrices the pass solves with
-            return real_pass(H, g_hat, kappa)
 
         def fit_all(theta_bar, values, g_hat, f_theta):
             n = len(g_hat)
-            return np.broadcast_to(fitted, (n, 2, 2)).copy(), np.zeros(n, dtype=bool)
+            return [(2.0, 1.0, 3.0)] * n, [EXACT] * n
 
-        monkeypatch.setattr(optimizer_mod, "fit_hessians", fit_all)
-        monkeypatch.setattr(optimizer_mod, "newton_directions", capture)
+        monkeypatch.setattr(optimizer_mod, "_fit_rows", fit_all)
+        monkeypatch.setattr(optimizer_mod, "_newton_rows", capture_repairs(seen))
 
         for mode, expected in (("diag", np.diag([2.0, 3.0])), ("fit", make_pd(fitted, 0.1))):
             seen.clear()
@@ -436,3 +469,32 @@ class TestBatchedStepMatchesPerPairReference:
                 (r.step, r.cum_evals) for r in want
             ]
             assert np.array_equal([r.f_value for r in got], [r.f_value for r in want])
+
+    @pytest.mark.parametrize("mode", ["fit", "diag", "fd"])
+    def test_rosenbrock_ridge_regime_traces(self, mode, monkeypatch):
+        # criterion 1's settings (one pair, eps = 1e-5, T = 20), the regime of
+        # the Rosenbrock benchmark: most fits take the ridge path, some of them
+        # with every Gram trace below half the floor (no eigvalsh call)
+        outcomes = []
+        real_fit = optimizer_mod._fit_rows
+
+        def fit(*args):
+            rows, outcome = real_fit(*args)
+            outcomes.extend(outcome)
+            return rows, outcome
+
+        monkeypatch.setattr(optimizer_mod, "_fit_rows", fit)
+        obj = rosenbrock_objective()
+        x0 = np.array([-1.2, 1.0])
+        for seed in range(3):
+            cfg = ZosahConfig(max_evals=600, seed=seed, m=2, T=20, eps=1e-5,
+                              hessian_mode=mode)
+            got = run_zosah(obj, x0, cfg)
+            want = reference_trace(obj, x0, cfg)
+            assert [(r.step, r.cum_evals) for r in got] == [
+                (r.step, r.cum_evals) for r in want
+            ]
+            assert np.array_equal([r.f_value for r in got], [r.f_value for r in want])
+        if mode != "fd":
+            assert outcomes.count(RIDGE) > 0.5 * len(outcomes)
+            assert outcomes.count(EXACT) > 0
