@@ -161,9 +161,15 @@ def _cmd_summarize(args) -> int:
     if not trace_files:
         raise DatasetFormatError(f"no trace CSVs found in {in_dir}")
     rows_by_seed = {}
+    source = {}  # seed -> the file that holds it
     for path in trace_files:
         for seed, rows in read_trace_csv(path).items():
-            rows_by_seed.setdefault(seed, []).extend(rows)
+            if seed in source:
+                raise DatasetFormatError(f"seed {seed} is in both {source[seed]} and {path}")
+            source[seed] = path
+            rows_by_seed[seed] = rows
+    if not rows_by_seed:
+        raise DatasetFormatError(f"{in_dir}: the trace CSVs hold no rows")
     rows = summarize(rows_by_seed, args.grid)
     write_summary_csv(args.out, rows)
     print(args.out)

@@ -9,10 +9,10 @@ second-order monomials. The fitted matrix is then eigen-decomposed in closed
 form and repaired to be positive definite so the resulting Newton direction
 always points downhill for the local model.
 
-The optimizer runs all P pairs of a plan through one pass from probes to
-Newton directions. ``_gradients`` and ``_fd_rows`` lift every pair's probe
-points into one array of query points (``_probe``) and query them in row
-order.
+The module has two layers. The first is the rows pass the optimizer runs
+for all P pairs of a plan, from probes to Newton directions.
+``_gradients`` and ``_fd_rows`` lift every pair's probe points into one
+array of query points (``_probe``) and query them in row order.
 ``_fit_rows`` fits every pair's model in one stacked computation (monomial
 design, pinned targets, Gram matrix, eigenvalue floor test, ridge, one
 stacked solve) and hands each pair's coefficients (h0, h1, h2), the matrix
@@ -27,12 +27,11 @@ rhs gemv, ``eigvalsh``, ``solve``, ``hypot``, the eigenvector candidates'
 ddot and the repair's gemm. No (P, 2, 2) matrix stack is built on the way.
 So the pass costs about as much for one pair as for ten.
 
-The public stacked functions (``probe_values``, ``estimate_gradients``,
-``fd_hessians``, ``fit_hessians``, ``newton_directions``) and per-pair
-functions (``estimate_gradient``, ``fd_subspace_hessian``, ``eig2x2``,
-``make_pd``, ``newton_direction``) are array views of the same private code.
-``build_fit_system`` + ``solve_hessian`` are the per-pair reference of the
-fit, and the stacked fit gives their bits.
+The second layer is per pair: ``estimate_gradient``, ``fd_subspace_hessian``,
+``eig2x2``, ``make_pd`` and ``newton_direction`` are one-pair views of the
+rows pass. ``build_fit_system`` + ``solve_hessian`` are the fit's reference,
+a separate per-pair implementation whose bits ``_fit_rows`` reproduces.
+``probe_values`` queries lifted points; the step uses it for fresh samples.
 """
 
 from __future__ import annotations
@@ -57,17 +56,13 @@ __all__ = [
     "HessianUnavailableError",
     "probe_values",
     "estimate_gradient",
-    "estimate_gradients",
     "quad_monomials",
     "build_fit_system",
     "solve_hessian",
-    "fit_hessians",
     "eig2x2",
     "make_pd",
     "newton_direction",
-    "newton_directions",
     "fd_subspace_hessian",
-    "fd_hessians",
 ]
 
 # Conditioning floor for the fit's 3x3 Gram matrix; below it the solve
@@ -189,31 +184,12 @@ def _gradients(
     eps: float,
     f_x: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`estimate_gradients` given ``theta = x[idx]`` and ``steps = eps * _GRAD_STEPS``."""
+    """Forward-difference gradients of the pairs ``idx`` (P, 2), 2P queries, given
+    ``theta = x[idx]``, ``steps = eps * _GRAD_STEPS`` and the paid f(x): the (P, 2)
+    gradients, the probes' slice points (P, 2, 2) and their (P, 2) values."""
     points = theta[:, None, :] + steps
     values = np.array(_probe(oracle, x, idx, points, "gradient probe")).reshape(len(idx), 2)
     return (values - f_x) / eps, points, values
-
-
-def estimate_gradients(
-    oracle: CountedOracle,
-    x: np.ndarray,
-    idx: np.ndarray,
-    eps: float,
-    f_x: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two-point forward-difference gradients of every pair in ``idx`` (P, 2).
-
-    ``f_x`` is the already-paid value at x, so this costs exactly 2P queries.
-    Returns ``(g, points, values)``: the (P, 2) slice gradients, the probes'
-    absolute slice coordinates theta + eps*e_i as (P, 2, 2), and their (P, 2)
-    f-values, ready to bank for later curvature fits.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    x = np.asarray(x, dtype=float)
-    idx = np.asarray(idx)
-    return _gradients(oracle, x, idx, x[idx], eps * _GRAD_STEPS, eps, f_x)
 
 
 def estimate_gradient(
@@ -227,7 +203,11 @@ def estimate_gradient(
 
     ``f_x`` is the already-paid value at x, so this costs exactly 2 queries.
     """
-    g, points, values = estimate_gradients(oracle, x, np.array([p.pair]), eps, f_x)
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    x = np.asarray(x, dtype=float)
+    idx = np.array([p.pair])
+    g, points, values = _gradients(oracle, x, idx, x[idx], eps * _GRAD_STEPS, eps, f_x)
     probes = tuple((points[0, i], float(values[0, i])) for i in range(2))
     return GradientEstimate(g[0], probes, eps)
 
@@ -271,17 +251,13 @@ def build_fit_system(
     return FitSystem(phi, q, min_eig)
 
 
-def solve_hessian(
-    sys: FitSystem,
-    gamma_floor: float = GAMMA_FLOOR,
-    ridge: float | None = None,
-) -> np.ndarray:
+def solve_hessian(sys: FitSystem, gamma_floor: float = GAMMA_FLOOR) -> np.ndarray:
     """Solve the normal equations and arrange the solution as a symmetric 2x2.
 
     Solves phi^T phi h = phi^T q exactly when the Gram matrix clears
-    ``gamma_floor``; otherwise retries with a small ridge (default
-    1e-8 * trace/3). Raises :class:`HessianUnavailableError` if even that
-    fails, signalling the caller to fall back to a scaled gradient step.
+    ``gamma_floor``; otherwise retries with a ridge of 1e-8 * trace/3. Raises
+    :class:`HessianUnavailableError` if even that fails, signalling the caller
+    to fall back to a scaled gradient step.
     """
     gram = sys.phi.T @ sys.phi
     rhs = sys.phi.T @ sys.q
@@ -289,8 +265,7 @@ def solve_hessian(
         if sys.min_eig_gram >= gamma_floor:
             h = np.linalg.solve(gram, rhs)
         else:
-            if ridge is None:
-                ridge = 1e-8 * float(np.trace(gram)) / 3.0
+            ridge = 1e-8 * float(np.trace(gram)) / 3.0
             h = np.linalg.solve(gram + ridge * np.eye(3), rhs)
     except np.linalg.LinAlgError as exc:
         raise HessianUnavailableError(str(exc)) from None
@@ -309,14 +284,21 @@ def _fit_rows(
     values: np.ndarray,
     g_hat: np.ndarray,
     f_theta: float,
-    gamma_floor: float = GAMMA_FLOOR,
 ) -> tuple[list, list[int]]:
-    """:func:`fit_hessians` as Python rows.
+    """:func:`build_fit_system` + :func:`solve_hessian` of P pairs, as Python rows.
 
-    ``theta_bar`` (P, s, 2) and ``g_hat`` (P, 2) must be C-contiguous float
-    arrays. Returns each pair's fitted (h0, h1, h2), the matrix
-    [[h0, h1], [h1, h2]], and its outcome code (EXACT, RIDGE or FAILED); a
-    failed pair's row is meaningless.
+    ``theta_bar`` (P, s, 2) holds each pair's samples relative to its slice
+    point, ``values`` (P, s) their f-values and ``g_hat`` (P, 2) the pairs'
+    gradients. Returns each pair's fitted (h0, h1, h2), the matrix
+    [[h0, h1], [h1, h2]], and its outcome code (EXACT, RIDGE or FAILED where
+    the per-pair path raises); a failed pair's row is meaningless.
+
+    Accepted rows have the per-pair path's bits: stacked ``matmul``,
+    ``eigvalsh`` and ``solve`` call the per-matrix BLAS or LAPACK routine of
+    the 2-d calls, provided each 2-element dot is a (..., 1, 2) @ (..., 2, 1)
+    matmul (ddot, as ``g_hat @ tb``; elementwise products and a stacked gemv
+    round differently) and every matmul operand is C-contiguous or a
+    transpose of one. So ``theta_bar`` and ``g_hat`` must be C-contiguous.
 
     The Gram matrices' smallest eigenvalues decide exact against ridge, but
     when every trace is below half the floor no eigenvalue can clear it
@@ -334,7 +316,7 @@ def _fit_rows(
     rhs = phi_t @ q[..., None]
     traces = _traces(gram)
     bad_gram = None
-    if all(t < 0.5 * gamma_floor for t in traces):
+    if all(t < 0.5 * GAMMA_FLOOR for t in traces):
         exact = [False] * n_pairs
     else:
         try:
@@ -345,7 +327,7 @@ def _fit_rows(
             min_eig = np.linalg.eigvalsh(gram)[:, 0]
             bad_gram = bad.tolist()
             traces = _traces(gram)
-        exact = [e >= gamma_floor for e in min_eig.tolist()]
+        exact = [e >= GAMMA_FLOOR for e in min_eig.tolist()]
     system = gram
     if not all(exact):
         ridge = np.array([1e-8 * t / 3.0 for t in traces])
@@ -370,49 +352,9 @@ def _fit_rows(
     return rows, outcome
 
 
-def fit_hessians(
-    theta_bar: np.ndarray,
-    values: np.ndarray,
-    g_hat: np.ndarray,
-    f_theta: float,
-    gamma_floor: float = GAMMA_FLOOR,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`build_fit_system` and :func:`solve_hessian` for P pairs at once.
-
-    ``theta_bar`` (P, s, 2) holds each pair's samples relative to its current
-    slice point, ``values`` (P, s) their f-values and ``g_hat`` (P, 2) the
-    pairs' gradients. Returns ``(H, outcome)``: the (P, 2, 2) fitted matrices
-    and a (P,) array of outcome codes, EXACT or RIDGE as the Gram matrix
-    clears ``gamma_floor`` or not, and FAILED where the per-pair path raises
-    (fewer than 3 samples, a singular or non-finite system, a non-finite
-    solution). A failed pair's matrix is meaningless; the caller falls back
-    to kappa*I.
-
-    Every accepted pair's matrix has the bits of the per-pair path: stacked
-    ``matmul``, ``eigvalsh`` and ``solve`` call the per-matrix BLAS or LAPACK
-    routine the 2-d calls use, provided that each 2-element dot goes through
-    a (..., 1, 2) @ (..., 2, 1) matmul (ddot, as ``g_hat @ tb``; elementwise
-    products and a stacked gemv round differently) and every matmul operand
-    is C-contiguous or a transpose of one (otherwise numpy leaves BLAS).
-    """
-    rows, outcome = _fit_rows(
-        np.ascontiguousarray(theta_bar, dtype=float),
-        np.asarray(values, dtype=float),
-        np.ascontiguousarray(g_hat, dtype=float),
-        f_theta,
-        gamma_floor,
-    )
-    return _matrices(rows), np.array(outcome, dtype=np.int8)
-
-
 def _rows(H: np.ndarray) -> list[tuple[float, float, float]]:
     """(a, b, d) of every [[a, b], [c, d]] in the (..., 2, 2) stack ``H``; c is not read."""
     return [(a, b, d) for a, b, _, d in np.asarray(H, dtype=float).reshape(-1, 4).tolist()]
-
-
-def _matrices(rows) -> np.ndarray:
-    """The (P, 2, 2) symmetric matrices [[a, b], [b, d]] of (a, b, d) rows."""
-    return np.array(rows, dtype=float).reshape(-1, 3)[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
 
 
 def _larger_rescaled(v_a: tuple, v_b: tuple) -> tuple[tuple, float]:
@@ -513,8 +455,8 @@ def _repair(rows, kappa: float) -> tuple[list, list, list]:
     infinite eigenvalue, where the gemm would put nan off the diagonal, fails
     the adjugate either way).
     """
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be finite and positive, got {kappa}")
     lam, V = _eigs(rows)
     lam_bar = []
     A_bar = []
@@ -583,7 +525,11 @@ def newton_direction(A_bar: np.ndarray, g_hat: np.ndarray) -> np.ndarray:
 
 
 def _newton_rows(rows, g_rows, kappa: float) -> list[tuple[float, float]]:
-    """:func:`newton_directions` of (a, b, d) rows and (g0, g1) gradient rows."""
+    """``newton_direction(make_pd(A, kappa), g)`` of every (a, b, d) row and (g0, g1) row.
+
+    Where the adjugate fails (a repaired condition number above 1/machine
+    epsilon) the direction is V diag(1/lam_bar) V^T g, finite if g / kappa is.
+    """
     A_bar, V, lam_bar = _repair(rows, kappa)
     w, failed = _adjugate(A_bar, g_rows)
     if failed:
@@ -593,20 +539,6 @@ def _newton_rows(rows, g_rows, kappa: float) -> list[tuple[float, float]]:
         for j, wj in zip(failed, (Vf @ ((Vf.transpose(0, 2, 1) @ gf) / lf))[..., 0].tolist()):
             w[j] = tuple(wj)
     return w
-
-
-def newton_directions(H: np.ndarray, g_hat: np.ndarray, kappa: float) -> np.ndarray:
-    """PD repair and Newton solve of every pair at once.
-
-    ``H`` (P, 2, 2) holds the pairs' curvature matrices and ``g_hat`` (P, 2)
-    their gradients; row j of the (P, 2) result has the bits of
-    ``newton_direction(make_pd(H[j], kappa), g_hat[j])``. Where the adjugate
-    fails, as it does for a repaired matrix whose condition number exceeds
-    1/machine epsilon, the direction is solved in the repaired eigenbasis
-    instead, V diag(1/lam_bar) V^T g, which is finite whenever g / kappa is.
-    """
-    g_rows = np.asarray(g_hat, dtype=float).reshape(-1, 2).tolist()
-    return np.array(_newton_rows(_rows(H), g_rows, kappa)).reshape(-1, 2)
 
 
 def _fd_rows(
@@ -619,8 +551,9 @@ def _fd_rows(
     f_x: float,
     f_probes,
 ) -> list[tuple[float, float, float]]:
-    """:func:`fd_hessians` as (a11, a12, a22) rows, given ``theta = x[idx]``,
-    ``steps = eps * _FD_STEPS`` and the gradient probe values as (f1, f2) rows."""
+    """:func:`fd_subspace_hessian` of every pair in ``idx`` as (a11, a12, a22) rows,
+    given ``theta = x[idx]``, ``steps = eps * _FD_STEPS`` and the gradient
+    probe values as (f1, f2) rows of Python floats; 3P queries."""
     f = _probe(oracle, x, idx, theta[:, None, :] + steps, "curvature probe")
     eps2 = eps * eps
     rows = []
@@ -632,29 +565,6 @@ def _fd_rows(
             (f_2e2 - 2.0 * f2 + f_x) / eps2,
         ))
     return rows
-
-
-def fd_hessians(
-    oracle: CountedOracle,
-    x: np.ndarray,
-    idx: np.ndarray,
-    eps: float,
-    f_x: float,
-    f_probes: np.ndarray,
-) -> np.ndarray:
-    """Coordinate finite-difference 2x2 curvature of every pair in ``idx``.
-
-    ``f_probes`` (P, 2) are the gradient probe values f(theta + eps e1),
-    f(theta + eps e2); this pays exactly 3P new queries, per pair
-    f(theta + 2 eps e1), f(theta + 2 eps e2) and f(theta + eps e1 + eps e2),
-    and returns the (P, 2, 2) matrices.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    x = np.asarray(x, dtype=float)
-    idx = np.asarray(idx)
-    f_probes = np.asarray(f_probes, dtype=float).tolist()
-    return _matrices(_fd_rows(oracle, x, idx, x[idx], eps * _FD_STEPS, eps, f_x, f_probes))
 
 
 def fd_subspace_hessian(
@@ -672,5 +582,10 @@ def fd_subspace_hessian(
     pays exactly 3 new queries: f(theta + 2 eps e1), f(theta + 2 eps e2), and
     f(theta + eps e1 + eps e2).
     """
-    f_probes = np.array([[f_probe1, f_probe2]], dtype=float)
-    return fd_hessians(oracle, x, np.array([p.pair]), eps, f_x, f_probes)[0]
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    x = np.asarray(x, dtype=float)
+    idx = np.array([p.pair])
+    f_probes = [(float(f_probe1), float(f_probe2))]
+    ((a, b, d),) = _fd_rows(oracle, x, idx, x[idx], eps * _FD_STEPS, eps, f_x, f_probes)
+    return np.array([[a, b], [b, d]])

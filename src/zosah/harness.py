@@ -205,7 +205,8 @@ def read_trace_csv(path) -> dict[int, list[TraceRow]]:
     """Inverse of :func:`write_trace_csv`; rows grouped by seed column.
 
     Raises :class:`DatasetFormatError` naming ``path:line`` when the header is
-    missing, a row does not have exactly four fields or a field does not parse.
+    missing, a row does not have exactly four fields, a field does not parse
+    or a row's cum_evals is below the previous row of its seed.
     """
     try:
         text = Path(path).read_text(encoding="ascii")
@@ -224,7 +225,13 @@ def read_trace_csv(path) -> dict[int, list[TraceRow]]:
             seed = int(seed_s)
         except ValueError:
             raise DatasetFormatError(f"{path}:{lineno}: {_row_problem(fields)}") from None
-        out.setdefault(seed, []).append(row)
+        seed_rows = out.setdefault(seed, [])
+        if seed_rows and row.cum_evals < seed_rows[-1].cum_evals:
+            raise DatasetFormatError(
+                f"{path}:{lineno}: seed {seed}: cum_evals {row.cum_evals} below "
+                f"the previous row's {seed_rows[-1].cum_evals}"
+            )
+        seed_rows.append(row)
     return out
 
 

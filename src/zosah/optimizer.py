@@ -10,14 +10,15 @@ to one full-space update. A backtracking line search along the negated update
 either accepts a step length or leaves the iterate unchanged, so the accepted
 value sequence never increases.
 
-The step runs all pairs through one pass (see ``estimator``): the curvature
+The step runs all pairs through the estimator's rows pass: ``_gradients``,
+then ``_fit_rows`` (or ``_fd_rows``), then ``_newton_rows``. The curvature
 stage hands each pair's matrix on as a row of Python floats with its fit
 outcome, the step swaps a failed fit's row for kappa * I (and, in the diag
 variant, drops the off-diagonal) on those rows, and the repair-and-solve
-stage turns the rows into directions. The pass gives the bits of the
-per-pair functions (``estimate_gradient``, ``build_fit_system`` +
-``solve_hessian``, ``fd_subspace_hessian``, ``make_pd`` +
-``newton_direction``), so traces do not depend on which path ran.
+stage turns the rows into directions. The per-pair functions
+(``estimate_gradient``, ``fd_subspace_hessian``, ``make_pd``,
+``newton_direction``) are one-pair views of the same pass, and the fit's
+reference, ``build_fit_system`` + ``solve_hessian``, gives the same bits.
 
 The line search and the budgeted run loop live here and are shared verbatim
 by the baseline optimizers, keeping query accounting comparable across

@@ -169,8 +169,9 @@ def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
     index seen, or ``expected_dim`` if that is larger.
 
     Raises :class:`DatasetFormatError` (naming the offending line) on
-    malformed tokens, non-numeric values, indices < 1, duplicate indices
-    within a line, or out-of-domain labels.
+    malformed tokens, non-numeric or non-finite values, indices < 1,
+    duplicate indices within a line, or out-of-domain labels, and (naming
+    the file) on a file that is not ASCII.
     """
     rows: list[int] = []
     cols: list[int] = []
@@ -179,7 +180,11 @@ def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
     max_index = 0
 
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"{path}: not an ASCII LIBSVM file ({exc.reason})") from None
+        for lineno, line in enumerate(lines, start=1):
             tokens = line.split()
             if not tokens:
                 continue  # blank line
@@ -232,8 +237,13 @@ def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
     dim = max(max_index, expected_dim or 0)
     if dim == 0:
         raise DatasetFormatError(f"{path}: no features and no expected_dim given")
+    data = np.asarray(vals, dtype=float)
+    if not np.isfinite(data).all():
+        k = int(np.argmin(np.isfinite(data)))
+        lineno = [i for i, line in enumerate(lines, start=1) if line.split()][rows[k]]
+        raise DatasetFormatError(f"{path}:{lineno}: non-finite feature {cols[k] + 1}:{vals[k]}")
     mat = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(len(labels), dim), dtype=float
+        (data, (rows, cols)), shape=(len(labels), dim), dtype=float
     )
     return Dataset(mat, np.asarray(labels, dtype=float))
 

@@ -20,16 +20,19 @@ from zosah import (
     solve_hessian,
 )
 from zosah.estimator import (
+    _FD_STEPS,
+    _GRAD_STEPS,
     EXACT,
     FAILED,
     GAMMA_FLOOR,
     RIDGE,
     HessianUnavailableError,
     InsufficientSamplesError,
-    estimate_gradients,
-    fd_hessians,
-    fit_hessians,
-    newton_directions,
+    _fd_rows,
+    _fit_rows,
+    _gradients,
+    _newton_rows,
+    _rows,
     probe_values,
     quad_monomials,
 )
@@ -84,6 +87,13 @@ class TestEstimateGradient:
         oracle = CountedOracle(Objective(lambda x: 0.0, 2))
         with pytest.raises(ValueError):
             estimate_gradient(oracle, np.zeros(2), PairProjection(0, 1), 0.0, 0.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_eps_rejected_before_any_query(self, eps):
+        oracle = CountedOracle(Objective(lambda x: 0.0, 2))
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            estimate_gradient(oracle, np.zeros(2), PairProjection(0, 1), eps, 0.0)
+        assert oracle.count == 0
 
     def test_non_finite_probe_rejected(self):
         oracle = CountedOracle(Objective(lambda x: float("nan"), 2))
@@ -199,16 +209,19 @@ class TestSolveHessian:
 
 
 def per_pair_fit(theta_bar, values, g_hat, f_theta):
-    """build_fit_system + solve_hessian on one pair; None where it raises."""
+    """build_fit_system + solve_hessian on one pair, the fitted matrix as an
+    (a, b, d) row; None where it raises."""
     try:
         fit = build_fit_system(list(zip(theta_bar, values)), g_hat, f_theta)
-        return fit.min_eig_gram, solve_hessian(fit, 1e-10)
+        H = solve_hessian(fit, 1e-10)
     except (InsufficientSamplesError, HessianUnavailableError):
         return None, None
+    assert H[0, 1] == H[1, 0]
+    return fit.min_eig_gram, _rows(H)[0]
 
 
 class TestBatchedFit:
-    """fit_hessians against the per-pair path, bit for bit."""
+    """_fit_rows against the per-pair path, bit for bit."""
 
     def mixed_stack(self, rng, s):
         # rows: well spread (exact solve), tiny scale (ridge), duplicated
@@ -243,7 +256,7 @@ class TestBatchedFit:
             kinds, theta_bar, values = self.mixed_stack(rng, s)
             g = rng.standard_normal((len(kinds), 2))
             f_theta = float(rng.standard_normal())
-            H, outcome = fit_hessians(theta_bar, values, g, f_theta, 1e-10)
+            rows, outcome = _fit_rows(theta_bar, values, g, f_theta)
             for j, kind in enumerate(kinds):
                 min_eig, ref = per_pair_fit(theta_bar[j], values[j], g[j], f_theta)
                 if ref is None:
@@ -252,7 +265,7 @@ class TestBatchedFit:
                     seen.add("failed")
                 else:
                     assert outcome[j] != FAILED, kind
-                    assert np.array_equal(H[j], ref), kind
+                    assert tuple(rows[j]) == ref, kind
                     assert outcome[j] == (EXACT if min_eig >= 1e-10 else RIDGE), kind
                     seen.add("exact" if min_eig >= 1e-10 else "ridge")
         assert seen == {"exact", "ridge", "failed"}
@@ -265,10 +278,10 @@ class TestBatchedFit:
         g = rng.standard_normal((3, 2))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(np.zeros((3, 3)), np.ones(3))
-        H, outcome = fit_hessians(theta_bar, values, g, 0.5)
-        assert (outcome == FAILED).tolist() == [False, True, False]
+        rows, outcome = _fit_rows(theta_bar, values, g, 0.5)
+        assert [o == FAILED for o in outcome] == [False, True, False]
         for j in (0, 2):
-            assert np.array_equal(H[j], per_pair_fit(theta_bar[j], values[j], g[j], 0.5)[1])
+            assert tuple(rows[j]) == per_pair_fit(theta_bar[j], values[j], g[j], 0.5)[1]
 
     def test_non_finite_point_fails_alone(self):
         # an overflowing monomial makes that pair's Gram matrix non-finite,
@@ -279,15 +292,15 @@ class TestBatchedFit:
         values = rng.standard_normal((3, 4))
         g = rng.standard_normal((3, 2))
         with np.errstate(over="ignore", invalid="ignore"):
-            H, outcome = fit_hessians(theta_bar, values, g, 0.5)
-        assert (outcome == FAILED).tolist() == [False, False, True]
+            rows, outcome = _fit_rows(theta_bar, values, g, 0.5)
+        assert [o == FAILED for o in outcome] == [False, False, True]
         for j in (0, 1):
-            assert np.array_equal(H[j], per_pair_fit(theta_bar[j], values[j], g[j], 0.5)[1])
+            assert tuple(rows[j]) == per_pair_fit(theta_bar[j], values[j], g[j], 0.5)[1]
 
     def test_fewer_than_three_samples_fail_every_pair(self):
-        H, outcome = fit_hessians(np.ones((4, 2, 2)), np.ones((4, 2)), np.zeros((4, 2)), 0.0)
-        assert H.shape == (4, 2, 2)
-        assert (outcome == FAILED).all()
+        rows, outcome = _fit_rows(np.ones((4, 2, 2)), np.ones((4, 2)), np.zeros((4, 2)), 0.0)
+        assert len(rows) == 4
+        assert outcome == [FAILED] * 4
 
     def test_small_traces_skip_eigvalsh(self, monkeypatch):
         # every Gram trace below half the floor: lambda_min <= trace / 3 cannot
@@ -300,20 +313,20 @@ class TestBatchedFit:
         calls = []
         real = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or real(a))
-        H, outcome = fit_hessians(theta_bar, values, g, 0.5)
+        rows, outcome = _fit_rows(theta_bar, values, g, 0.5)
         assert calls == []
-        assert (outcome == RIDGE).all()
+        assert outcome == [RIDGE] * 3
         for j in range(3):
             min_eig, ref = per_pair_fit(theta_bar[j], values[j], g[j], 0.5)
             assert min_eig < GAMMA_FLOOR
-            assert np.array_equal(H[j], ref)
+            assert tuple(rows[j]) == ref
         theta_bar[1] *= 1e4
         calls.clear()
-        H, outcome = fit_hessians(theta_bar, values, g, 0.5)
+        rows, outcome = _fit_rows(theta_bar, values, g, 0.5)
         assert len(calls) == 1
-        assert outcome.tolist() == [RIDGE, EXACT, RIDGE]
+        assert outcome == [RIDGE, EXACT, RIDGE]
         for j in range(3):
-            assert np.array_equal(H[j], per_pair_fit(theta_bar[j], values[j], g[j], 0.5)[1])
+            assert tuple(rows[j]) == per_pair_fit(theta_bar[j], values[j], g[j], 0.5)[1]
 
 
     def test_gram_just_above_the_floor_is_exact(self):
@@ -329,9 +342,9 @@ class TestBatchedFit:
         g = np.array([[0.5, -1.0]])
         min_eig, ref = per_pair_fit(theta_bar[0], values[0], g[0], 0.2)
         assert GAMMA_FLOOR <= min_eig < 1.1 * GAMMA_FLOOR
-        H, outcome = fit_hessians(theta_bar, values, g, 0.2)
-        assert outcome.tolist() == [EXACT]
-        assert np.array_equal(H[0], ref)
+        rows, outcome = _fit_rows(theta_bar, values, g, 0.2)
+        assert outcome == [EXACT]
+        assert tuple(rows[0]) == ref
 
 
 class TestBatchedProbes:
@@ -349,7 +362,7 @@ class TestBatchedProbes:
         eps = 1e-3
         oracle = CountedOracle(obj)
         f_x = obj(x)
-        g, points, values = estimate_gradients(oracle, x, idx, eps, f_x)
+        g, points, values = _gradients(oracle, x, idx, x[idx], eps * _GRAD_STEPS, eps, f_x)
         assert oracle.count == 2 * len(idx)
         for j, (i1, i2) in enumerate(idx):
             p = PairProjection(int(i1), int(i2))
@@ -364,9 +377,9 @@ class TestBatchedProbes:
         eps = 1e-2
         oracle = CountedOracle(obj)
         f_x = obj(x)
-        _, _, f_probes = estimate_gradients(oracle, x, idx, eps, f_x)
+        _, _, f_probes = _gradients(oracle, x, idx, x[idx], eps * _GRAD_STEPS, eps, f_x)
         before = oracle.count
-        H = fd_hessians(oracle, x, idx, eps, f_x, f_probes)
+        rows = _fd_rows(oracle, x, idx, x[idx], eps * _FD_STEPS, eps, f_x, f_probes.tolist())
         assert oracle.count - before == 3 * len(idx)
         for j, (i1, i2) in enumerate(idx):
             p = PairProjection(int(i1), int(i2))
@@ -378,12 +391,14 @@ class TestBatchedProbes:
             a11 = (f_2e1 - 2.0 * f1 + f_x) / eps2
             a22 = (f_2e2 - 2.0 * f2 + f_x) / eps2
             a12 = (f_e1e2 - f1 - f2 + f_x) / eps2
-            assert np.array_equal(H[j], [[a11, a12], [a12, a22]])
+            assert rows[j] == (a11, a12, a22)
 
     def test_non_finite_probe_names_the_probe(self):
         oracle = CountedOracle(Objective(lambda x: np.inf if x[1] > 0 else 0.0, 3))
+        x = np.zeros(3)
+        idx = np.array([[0, 2], [1, 0]])
         with pytest.raises(FloatingPointError, match="gradient probe"):
-            estimate_gradients(oracle, np.zeros(3), np.array([[0, 2], [1, 0]]), 1e-3, 0.0)
+            _gradients(oracle, x, idx, x[idx], 1e-3 * _GRAD_STEPS, 1e-3, 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_every_non_finite_kind_rejected(self, bad):
@@ -472,6 +487,11 @@ class TestMakePd:
         with pytest.raises(ValueError):
             make_pd(np.eye(2), 0.0)
 
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_kappa_rejected(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be finite and positive"):
+            make_pd(np.eye(2), kappa)
+
 
 class TestNewtonDirection:
     def test_curvature_rescaling_example(self):
@@ -557,8 +577,13 @@ def mixed_stack(rng, kappa):
     return H, per_pair
 
 
+def newton_rows(H, g, kappa):
+    """_newton_rows on a (P, 2, 2) stack and (P, 2) gradients, as a (P, 2) array."""
+    return np.array(_newton_rows(_rows(H), g.tolist(), kappa)).reshape(-1, 2)
+
+
 class TestBatchedNewtonPass:
-    """newton_directions against the per-pair loop it replaced, bit for bit."""
+    """_newton_rows against the per-pair loop it replaced, bit for bit."""
 
     def reference(self, per_pair, g, kappa, diag):
         w = np.empty((len(per_pair), 2))
@@ -582,7 +607,7 @@ class TestBatchedNewtonPass:
                 H[:, 0, 1] = H[:, 1, 0] = 0.0
             g = rng.standard_normal((len(H), 2))
             expected = self.reference(per_pair, g, kappa, diag)
-            assert np.array_equal(newton_directions(H, g, kappa), expected)
+            assert np.array_equal(newton_rows(H, g, kappa), expected)
 
     def test_per_pair_functions_match_reference(self):
         rng = np.random.default_rng(62)
@@ -606,14 +631,14 @@ class TestBatchedNewtonPass:
         A_bar = make_pd(np.array(A), 0.1)
         np.testing.assert_allclose(A_bar, expected, rtol=1e-15, atol=1e-15 * expected.max())
         g = np.array([[1.0, -2.0]])
-        w = newton_directions(np.array([A]), g, 0.1)
+        w = newton_rows(np.array([A]), g, 0.1)
         np.testing.assert_allclose(w[0], g[0] / expected.max(), rtol=1e-15)
 
     def test_singular_repair_solves_in_the_eigenbasis(self):
         # rank-one at 1e300: the repaired matrix's small eigenvalue (kappa)
         # is below its rounding, so the adjugate's determinant is not finite
         H = np.full((1, 2, 2), 1e300)
-        w = newton_directions(H, np.array([[1.0, 2.0]]), 0.1)
+        w = newton_rows(H, np.array([[1.0, 2.0]]), 0.1)
         np.testing.assert_allclose(w, [[-5.0, 5.0]], rtol=1e-12)
 
 
@@ -637,7 +662,7 @@ class TestPdRepairProperty:
         assert abs(A_bar[0, 1] - A_bar[1, 0]) <= 1e-14 * scale
         lam = np.linalg.eigvalsh(A_bar)
         assert lam[0] >= kappa - 1e-12 * max(kappa, lam[1])
-        w = newton_directions(A[None], np.array([[g0, g1]]), kappa)
+        w = newton_rows(A[None], np.array([[g0, g1]]), kappa)
         assert np.isfinite(w).all()
 
 
@@ -674,6 +699,14 @@ class TestFdSubspaceHessian:
         with pytest.raises(ValueError):
             fd_subspace_hessian(oracle, np.zeros(2), PairProjection(0, 1),
                                 0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_eps_rejected_before_any_query(self, eps):
+        oracle = CountedOracle(Objective(lambda x: 0.0, 2))
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            fd_subspace_hessian(oracle, np.zeros(2), PairProjection(0, 1),
+                                eps, 0.0, 0.0, 0.0)
+        assert oracle.count == 0
 
     def test_non_finite_rejected(self):
         oracle = CountedOracle(Objective(lambda x: float("nan"), 2))

@@ -194,6 +194,8 @@ MALFORMED_TRACES = {
     "long_row": (f"{TRACE_HEADER}\n0,0,1,2.5,7\n", 2, "expected 4 fields"),
     "text_value": (f"{TRACE_HEADER}\n0,0,1,abc\n", 2, "non-numeric f_value 'abc'"),
     "float_count": (f"{TRACE_HEADER}\n0,0,1.5,2.0\n", 2, "non-numeric cum_evals '1.5'"),
+    "decreasing_evals": (f"{TRACE_HEADER}\n0,0,5,2.5\n1,0,1,3.0\n0,1,3,2.0\n", 4,
+                         "seed 0: cum_evals 3 below the previous row's 5"),
 }
 
 
@@ -360,6 +362,20 @@ class TestCliRun:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("content", [b"+1 1:1.0\n-1 2:caf\xc3\xa9\n", b"+1 1:1.0\n-1 2:nan\n"],
+                             ids=["non_ascii", "nan_value"])
+    def test_unreadable_dataset_values_are_data_errors(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(content)
+        code = main([
+            "run", "--alg", "zosah", "--obj", f"logistic:{bad}",
+            "--evals", "50", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {bad}")
+
 
 class TestCliNonFiniteSettings:
     """NaN or inf where a positive setting belongs is a usage error (exit 2)."""
@@ -487,6 +503,22 @@ class TestCliSummarize:
             "summarize", "--in", str(tmp_path), "--out", str(tmp_path / "s.csv")
         ])
         assert code == 3
+
+    def test_seed_in_two_files_is_a_data_error(self, tmp_path, capsys):
+        for name in ("seed_0.csv", "seed_1.csv"):
+            write_trace_csv(tmp_path / name, {0: [TraceRow(0, 1, 3.0), TraceRow(1, 120, 1.0)]})
+        code = main(["summarize", "--in", str(tmp_path), "--out", str(tmp_path / "s.csv")])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: seed 0 is in both {tmp_path / 'seed_0.csv'} "
+                       f"and {tmp_path / 'seed_1.csv'}"]
+
+    def test_header_only_traces_are_a_data_error(self, tmp_path, capsys):
+        write_trace_csv(tmp_path / "seed_0.csv", {})
+        code = main(["summarize", "--in", str(tmp_path), "--out", str(tmp_path / "s.csv")])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {tmp_path}: the trace CSVs hold no rows"]
 
     def test_falls_back_to_combined_csv(self, tmp_path):
         write_trace_csv(

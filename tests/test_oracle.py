@@ -268,6 +268,18 @@ class TestLoadLibsvm:
         with pytest.raises(DatasetFormatError, match="duplicate"):
             load_libsvm(self.write(tmp_path, "+1 2:1.0 2:3.0\n"))
 
+    def test_non_ascii_file_names_the_path(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"+1 1:1.0\n-1 2:caf\xc3\xa9\n")
+        with pytest.raises(DatasetFormatError, match=f"^{path}: not an ASCII LIBSVM file"):
+            load_libsvm(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_the_line(self, tmp_path, bad):
+        path = self.write(tmp_path, f"+1 1:1.0\n\n-1 3:2.0 2:{bad}\n")
+        with pytest.raises(DatasetFormatError, match=f"^{path}:3: non-finite feature 2:"):
+            load_libsvm(path)
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="no examples"):
             load_libsvm(self.write(tmp_path, "\n"))
