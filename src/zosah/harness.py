@@ -11,6 +11,7 @@ accepted value at or before it; no lookahead).
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -205,8 +206,10 @@ def read_trace_csv(path) -> dict[int, list[TraceRow]]:
     """Inverse of :func:`write_trace_csv`; rows grouped by seed column.
 
     Raises :class:`DatasetFormatError` naming ``path:line`` when the header is
-    missing, a row does not have exactly four fields, a field does not parse
-    or a row's cum_evals is below the previous row of its seed.
+    missing, a row does not have exactly four fields, a field does not parse,
+    an f_value is not finite (no optimizer writes one: f(x0) must be finite
+    and a trial is accepted only when finite) or a row's cum_evals is below
+    the previous row of its seed.
     """
     try:
         text = Path(path).read_text(encoding="ascii")
@@ -225,6 +228,8 @@ def read_trace_csv(path) -> dict[int, list[TraceRow]]:
             seed = int(seed_s)
         except ValueError:
             raise DatasetFormatError(f"{path}:{lineno}: {_row_problem(fields)}") from None
+        if not math.isfinite(row.f_value):
+            raise DatasetFormatError(f"{path}:{lineno}: non-finite f_value {f_s!r}")
         seed_rows = out.setdefault(seed, [])
         if seed_rows and row.cum_evals < seed_rows[-1].cum_evals:
             raise DatasetFormatError(
@@ -270,7 +275,7 @@ def summarize(
     """
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
-    if not rows_by_seed:
+    if not any(rows_by_seed.values()):
         raise ValueError("no traces to summarize")
     last = max(rows[-1].cum_evals for rows in rows_by_seed.values() if rows)
     checkpoints = np.arange(grid, last + 1, grid)

@@ -9,6 +9,23 @@ against the number of function queries rather than wall time or iterations.
 The benchmark objectives are the 2-d Rosenbrock function, arbitrary quadratic
 models (used heavily by the tests), and full-batch logistic regression over a
 sparse dataset read from LIBSVM-format text files.
+
+The logistic objective keeps the point and the per-row losses of its last
+full evaluation. A query that moves few coordinates away from the kept point
+(a gradient probe moves one, a fresh curvature sample or an fd probe one or
+two) recomputes only the rows holding them, when the moved columns' row
+lists add up to at most a third of the rows. A repeat of the kept point only
+sums the kept losses. Every other query (the first one, line-search trials,
+the baselines' random directions) is a full evaluation and becomes the kept
+point. The value has the bits of :func:`logistic_loss` whichever path runs:
+a recomputed row's margin is summed by the same kernel in the same index
+order, each loss is the same elementwise ``logaddexp``, and the whole loss
+vector is reduced by the same ``np.add.reduce``. The kernels are
+``csr_matvec`` (what ``signed @ x`` runs) and ``csr_row_index`` (what
+gathering rows of a CSR matrix runs), private to
+``scipy.sparse._sparsetools``. They are called directly because scipy's
+public dispatch costs more than the kernel does on a block of about a
+hundred rows; ``tests/test_oracle.py`` pins them against ``signed @ x``.
 """
 
 from __future__ import annotations
@@ -18,6 +35,8 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+from scipy.sparse._sparsetools import csr_row_index as _csr_row_index
 
 __all__ = [
     "Objective",
@@ -148,16 +167,27 @@ def logistic_loss(data: Dataset, x: np.ndarray) -> float:
     Uses log(1 + e^t) = logaddexp(0, t), which stays finite for any margin
     magnitude (raw exp overflows in double precision near t = 710).
     """
-    if data.n == 0:
+    n, dim = data.signed.shape
+    # np.mean's sum and division
+    return float(np.add.reduce(_row_losses(data.signed, _point(n, dim, x))) / n)
+
+
+def _point(n: int, dim: int, x) -> np.ndarray:
+    if n == 0:
         raise ValueError("empty dataset")
     x = np.asarray(x, dtype=float)
-    if x.shape != (data.dim,):
-        raise DimensionMismatchError(
-            f"expected point of shape ({data.dim},), got {x.shape}"
-        )
-    t = data.signed @ x  # -y_i z_i . x
+    if x.shape != (dim,):
+        raise DimensionMismatchError(f"expected point of shape ({dim},), got {x.shape}")
+    return x
+
+
+def _row_losses(signed: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """ln(1 + e^t_i) for t = signed @ x, computed by the kernel ``signed @ x`` runs."""
+    n, dim = signed.shape
+    t = np.zeros(n)  # -y_i z_i . x
+    _csr_matvec(n, dim, signed.indptr, signed.indices, signed.data, x, t)
     np.logaddexp(0.0, t, out=t)
-    return float(np.add.reduce(t) / data.n)  # np.mean's sum and division
+    return t
 
 
 def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
@@ -268,8 +298,119 @@ def quadratic_objective(A: np.ndarray, b: np.ndarray | None = None, c: float = 0
     return Objective(fn, d, "quadratic")
 
 
-def logistic_objective(data: Dataset) -> Objective:
-    def fn(x: np.ndarray) -> float:
-        return logistic_loss(data, x)
+# A query takes the row path when the rows it recomputes, counted once per
+# moved column, are at most 1/_ROW_PATH_SHARE of all rows. On the benchmark's
+# 400 x 123 set (2-core x86_64 VM) the row path costs about 4 us plus 0.08 us
+# per row (gather, sum, loss and scatter) and a full evaluation about 14.5 us,
+# so they break even near 130 rows: every one-column move (78-123 rows) gains,
+# every two-column move (156-246 rows) would lose.
+_ROW_PATH_SHARE = 3
 
-    return Objective(fn, data.dim, "logistic")
+
+class _LogisticLoss:
+    """``logistic_loss(data, x)`` that recomputes only the rows a query moves.
+
+    ``_kept`` is (point, per-row losses) of the last full evaluation. It and
+    the column index are each rebound in one step, so threads sharing the
+    objective never pair one call's point with another call's losses.
+    """
+
+    def __init__(self, data: Dataset):
+        self.data = data
+        self._n, self._dim = data.signed.shape
+        # A move of k columns lists at least the k smallest column counts of
+        # rows; from _full_k columns on that is too many for the row path.
+        count = np.bincount(data.signed.indices, minlength=self._dim)
+        listed = np.cumsum(np.sort(count))
+        self._full_k = int(np.searchsorted(_ROW_PATH_SHARE * listed, self._n, side="right")) + 1
+        self._index: tuple | None = None  # built by the first move of fewer columns
+        self._kept: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __call__(self, x) -> float:
+        x = _point(self._n, self._dim, x)
+        kept = self._kept
+        if kept is not None:
+            last, losses = kept
+            cols = (x != last).nonzero()[0]
+            if cols.size == 0:
+                return float(np.add.reduce(losses) / self._n)
+            if cols.size < self._full_k:
+                value = self._patched(x, losses, cols.tolist())
+                if value is not None:
+                    return value
+        losses = _row_losses(self.data.signed, x)
+        self._kept = (x.copy(), losses)
+        return float(np.add.reduce(losses) / self._n)
+
+    def _column_index(self) -> tuple:
+        """(bounds, rows, row_nnz, block_ptr): the rows holding column j are
+        ``rows[bounds[j]:bounds[j+1]]`` (ascending, from ``signed.tocsc()``)
+        and the CSR row pointers of their block of ``signed`` are
+        ``block_ptr[bounds[j] + j:bounds[j+1] + j + 1]``. O(nnz) memory."""
+        index = self._index
+        if index is None:
+            signed = self.data.signed
+            idx = np.result_type(signed.indptr, signed.indices)  # the kernels' index type
+            csc = sp.csr_matrix((np.ones(signed.nnz, dtype=bool), signed.indices, signed.indptr),
+                                shape=signed.shape).tocsc()
+            starts = csc.indptr[:-1] + np.arange(self._dim)
+            rows = csc.indices.astype(idx, copy=False)
+            row_nnz = np.diff(signed.indptr).astype(idx)
+            # Each column's block pointers: a 0, then the running sum of its
+            # rows' lengths. One running sum over all columns, with a 0 put
+            # before each column, less its value at each column's 0.
+            block_ptr = np.zeros(rows.size + starts.size, dtype=idx)
+            body = np.ones(block_ptr.size, dtype=bool)
+            body[starts] = False
+            block_ptr[body] = row_nnz[rows]
+            np.cumsum(block_ptr, out=block_ptr)
+            block_ptr -= np.repeat(block_ptr[starts], np.diff(csc.indptr) + 1)
+            index = self._index = (csc.indptr.tolist(), rows, row_nnz, block_ptr)
+        return index
+
+    def _patched(self, x: np.ndarray, losses: np.ndarray, cols: list[int]) -> float | None:
+        """The mean loss with the rows holding ``cols`` recomputed at ``x`` and
+        the other rows' losses kept; None when those rows, listed once per
+        column, are more than 1/_ROW_PATH_SHARE of all rows. A row listed
+        twice gets the same bits twice."""
+        bounds, col_rows, row_nnz, block_ptr = self._index or self._column_index()
+        if len(cols) == 1:
+            (j,) = cols
+            a, b = bounds[j], bounds[j + 1]
+            if _ROW_PATH_SHARE * (b - a) > self._n:
+                return None
+            rows, ptr = col_rows[a:b], block_ptr[a + j:b + j + 1]
+        else:
+            spans = [(bounds[j], bounds[j + 1]) for j in cols]
+            if _ROW_PATH_SHARE * sum(b - a for a, b in spans) > self._n:
+                return None
+            rows = np.concatenate([col_rows[a:b] for a, b in spans])
+            ptr = np.zeros(rows.size + 1, dtype=rows.dtype)
+            np.add.accumulate(row_nnz[rows], out=ptr[1:])
+        signed = self.data.signed
+        nnz = int(ptr[-1])
+        block_cols = np.empty(nnz, dtype=rows.dtype)
+        block_vals = np.empty(nnz, dtype=signed.data.dtype)
+        _csr_row_index(rows.size, rows, signed.indptr, signed.indices, signed.data,
+                       block_cols, block_vals)
+        t = np.zeros(rows.size)
+        _csr_matvec(rows.size, self._dim, ptr, block_cols, block_vals, x, t)
+        np.logaddexp(0.0, t, out=t)
+        out = losses.copy()
+        out[rows.astype(np.intp)] = t
+        return float(np.add.reduce(out) / self._n)
+
+
+def logistic_objective(data: Dataset) -> Objective:
+    """Mean logistic loss over ``data`` as an objective.
+
+    Gives the bits of :func:`logistic_loss` at every point. It keeps the
+    point and the per-row losses of its last full evaluation. A query whose
+    moved coordinates' row lists add up to at most a third of the rows (a
+    gradient probe on the benchmark set) recomputes only those rows; a repeat of
+    the kept point only sums the kept losses; any other query (the first,
+    line-search trials, the baselines' random directions) is a full
+    evaluation and becomes the kept point. The module docstring says why the
+    bits match.
+    """
+    return Objective(_LogisticLoss(data), data.dim, "logistic")

@@ -158,6 +158,17 @@ class TestRunExperiment:
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
 
+    @pytest.mark.parametrize("alg", ["zosah", "zosah-fd"])
+    def test_parallel_logistic_jobs_match_serial_bytes(self, tmp_path, synth123_path, alg):
+        # The seeds' threads share one logistic objective and its kept point.
+        obj = f"logistic:{synth123_path}"
+        serial = ExperimentConfig(alg=alg, obj=obj, max_evals=400, seeds=(0, 1, 2))
+        parallel = ExperimentConfig(alg=alg, obj=obj, max_evals=400, seeds=(0, 1, 2), jobs=3)
+        a = run_experiment(serial, tmp_path / "serial")
+        b = run_experiment(parallel, tmp_path / "parallel")
+        for pa, pb in zip(a, b):
+            assert pa.read_bytes() == pb.read_bytes()
+
 
 class TestTraceCsv:
     def test_round_trip_is_exact(self, tmp_path):
@@ -196,6 +207,9 @@ MALFORMED_TRACES = {
     "float_count": (f"{TRACE_HEADER}\n0,0,1.5,2.0\n", 2, "non-numeric cum_evals '1.5'"),
     "decreasing_evals": (f"{TRACE_HEADER}\n0,0,5,2.5\n1,0,1,3.0\n0,1,3,2.0\n", 4,
                          "seed 0: cum_evals 3 below the previous row's 5"),
+    "nan_value": (f"{TRACE_HEADER}\n0,0,1,1.0\n0,1,5,nan\n0,2,9,inf\n", 3,
+                  "non-finite f_value 'nan'"),
+    "inf_value": (f"{TRACE_HEADER}\n0,0,1,1.0\n0,1,5,inf\n", 3, "non-finite f_value 'inf'"),
 }
 
 
@@ -221,6 +235,11 @@ class TestMalformedTraceCsv:
 
 
 class TestSummarize:
+    @pytest.mark.parametrize("rows", [{0: []}, {0: [], 4: []}], ids=["one_seed", "two_seeds"])
+    def test_empty_seeds_have_no_traces(self, rows):
+        with pytest.raises(ValueError, match="^no traces to summarize$"):
+            summarize(rows, grid=10)
+
     def test_two_seed_statistics(self):
         rows = {
             1: [TraceRow(0, 1, 5.0), TraceRow(1, 100, 1.0)],

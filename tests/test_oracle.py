@@ -1,8 +1,16 @@
 """Objectives, metering, logistic loss, and the LIBSVM loader."""
 
+import math
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import zosah.oracle
 
 from zosah import (
     CountedOracle,
@@ -188,6 +196,156 @@ class TestLogisticLoss:
         obj = logistic_objective(synth123_data)
         assert obj.dim == synth123_data.dim
         assert abs(obj(np.zeros(obj.dim)) - np.log(2.0)) <= 1e-15
+
+
+def loss_bits(value):
+    """The bytes of a loss value, with every nan the same."""
+    return b"nan" if math.isnan(value) else np.float64(value).tobytes()
+
+
+def scaled_floats(lo, hi):
+    """Finite floats m * 10**e with |m| < 10 and e in [lo, hi]."""
+    mantissa = st.floats(-10.0, 10.0, exclude_min=True, exclude_max=True)
+    return st.builds(lambda m, e: m * 10.0 ** e, mantissa, st.integers(lo, hi))
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+ENTRIES = st.one_of(scaled_floats(-2, 2), scaled_floats(-300, 300), SPECIAL)
+
+
+@st.composite
+def sparse_sets(draw):
+    """A small dataset with a column in no row, a column in every row, and
+    (in most examples) an empty row; stored entries may be +-0."""
+    n = draw(st.integers(1, 16))
+    d = draw(st.integers(3, 7))
+    cells = st.lists(st.sampled_from([True, False, False, False]), min_size=n * d, max_size=n * d)
+    held = np.array(draw(cells)).reshape(n, d)
+    held[:, 0] = False  # column 0 is in no row
+    held[:, 1] = True  # column 1 is in every row ...
+    if n > 1 and draw(st.booleans()):
+        held[0] = False  # ... but an empty row 0
+    rows, cols = held.nonzero()
+    values = draw(st.lists(st.one_of(scaled_floats(-2, 2), st.sampled_from([0.0, -0.0]),
+                                     scaled_floats(-300, 300)),
+                           min_size=rows.size, max_size=rows.size))
+    labels = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    features = sp.csr_matrix((np.array(values, dtype=float), (rows, cols)), shape=(n, d))
+    return Dataset(features, np.array(labels))
+
+
+@st.composite
+def query_plans(draw, d):
+    """(kind, values, coordinates) steps: fresh points, repeats of the last
+    fresh point, and 1-, 2-, 3- and all-coordinate moves away from it."""
+    steps = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["fresh", "repeat", 1, 2, 3, "all"]))
+        k = d if kind in ("fresh", "all") else 0 if kind == "repeat" else kind
+        coords = draw(st.permutations(range(d)))[:k]
+        values = draw(st.lists(ENTRIES, min_size=k, max_size=k))
+        steps.append((kind, values, coords))
+    return steps
+
+
+class TestLogisticObjectiveRows:
+    """The logistic objective recomputes only the rows a query moves."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_every_query_has_the_bits_of_logistic_loss(self, data):
+        dataset = data.draw(sparse_sets())
+        objective = logistic_objective(dataset)
+        anchor = np.zeros(dataset.dim)
+        for kind, values, coords in data.draw(query_plans(dataset.dim)):
+            x = anchor.copy()
+            x[coords] = values
+            if kind == "fresh":
+                anchor = x
+            with np.errstate(all="ignore"):
+                got, want = objective(x), logistic_loss(dataset, x)
+            assert loss_bits(got) == loss_bits(want), (kind, coords)
+
+    def test_one_coordinate_move_sums_only_its_rows(self, synth123_data, monkeypatch):
+        data = synth123_data
+        n_rows = []
+        kernel = zosah.oracle._csr_matvec
+
+        def spy(n_row, *args):
+            n_rows.append(n_row)
+            return kernel(n_row, *args)
+
+        monkeypatch.setattr(zosah.oracle, "_csr_matvec", spy)
+        objective = logistic_objective(data)
+        x = np.random.default_rng(5).standard_normal(data.dim) * 0.1
+        objective(x)
+        assert n_rows == [data.n]
+        holding = np.diff(data.features.tocsc().indptr)
+        for j in (0, 17, data.dim - 1):
+            assert 0 < zosah.oracle._ROW_PATH_SHARE * holding[j] <= data.n
+            probe = x.copy()
+            probe[j] += 1e-4
+            n_rows.clear()
+            got = objective(probe)
+            assert n_rows == [holding[j]]
+            assert loss_bits(got) == loss_bits(logistic_loss(data, probe))
+        n_rows.clear()
+        assert objective(x) == logistic_loss(data, x)
+        assert n_rows == [data.n]  # logistic_loss's only: the repeat sums the kept losses
+
+    def test_keeps_a_copy_of_the_point(self, synth123_data):
+        objective = logistic_objective(synth123_data)
+        x = np.zeros(synth123_data.dim)
+        objective(x)
+        x[3] = 1.0  # the caller reuses its array
+        assert objective(x) == logistic_loss(synth123_data, x)
+
+    def test_private_kernels_match_public_scipy(self, synth123_data):
+        signed = synth123_data.signed
+        n, d = signed.shape
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            x = rng.standard_normal(d) * 10.0 ** rng.uniform(-3.0, 3.0)
+            t = np.zeros(n)
+            zosah.oracle._csr_matvec(n, d, signed.indptr, signed.indices, signed.data, x, t)
+            assert t.tobytes() == (signed @ x).tobytes()
+        rows = np.sort(rng.choice(n, 37, replace=False)).astype(signed.indptr.dtype)
+        block = signed[rows]
+        cols = np.empty(block.nnz, dtype=signed.indices.dtype)
+        vals = np.empty(block.nnz)
+        zosah.oracle._csr_row_index(rows.size, rows, signed.indptr, signed.indices,
+                                    signed.data, cols, vals)
+        assert cols.tobytes() == block.indices.tobytes()
+        assert vals.tobytes() == block.data.tobytes()
+
+    def test_threads_sharing_the_objective_get_exact_values(self, synth123_data):
+        data = synth123_data
+        objective = logistic_objective(data)
+        failures = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            base = rng.standard_normal(data.dim) * 0.1
+            for i in range(150):
+                x = base.copy()
+                if i % 10 == 0:
+                    base = x = rng.standard_normal(data.dim) * 0.1
+                else:
+                    x[rng.choice(data.dim, i % 3 + 1, replace=False)] += 1e-3
+                if objective(x) != logistic_loss(data, x):
+                    failures.append((seed, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
 
 
 class TestDataset:
