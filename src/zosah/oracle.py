@@ -310,9 +310,11 @@ _ROW_PATH_SHARE = 3
 class _LogisticLoss:
     """``logistic_loss(data, x)`` that recomputes only the rows a query moves.
 
-    ``_kept`` is (point, per-row losses) of the last full evaluation. It and
-    the column index are each rebound in one step, so threads sharing the
-    objective never pair one call's point with another call's losses.
+    ``_kept`` is (point, per-row losses) of the last full evaluation. It is
+    read once per call and rebound in one step, never changed in place, so
+    threads sharing the objective never pair one call's point with another
+    call's losses; the last full evaluation wins. Two threads may both build
+    the column index; each builds the same one.
     """
 
     def __init__(self, data: Dataset):
@@ -323,7 +325,9 @@ class _LogisticLoss:
         count = np.bincount(data.signed.indices, minlength=self._dim)
         listed = np.cumsum(np.sort(count))
         self._full_k = int(np.searchsorted(_ROW_PATH_SHARE * listed, self._n, side="right")) + 1
-        self._index: tuple | None = None  # built by the first move of fewer columns
+        # Built by the first move of fewer columns, so that an objective whose
+        # queries never take the row path (a baseline's) holds no index.
+        self._index: tuple | None = None
         self._kept: tuple[np.ndarray, np.ndarray] | None = None
 
     def __call__(self, x) -> float:
@@ -351,6 +355,8 @@ class _LogisticLoss:
         if index is None:
             signed = self.data.signed
             idx = np.result_type(signed.indptr, signed.indices)  # the kernels' index type
+            # Only the structure is needed; bool data keeps the build's
+            # temporaries small.
             csc = sp.csr_matrix((np.ones(signed.nnz, dtype=bool), signed.indices, signed.indptr),
                                 shape=signed.shape).tocsc()
             starts = csc.indptr[:-1] + np.arange(self._dim)
@@ -397,7 +403,7 @@ class _LogisticLoss:
         _csr_matvec(rows.size, self._dim, ptr, block_cols, block_vals, x, t)
         np.logaddexp(0.0, t, out=t)
         out = losses.copy()
-        out[rows.astype(np.intp)] = t
+        out[rows.astype(np.intp)] = t  # scattering by intp beats by int32 indices
         return float(np.add.reduce(out) / self._n)
 
 
@@ -407,9 +413,9 @@ def logistic_objective(data: Dataset) -> Objective:
     Gives the bits of :func:`logistic_loss` at every point. It keeps the
     point and the per-row losses of its last full evaluation. A query whose
     moved coordinates' row lists add up to at most a third of the rows (a
-    gradient probe on the benchmark set) recomputes only those rows; a repeat of
-    the kept point only sums the kept losses; any other query (the first,
-    line-search trials, the baselines' random directions) is a full
+    gradient probe on the benchmark set) recomputes only those rows; a
+    repeat of the kept point only sums the kept losses; any other query (the
+    first, line-search trials, the baselines' random directions) is a full
     evaluation and becomes the kept point. The module docstring says why the
     bits match.
     """

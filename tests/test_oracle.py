@@ -342,9 +342,10 @@ class TestLogisticObjectiveRows:
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(timeout=60.0)
         finally:
             sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert failures == []
 
 
