@@ -11,18 +11,17 @@ models (used heavily by the tests), and full-batch logistic regression over a
 sparse dataset read from LIBSVM-format text files.
 
 The logistic objective keeps the point and the per-row losses of its last
-full evaluation. A query that moves few coordinates away from the kept point
-(a gradient probe moves one, a fresh curvature sample or an fd probe one or
-two) recomputes only the rows holding them, when the moved columns' row
-lists add up to at most a third of the rows. A repeat of the kept point only
-sums the kept losses. Every other query (the first one, line-search trials,
-the baselines' random directions) is a full evaluation and becomes the kept
-point. The value has the bits of :func:`logistic_loss` whichever path runs:
-a recomputed row's margin is summed by the same kernel in the same index
-order, each loss is the same elementwise ``logaddexp``, and the whole loss
-vector is reduced by the same ``np.add.reduce``. The kernels are
-``csr_matvec`` (what ``signed @ x`` runs) and ``csr_row_index`` (what
-gathering rows of a CSR matrix runs), private to
+full evaluation. A query that moves one coordinate away from the kept point
+(a gradient probe does) recomputes only the rows holding that column, when
+they are at most a third of the rows. A repeat of the kept point only sums
+the kept losses. Every other query (the first one, moves of two or more
+coordinates, line-search trials, the baselines' random directions) is a full
+evaluation and becomes the kept point. The value has the bits of
+:func:`logistic_loss` whichever path runs: a recomputed row's margin is
+summed by the same kernel in the same index order, each loss is the same
+elementwise ``logaddexp``, and the whole loss vector is reduced by the same
+``np.add.reduce``. The kernels are ``csr_matvec`` (what ``signed @ x`` runs)
+and ``csr_row_index`` (what gathering rows of a CSR matrix runs), private to
 ``scipy.sparse._sparsetools``. They are called directly because scipy's
 public dispatch costs more than the kernel does on a block of about a
 hundred rows; ``tests/test_oracle.py`` pins them against ``signed @ x``.
@@ -298,17 +297,17 @@ def quadratic_objective(A: np.ndarray, b: np.ndarray | None = None, c: float = 0
     return Objective(fn, d, "quadratic")
 
 
-# A query takes the row path when the rows it recomputes, counted once per
-# moved column, are at most 1/_ROW_PATH_SHARE of all rows. On the benchmark's
-# 400 x 123 set (2-core x86_64 VM) the row path costs about 4 us plus 0.08 us
-# per row (gather, sum, loss and scatter) and a full evaluation about 14.5 us,
-# so they break even near 130 rows: every one-column move (78-123 rows) gains,
-# every two-column move (156-246 rows) would lose.
+# A one-column move takes the row path when the rows holding that column are
+# at most 1/_ROW_PATH_SHARE of all rows. On the benchmark's 400 x 123 set
+# (2-core x86_64 VM) the row path costs about 4 us plus 0.08 us per row
+# (gather, sum, loss and scatter) and a full evaluation about 14.5 us, so they
+# break even near 130 rows: every one-column move there (78-123 rows) gains.
 _ROW_PATH_SHARE = 3
 
 
 class _LogisticLoss:
-    """``logistic_loss(data, x)`` that recomputes only the rows a query moves.
+    """``logistic_loss(data, x)`` that recomputes only the rows a one-column
+    move touches.
 
     ``_kept`` is (point, per-row losses) of the last full evaluation. It is
     read once per call and rebound in one step, never changed in place, so
@@ -320,12 +319,7 @@ class _LogisticLoss:
     def __init__(self, data: Dataset):
         self.data = data
         self._n, self._dim = data.signed.shape
-        # A move of k columns lists at least the k smallest column counts of
-        # rows; from _full_k columns on that is too many for the row path.
-        count = np.bincount(data.signed.indices, minlength=self._dim)
-        listed = np.cumsum(np.sort(count))
-        self._full_k = int(np.searchsorted(_ROW_PATH_SHARE * listed, self._n, side="right")) + 1
-        # Built by the first move of fewer columns, so that an objective whose
+        # Built by the first one-column move, so that an objective whose
         # queries never take the row path (a baseline's) holds no index.
         self._index: tuple | None = None
         self._kept: tuple[np.ndarray, np.ndarray] | None = None
@@ -338,8 +332,8 @@ class _LogisticLoss:
             cols = (x != last).nonzero()[0]
             if cols.size == 0:
                 return float(np.add.reduce(losses) / self._n)
-            if cols.size < self._full_k:
-                value = self._patched(x, losses, cols.tolist())
+            if cols.size == 1:
+                value = self._patched(x, losses, int(cols[0]))
                 if value is not None:
                     return value
         losses = _row_losses(self.data.signed, x)
@@ -347,7 +341,7 @@ class _LogisticLoss:
         return float(np.add.reduce(losses) / self._n)
 
     def _column_index(self) -> tuple:
-        """(bounds, rows, row_nnz, block_ptr): the rows holding column j are
+        """(bounds, rows, block_ptr): the rows holding column j are
         ``rows[bounds[j]:bounds[j+1]]`` (ascending, from ``signed.tocsc()``)
         and the CSR row pointers of their block of ``signed`` are
         ``block_ptr[bounds[j] + j:bounds[j+1] + j + 1]``. O(nnz) memory."""
@@ -364,35 +358,27 @@ class _LogisticLoss:
             row_nnz = np.diff(signed.indptr).astype(idx)
             # Each column's block pointers: a 0, then the running sum of its
             # rows' lengths. One running sum over all columns, with a 0 put
-            # before each column, less its value at each column's 0.
+            # before each column, less its value at each column's 0. (np.insert
+            # places the 0s in one call but raised peak RSS by about 0.4 MB
+            # on the benchmark set.)
             block_ptr = np.zeros(rows.size + starts.size, dtype=idx)
             body = np.ones(block_ptr.size, dtype=bool)
             body[starts] = False
             block_ptr[body] = row_nnz[rows]
             np.cumsum(block_ptr, out=block_ptr)
             block_ptr -= np.repeat(block_ptr[starts], np.diff(csc.indptr) + 1)
-            index = self._index = (csc.indptr.tolist(), rows, row_nnz, block_ptr)
+            index = self._index = (csc.indptr.tolist(), rows, block_ptr)
         return index
 
-    def _patched(self, x: np.ndarray, losses: np.ndarray, cols: list[int]) -> float | None:
-        """The mean loss with the rows holding ``cols`` recomputed at ``x`` and
-        the other rows' losses kept; None when those rows, listed once per
-        column, are more than 1/_ROW_PATH_SHARE of all rows. A row listed
-        twice gets the same bits twice."""
-        bounds, col_rows, row_nnz, block_ptr = self._index or self._column_index()
-        if len(cols) == 1:
-            (j,) = cols
-            a, b = bounds[j], bounds[j + 1]
-            if _ROW_PATH_SHARE * (b - a) > self._n:
-                return None
-            rows, ptr = col_rows[a:b], block_ptr[a + j:b + j + 1]
-        else:
-            spans = [(bounds[j], bounds[j + 1]) for j in cols]
-            if _ROW_PATH_SHARE * sum(b - a for a, b in spans) > self._n:
-                return None
-            rows = np.concatenate([col_rows[a:b] for a, b in spans])
-            ptr = np.zeros(rows.size + 1, dtype=rows.dtype)
-            np.add.accumulate(row_nnz[rows], out=ptr[1:])
+    def _patched(self, x: np.ndarray, losses: np.ndarray, j: int) -> float | None:
+        """The mean loss with the rows holding column ``j`` recomputed at
+        ``x`` and the other rows' losses kept; None when those rows are more
+        than 1/_ROW_PATH_SHARE of all rows."""
+        bounds, col_rows, block_ptr = self._index or self._column_index()
+        a, b = bounds[j], bounds[j + 1]
+        if _ROW_PATH_SHARE * (b - a) > self._n:
+            return None
+        rows, ptr = col_rows[a:b], block_ptr[a + j:b + j + 1]
         signed = self.data.signed
         nnz = int(ptr[-1])
         block_cols = np.empty(nnz, dtype=rows.dtype)
@@ -411,12 +397,13 @@ def logistic_objective(data: Dataset) -> Objective:
     """Mean logistic loss over ``data`` as an objective.
 
     Gives the bits of :func:`logistic_loss` at every point. It keeps the
-    point and the per-row losses of its last full evaluation. A query whose
-    moved coordinates' row lists add up to at most a third of the rows (a
-    gradient probe on the benchmark set) recomputes only those rows; a
-    repeat of the kept point only sums the kept losses; any other query (the
-    first, line-search trials, the baselines' random directions) is a full
-    evaluation and becomes the kept point. The module docstring says why the
-    bits match.
+    point and the per-row losses of its last full evaluation. A query that
+    moves one coordinate away from the kept point (a gradient probe) and
+    whose column is held by at most a third of the rows (every column of the
+    benchmark set) recomputes only those rows; a repeat of the kept point
+    only sums the kept losses; any other query (the first, moves of two or
+    more coordinates, line-search trials, the baselines' random directions)
+    is a full evaluation and becomes the kept point. The module docstring
+    says why the bits match.
     """
     return Objective(_LogisticLoss(data), data.dim, "logistic")

@@ -292,6 +292,11 @@ class TestLogisticObjectiveRows:
         n_rows.clear()
         assert objective(x) == logistic_loss(data, x)
         assert n_rows == [data.n]  # logistic_loss's only: the repeat sums the kept losses
+        probe = x.copy()
+        probe[[0, 17]] += 1e-4
+        n_rows.clear()
+        assert objective(probe) == logistic_loss(data, probe)
+        assert n_rows == [data.n, data.n]  # a two-column move is a full evaluation
 
     def test_keeps_a_copy_of_the_point(self, synth123_data):
         objective = logistic_objective(synth123_data)
