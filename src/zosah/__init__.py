@@ -22,20 +22,7 @@ from .baselines import (
     BaselineConfig,
     RspgOptimizer,
     SignSgdOptimizer,
-    rge_gradient,
     run_baseline,
-)
-from .cache import EvalCache
-from .estimator import (
-    FitSystem,
-    GradientEstimate,
-    build_fit_system,
-    eig2x2,
-    estimate_gradient,
-    fd_subspace_hessian,
-    make_pd,
-    newton_direction,
-    solve_hessian,
 )
 from .harness import (
     ExperimentConfig,
@@ -45,71 +32,44 @@ from .harness import (
     summarize,
     write_trace_csv,
 )
+from .optimizer import TraceRow, ZosahConfig, ZosahOptimizer, run_zosah
 from .oracle import (
     CountedOracle,
     Dataset,
     Objective,
     load_libsvm,
-    logistic_loss,
     logistic_objective,
-    quadratic_model,
     quadratic_objective,
-    rosenbrock,
     rosenbrock_objective,
 )
-from .optimizer import (
-    TraceRow,
-    ZosahConfig,
-    ZosahOptimizer,
-    armijo_search,
-    run_zosah,
-)
-from .subspace import PairProjection, SubspacePlan, make_plan, pair_subspaces, select_intermediate
 
 __version__ = "0.1.0"
 
+# What a user calls: the optimizer and its ablations, the baselines, the
+# objectives and the experiment harness. Internals (estimator, cache,
+# subspace plans, line search) are imported from their modules.
 __all__ = [
-    "AdammOptimizer",
-    "BaselineConfig",
-    "CountedOracle",
-    "Dataset",
-    "EvalCache",
-    "ExperimentConfig",
-    "FitSystem",
-    "GradientEstimate",
-    "Objective",
-    "PairProjection",
-    "RspgOptimizer",
-    "SignSgdOptimizer",
-    "SubspacePlan",
-    "TraceRow",
     "ZosahConfig",
     "ZosahOptimizer",
-    "armijo_search",
-    "build_fit_system",
-    "eig2x2",
-    "estimate_gradient",
-    "fd_subspace_hessian",
-    "load_libsvm",
-    "logistic_loss",
-    "logistic_objective",
-    "make_pd",
-    "make_plan",
-    "newton_direction",
-    "pair_subspaces",
-    "quadratic_model",
-    "quadratic_objective",
-    "read_trace_csv",
-    "rge_gradient",
-    "rosenbrock",
-    "rosenbrock_objective",
+    "run_zosah",
+    "TraceRow",
+    "BaselineConfig",
+    "RspgOptimizer",
+    "SignSgdOptimizer",
+    "AdammOptimizer",
     "run_baseline",
+    "Objective",
+    "CountedOracle",
+    "Dataset",
+    "load_libsvm",
+    "rosenbrock_objective",
+    "quadratic_objective",
+    "logistic_objective",
+    "ExperimentConfig",
     "run_experiment",
     "run_single",
-    "run_zosah",
-    "select_intermediate",
-    "solve_hessian",
-    "summarize",
+    "read_trace_csv",
     "write_trace_csv",
+    "summarize",
     "__version__",
 ]

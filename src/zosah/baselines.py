@@ -92,11 +92,8 @@ class _RgeDescent(BudgetedOptimizer):
         rho, accepted, f_new = armijo_search(self.oracle, self.x, v, f_x)
         if accepted:
             self.x = self.x - rho * v
-            f_accepted = f_new
-        else:
-            f_accepted = f_x
         self.k += 1
-        row = TraceRow(self.k, self.oracle.count, f_accepted)
+        row = TraceRow(self.k, self.oracle.count, f_new)
         self.trace.append(row)
         return row
 

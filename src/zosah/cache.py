@@ -71,7 +71,6 @@ class EvalCache:
     """Two-step evaluation window over every coordinate pair of the plan."""
 
     def __init__(self):
-        self._plan: SubspacePlan | None = None
         self._rows: dict[tuple[int, int], int] = {}
         self.points = np.empty((0, _SLOTS, 2))
         self.values = np.empty((0, _SLOTS))
@@ -79,13 +78,8 @@ class EvalCache:
         self._new_step: int | None = None
         self._fresh_step: int | None = None
 
-    @property
-    def plan(self) -> SubspacePlan | None:
-        return self._plan
-
     def reset(self, plan: SubspacePlan) -> None:
         """Adopt a new plan, dropping everything recorded under the old one."""
-        self._plan = plan
         self._rows = {p.pair: j for j, p in enumerate(plan.pairs)}
         self.points = np.full((len(plan.pairs), _SLOTS, 2), np.nan)
         self.values = np.full((len(plan.pairs), _SLOTS), np.nan)

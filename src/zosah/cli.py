@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
                      f"(default {ExperimentConfig.q})")
     run.add_argument("--out", help="output directory for trace CSVs")
     run.add_argument("--jobs", type=int,
-                     help=f"seeds run in this many threads (default {ExperimentConfig.jobs})")
+                     help=f"worker processes over seeds (default {ExperimentConfig.jobs})")
     run.add_argument("--config", help="flat key=value config file; flags override it")
     run.set_defaults(func=_cmd_run)
 

@@ -28,9 +28,9 @@ ddot and the repair's gemm. No (P, 2, 2) matrix stack is built on the way.
 So the pass costs about as much for one pair as for ten.
 
 The second layer is per pair: ``estimate_gradient``, ``fd_subspace_hessian``,
-``eig2x2``, ``make_pd`` and ``newton_direction`` are one-pair views of the
-rows pass. ``build_fit_system`` + ``solve_hessian`` are the fit's reference,
-a separate per-pair implementation whose bits ``_fit_rows`` reproduces.
+``make_pd`` and ``newton_direction`` are one-pair views of the rows pass.
+``build_fit_system`` + ``solve_hessian`` are the fit's reference, a separate
+per-pair implementation whose bits ``_fit_rows`` reproduces.
 ``probe_values`` queries lifted points; the step uses it for fresh samples.
 """
 
@@ -59,7 +59,6 @@ __all__ = [
     "quad_monomials",
     "build_fit_system",
     "solve_hessian",
-    "eig2x2",
     "make_pd",
     "newton_direction",
     "fd_subspace_hessian",
@@ -113,7 +112,6 @@ class GradientEstimate:
 
     g: np.ndarray
     probes: tuple[tuple[np.ndarray, float], ...]
-    epsilon: float
 
 
 @dataclass(frozen=True)
@@ -209,7 +207,7 @@ def estimate_gradient(
     idx = np.array([p.pair])
     g, points, values = _gradients(oracle, x, idx, x[idx], eps * _GRAD_STEPS, eps, f_x)
     probes = tuple((points[0, i], float(values[0, i])) for i in range(2))
-    return GradientEstimate(g[0], probes, eps)
+    return GradientEstimate(g[0], probes)
 
 
 def quad_monomials(theta_bar: np.ndarray) -> np.ndarray:
@@ -374,9 +372,11 @@ def _larger_rescaled(v_a: tuple, v_b: tuple) -> tuple[tuple, float]:
 
 
 def _eigs(rows) -> tuple[list, list]:
-    """:func:`eig2x2` of every (a, b, d) row, as lists.
+    """Closed-form eigendecomposition of every symmetric (a, b, d) row, as lists.
 
-    Returns per pair (lam1, lam2) and the row-major entries of V.
+    Returns per pair (lam1, lam2), ordered by descending absolute value (ties
+    broken by descending signed value), and the row-major entries of V, whose
+    columns are the matching orthonormal eigenvectors.
 
     The branches (diagonal input, eigenvalue order, eigenvector candidate)
     run on Python floats; the steps whose rounding belongs to a library
@@ -433,17 +433,6 @@ def _eigs(rows) -> tuple[list, list]:
     return lam, V
 
 
-def eig2x2(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigendecomposition of a symmetric 2x2 matrix.
-
-    Returns (lam, V): eigenvalues ordered by descending absolute value
-    (ties broken by descending signed value) and the matching orthonormal
-    eigenvectors as columns of V.
-    """
-    lam, V = _eigs(_rows(A))
-    return np.array(lam[0]), np.array(V[0]).reshape(2, 2)
-
-
 def _repair(rows, kappa: float) -> tuple[list, list, list]:
     """:func:`make_pd` of every (a, b, d) row: row-major A_bar, V and lam_bar.
 
@@ -482,7 +471,7 @@ def _repair(rows, kappa: float) -> tuple[list, list, list]:
     return A_bar, V, lam_bar
 
 
-def make_pd(A: np.ndarray, kappa: float = 0.1) -> np.ndarray:
+def make_pd(A: np.ndarray, kappa: float) -> np.ndarray:
     """Positive-definite repair: eigenvalues become max(|lam_i|, kappa).
 
     Keeps the eigenvectors, flips negative curvature to its magnitude, and

@@ -11,9 +11,10 @@ accepted value at or before it; no lookahead).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -169,10 +170,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[Path]:
     _resolve_x0(cfg, objective.dim)  # fail fast on a bad policy before running
 
     if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            traces = list(
-                pool.map(lambda s: run_single(objective, cfg, s), cfg.seeds)
-            )
+        # One worker process per seed at most: each works on its own copy of
+        # the objective, and the pool starts all its workers at once.
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(cfg.seeds))) as pool:
+            traces = list(pool.map(functools.partial(run_single, objective, cfg), cfg.seeds))
     else:
         traces = [run_single(objective, cfg, seed) for seed in cfg.seeds]
 

@@ -316,12 +316,9 @@ class ZosahOptimizer(BudgetedOptimizer):
         search_evals = oracle.count - count0 - 1 - grad_evals - hess_evals
         if accepted:
             self.x = x - rho * v
-            f_accepted = f_new
-        else:
-            f_accepted = f_x
 
         self.k += 1
-        row = TraceRow(self.k, self.oracle.count, f_accepted)
+        row = TraceRow(self.k, self.oracle.count, f_new)
         self.trace.append(row)
         self.stats.append(
             StepStats(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PairProjection", "SubspacePlan", "select_intermediate", "pair_subspaces", "make_plan"]
+__all__ = ["PairProjection", "SubspacePlan", "make_plan"]
 
 
 @dataclass(frozen=True)
@@ -60,36 +60,16 @@ class SubspacePlan:
         if sorted(covered) != sorted(self.indices):
             raise ValueError("pairs must partition the plan's indices exactly")
 
-    @property
-    def dim_intermediate(self) -> int:
-        return len(self.indices)
-
-
-def select_intermediate(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw m distinct coordinate indices of R^d uniformly without replacement."""
-    if m % 2 != 0:
-        raise ValueError(f"subspace size m must be even, got {m}")
-    if m < 2 or m > d:
-        raise ValueError(f"need 2 <= m <= d, got m={m}, d={d}")
-    return np.sort(rng.choice(d, size=m, replace=False))
-
-
-def pair_subspaces(indices, rng: np.random.Generator) -> list[PairProjection]:
-    """Partition ``indices`` into disjoint pairs from a random permutation."""
-    idx = np.asarray(list(indices), dtype=int)
-    if idx.size % 2 != 0:
-        raise ValueError(f"cannot pair an odd number of indices ({idx.size})")
-    if idx.size == 0:
-        return []
-    perm = rng.permutation(idx)
-    return [
-        PairProjection(int(perm[2 * j]), int(perm[2 * j + 1]))
-        for j in range(idx.size // 2)
-    ]
-
 
 def make_plan(d: int, m: int, rng: np.random.Generator, step: int = 0) -> SubspacePlan:
-    """Select m coordinates and pair them; one call per subspace period."""
-    idx = select_intermediate(d, m, rng)
-    pairs = pair_subspaces(idx, rng)
-    return SubspacePlan(d, tuple(int(i) for i in idx), tuple(pairs), step)
+    """Select m coordinates and pair them; one call per subspace period.
+
+    The m distinct indices are drawn uniformly without replacement (sorted),
+    then a random permutation of them is cut into consecutive pairs.
+    """
+    if m % 2 != 0 or not 2 <= m <= d:
+        raise ValueError(f"m must be even with 2 <= m <= d={d}, got {m}")
+    idx = np.sort(rng.choice(d, size=m, replace=False))
+    perm = rng.permutation(idx).tolist()
+    pairs = tuple(PairProjection(perm[j], perm[j + 1]) for j in range(0, m, 2))
+    return SubspacePlan(d, tuple(idx.tolist()), pairs, step)

@@ -59,13 +59,6 @@ class TestRecordValidation:
 
 
 class TestPlanHandling:
-    def test_reset_adopts_plan(self):
-        cache = EvalCache()
-        assert cache.plan is None
-        plan = two_pair_plan()
-        cache.reset(plan)
-        assert cache.plan is plan
-
     def test_operations_before_reset_fail(self):
         cache = EvalCache()
         pair = PairProjection(0, 1)

@@ -18,3 +18,17 @@ def test_module_all_resolves(name):
 
 def test_package_all_resolves():
     assert [n for n in zosah.__all__ if not hasattr(zosah, n)] == []
+
+
+def test_package_surface():
+    # The package exports what a user calls; internals are imported from
+    # their modules.
+    assert set(zosah.__all__) == {
+        "ZosahConfig", "ZosahOptimizer", "run_zosah", "TraceRow",
+        "BaselineConfig", "RspgOptimizer", "SignSgdOptimizer", "AdammOptimizer", "run_baseline",
+        "Objective", "CountedOracle", "Dataset", "load_libsvm",
+        "rosenbrock_objective", "quadratic_objective", "logistic_objective",
+        "ExperimentConfig", "run_experiment", "run_single",
+        "read_trace_csv", "write_trace_csv", "summarize",
+        "__version__",
+    }

@@ -160,7 +160,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("alg", ["zosah", "zosah-fd"])
     def test_parallel_logistic_jobs_match_serial_bytes(self, tmp_path, synth123_path, alg):
-        # The seeds' threads share one logistic objective and its kept point.
+        # Each seed's worker process has its own copy of the logistic
+        # objective, and so of its kept point.
         obj = f"logistic:{synth123_path}"
         serial = ExperimentConfig(alg=alg, obj=obj, max_evals=400, seeds=(0, 1, 2))
         parallel = ExperimentConfig(alg=alg, obj=obj, max_evals=400, seeds=(0, 1, 2), jobs=3)
@@ -168,6 +169,27 @@ class TestRunExperiment:
         b = run_experiment(parallel, tmp_path / "parallel")
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
+
+    def test_worker_count_capped_at_seed_count(self, tmp_path, monkeypatch):
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("zosah.harness.ProcessPoolExecutor", InlinePool)
+        cfg = ExperimentConfig(alg="rspg", obj="rosenbrock", max_evals=50, seeds=(0, 1, 2), jobs=64)
+        run_experiment(cfg, tmp_path)
+        assert asked == [3]
 
 
 class TestTraceCsv:
@@ -452,6 +474,17 @@ class TestCliNonFiniteObjective:
             "error: objective returned non-finite value nan at the start point x0 = [nan, 1.0]\n"
         )
         assert not (tmp_path / "combined.csv").exists()
+
+    def test_worker_error_reaches_the_cli(self, tmp_path, capsys):
+        code = main([
+            "run", "--alg", "zosah", "--obj", "rosenbrock", "--x0", "nan,1",
+            "--evals", "50", "--seeds", "0,1", "--jobs", "2", "--out", str(tmp_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == (
+            "error: objective returned non-finite value nan at the start point x0 = [nan, 1.0]\n"
+        )
 
 
 class TestCliConfigFile:

@@ -19,14 +19,17 @@ from zosah import (
     ZosahConfig,
     ZosahOptimizer,
     load_libsvm,
-    logistic_loss,
     logistic_objective,
-    quadratic_model,
     quadratic_objective,
-    rosenbrock,
     rosenbrock_objective,
 )
-from zosah.oracle import DatasetFormatError, DimensionMismatchError
+from zosah.oracle import (
+    DatasetFormatError,
+    DimensionMismatchError,
+    logistic_loss,
+    quadratic_model,
+    rosenbrock,
+)
 
 
 def make_dataset(rows, labels):

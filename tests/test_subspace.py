@@ -3,30 +3,31 @@
 import numpy as np
 import pytest
 
-from zosah import PairProjection, SubspacePlan, make_plan, pair_subspaces, select_intermediate
+from zosah.subspace import PairProjection, SubspacePlan, make_plan
 
 
 class TestSelectIntermediate:
     def test_full_set_when_m_equals_d(self):
         rng = np.random.default_rng(0)
-        np.testing.assert_array_equal(select_intermediate(4, 4, rng), [0, 1, 2, 3])
+        assert make_plan(4, 4, rng).indices == (0, 1, 2, 3)
 
     def test_distinct_and_in_range(self):
         for seed in range(200):
             rng = np.random.default_rng(seed)
-            idx = select_intermediate(123, 20, rng)
-            assert idx.shape == (20,)
-            assert len(set(idx.tolist())) == 20
-            assert idx.min() >= 0 and idx.max() < 123
+            idx = make_plan(123, 20, rng).indices
+            assert len(idx) == 20
+            assert len(set(idx)) == 20
+            assert list(idx) == sorted(idx)
+            assert min(idx) >= 0 and max(idx) < 123
 
     def test_parameter_errors(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            select_intermediate(10, 3, rng)  # odd
+            make_plan(10, 3, rng)  # odd
         with pytest.raises(ValueError):
-            select_intermediate(3, 4, rng)  # m > d
+            make_plan(3, 4, rng)  # m > d
         with pytest.raises(ValueError):
-            select_intermediate(10, 0, rng)  # m < 2
+            make_plan(10, 0, rng)  # m < 2
 
     def test_selection_uniformity(self):
         # d=6, m=2: every index should appear with frequency 1/3
@@ -34,7 +35,7 @@ class TestSelectIntermediate:
         n_draws = 10000
         for seed in range(n_draws):
             rng = np.random.default_rng(seed)
-            counts[select_intermediate(6, 2, rng)] += 1
+            counts[list(make_plan(6, 2, rng).indices)] += 1
         freqs = counts / n_draws
         assert np.all(np.abs(freqs - 1.0 / 3.0) <= 0.02)
 
@@ -42,15 +43,15 @@ class TestSelectIntermediate:
 class TestPairSubspaces:
     def test_single_pair(self):
         rng = np.random.default_rng(1)
-        pairs = pair_subspaces([5, 9], rng)
-        assert len(pairs) == 1
-        assert set(pairs[0].pair) == {5, 9}
+        plan = make_plan(10, 2, rng)
+        assert len(plan.pairs) == 1
+        assert set(plan.pairs[0].pair) == set(plan.indices)
 
     def test_partition_and_all_matchings_reached(self):
         seen = set()
         for seed in range(200):
             rng = np.random.default_rng(seed)
-            pairs = pair_subspaces([0, 1, 2, 3], rng)
+            pairs = make_plan(4, 4, rng).pairs
             flat = [i for p in pairs for i in p.pair]
             assert sorted(flat) == [0, 1, 2, 3]
             seen.add(frozenset(frozenset(p.pair) for p in pairs))
@@ -61,12 +62,9 @@ class TestPairSubspaces:
         }
         assert seen == matchings
 
-    def test_empty_input(self):
-        assert pair_subspaces([], np.random.default_rng(0)) == []
-
     def test_odd_input_rejected(self):
-        with pytest.raises(ValueError):
-            pair_subspaces([1, 2, 3], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="m must be even"):
+            make_plan(3, 3, np.random.default_rng(0))
 
 
 class TestPairProjection:
@@ -118,7 +116,7 @@ class TestSubspacePlan:
             rng = np.random.default_rng(seed)
             plan = make_plan(30, 8, rng, step=5)
             assert plan.dim_full == 30
-            assert plan.dim_intermediate == 8
+            assert len(plan.indices) == 8
             assert plan.created_at_step == 5
             assert len(set(plan.indices)) == 8
             covered = sorted(i for p in plan.pairs for i in p.pair)
