@@ -3,7 +3,10 @@
 All three descend along a direction derived from the randomized
 forward-difference gradient estimate (average of q Gaussian directional
 differences) and use the exact same Armijo backtracking implementation as
-the subspace optimizer, so query counts are comparable across algorithms:
+the subspace optimizer, so query counts are comparable across algorithms.
+The estimate forms its directions, points and terms as (q, d) blocks, with
+the bits of the per-direction loop, and still pays its q queries one oracle
+call at a time:
 
 - rspg:    the raw estimate;
 - signsgd: its componentwise sign;
@@ -63,14 +66,22 @@ def rge_gradient(
     """Averaged forward-difference gradient along q standard-normal directions.
 
     ``f_x`` is the already-paid value at x, so this spends exactly q queries
-    (q+1 including the caller's f(x)).
+    (q+1 including the caller's f(x)), one oracle call per direction, in order.
+
+    The directions, query points and terms are formed as (q, d) blocks. The
+    bits are those of summing term by term from g = 0: one
+    ``standard_normal((q, d))`` consumes the generator as q draws of d, and
+    the sum is a sequential ``cumsum`` whose first row gets ``+ 0.0`` (what
+    ``0 + t`` does to a -0.0). Only a nan's sign bit may differ (when two
+    nans meet, which one an add returns depends on the loop), and a nan
+    direction is rejected by the line search either way.
     """
     x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for _ in range(q):
-        u = rng.standard_normal(x.shape[0])
-        g += (oracle(x + eps * u) - f_x) / eps * u
-    return g / q
+    u = rng.standard_normal((q, x.shape[0]))
+    diffs = [(oracle(point) - f_x) / eps for point in x + eps * u]
+    terms = np.array(diffs)[:, None] * u
+    terms[0] += 0.0
+    return np.cumsum(terms, axis=0)[-1] / q
 
 
 class _RgeDescent(BudgetedOptimizer):

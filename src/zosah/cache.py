@@ -8,7 +8,8 @@ slice point:
 
 - first step of a period: nothing to reuse, draw 3 fresh points on a small
   circle around the current point (re-drawn while their fit system is
-  ill-conditioned);
+  ill-conditioned); every pair's draws come from one scan of the generator's
+  stream, with the per-pair draws' points and generator state;
 - second step: reuse the previous step's 2 probes and 3 fresh samples;
 - every later step: reuse the 4 gradient probes of the two preceding steps.
 
@@ -25,11 +26,12 @@ under a different plan.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .estimator import GAMMA_FLOOR, _all_finite, quad_monomials
+from .estimator import GAMMA_FLOOR, _all_finite, _eigvalsh, quad_monomials
 from .subspace import PairProjection, SubspacePlan
 
 __all__ = ["EvalCache", "GatherResult", "PlanMismatchError"]
@@ -43,6 +45,12 @@ _SLOTS = 7
 # Draws of one pair's fresh samples before it settles for the best-conditioned
 # set; a draw is accepted when its Gram matrix clears GAMMA_FLOOR.
 MAX_ATTEMPTS = 10
+# EvalCache.draw_fresh draws 1/_SPARE_SHARE more candidate sets than pairs
+# remain, so that a few misses are served without another draw. About 4% of
+# sets miss the floor at the default radius; below _SPARE_SHARE pairs no spare
+# set is drawn, because giving spare sets back (a generator rewind) costs more
+# than the rare second draw.
+_SPARE_SHARE = 4
 
 
 class PlanMismatchError(ValueError):
@@ -58,7 +66,7 @@ class GatherResult(NamedTuple):
 def _min_gram_eig(rel: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of phi^T phi for each (..., 3, 2) set of fit points."""
     phi = quad_monomials(rel)
-    return np.linalg.eigvalsh(np.swapaxes(phi, -1, -2) @ phi)[..., 0]
+    return _eigvalsh(np.swapaxes(phi, -1, -2) @ phi)[..., 0]
 
 
 def _circle_points(rng: np.random.Generator, radius: float, n: int) -> np.ndarray:
@@ -150,31 +158,46 @@ class EvalCache:
         """3 conditioned points on the radius circle around each pair's point.
 
         ``theta`` is (P, 2); returns the (P, 3, 2) absolute points and a (P,)
-        degraded mask. Consumes ``rng`` exactly as one :meth:`_sample_conditioned`
-        call per pair in row order: every remaining pair's first draw is taken
-        at once, and at the first pair whose draw misses the floor the
-        generator is rewound to after the accepted pairs' draws and that pair
-        redraws on its own.
+        degraded mask, those of one :meth:`_sample_conditioned` call per pair
+        in row order, and leaves ``rng`` where those calls leave it.
+
+        Those calls read one stream of candidate sets (3 angles each): a pair
+        takes sets until one clears the floor or MAX_ATTEMPTS are spent,
+        keeping the best, and the next pair goes on from the following set.
+        Here the stream is drawn in blocks (the remaining pairs' sets plus a
+        few spares for misses, one :func:`_circle_points` call each) and
+        scanned once. If spare sets are left over, the generator is rewound
+        once and exactly the sets used are drawn again.
         """
         if radius <= 0:
             raise ValueError(f"radius must be positive, got {radius}")
         n_pairs = len(theta)
-        points = np.empty((n_pairs, 3, 2))
+        state = rng.bit_generator.state
+        blocks = []
+        eigs: list[float] = []  # smallest Gram eigenvalue of each set drawn
+        chosen = []
         degraded = np.zeros(n_pairs, dtype=bool)
-        j = 0
-        while j < n_pairs:
-            state = rng.bit_generator.state
-            rel = _circle_points(rng, radius, n_pairs - j)
-            ok = _min_gram_eig(rel) >= GAMMA_FLOOR
-            n_ok = len(ok) if ok.all() else int(ok.argmin())
-            points[j:j + n_ok] = theta[j:j + n_ok, None, :] + rel[:n_ok]
-            j += n_ok
-            if j < n_pairs:
-                rng.bit_generator.state = state
-                rng.uniform(0.0, 2.0 * np.pi, size=3 * n_ok)
-                points[j], degraded[j] = self._sample_conditioned(theta[j], rng, radius)
-                j += 1
-        return points, degraded
+        i = 0  # next set of the stream
+        for j in range(n_pairs):
+            best, best_eig = -1, -math.inf
+            for _ in range(MAX_ATTEMPTS):
+                if i == len(eigs):
+                    rest = n_pairs - j
+                    blocks.append(_circle_points(rng, radius, rest + rest // _SPARE_SHARE))
+                    eigs += _min_gram_eig(blocks[-1]).tolist()
+                eig = eigs[i]
+                if eig > best_eig:
+                    best, best_eig = i, eig
+                i += 1
+                if eig >= GAMMA_FLOOR:
+                    break
+            else:
+                degraded[j] = True
+            chosen.append(best)
+        if i < len(eigs):
+            rng.bit_generator.state = state
+            rng.uniform(0.0, 2.0 * np.pi, size=3 * i)
+        return theta[:, None, :] + np.concatenate(blocks)[chosen], degraded
 
     # --- one pair ---------------------------------------------------------
 

@@ -24,8 +24,11 @@ is called once per step for all pairs together: to lift the probe points, to
 form the monomials and pinned targets, and for each step whose rounding
 belongs to a library routine: the ddot of g . theta_bar, the Gram gemm and
 rhs gemv, ``eigvalsh``, ``solve``, ``hypot``, the eigenvector candidates'
-ddot and the repair's gemm. No (P, 2, 2) matrix stack is built on the way.
-So the pass costs about as much for one pair as for ten.
+ddot and the repair's gemm. ``eigvalsh`` and ``solve`` call np.linalg's
+LAPACK gufuncs directly (``_eigvalsh``, ``_solve``), under np.linalg's
+floating-point settings, because its Python wrappers cost more than LAPACK
+on a few 3x3 systems. No (P, 2, 2) matrix stack is built on the way. So the
+pass costs about as much for one pair as for ten.
 
 The second layer is per pair: ``estimate_gradient``, ``fd_subspace_hessian``,
 ``make_pd`` and ``newton_direction`` are one-pair views of the rows pass.
@@ -41,6 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .oracle import CountedOracle
 from .subspace import PairProjection
@@ -91,6 +95,34 @@ _NAN2 = (math.nan, math.nan)
 # Largest half eigenvalue gap (disc) for which 8 * disc**2, a bound on the
 # eigenvector candidates' squared norms, stays finite.
 _BIG = 4e153
+
+
+def _raise_linalg_error(err, flag):
+    raise np.linalg.LinAlgError("singular or non-finite matrix")
+
+
+# The floating-point settings np.linalg.solve and eigvalsh call their LAPACK
+# gufuncs under: an invalid result (a singular matrix, an eigensolver that
+# fails on non-finite input) raises LinAlgError, other flags are ignored.
+_lapack_errors = np.errstate(
+    call=_raise_linalg_error, invalid="call", over="ignore", divide="ignore", under="ignore"
+)
+
+
+@_lapack_errors
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` of float64 (..., n, n) and (..., n, k) stacks.
+
+    The gufunc np.linalg.solve calls, without the wrapper's array checks
+    and conversions, which cost more than LAPACK on a few 3x3 systems.
+    """
+    return _umath_linalg.solve(a, b, signature="dd->d")
+
+
+@_lapack_errors
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(a)`` (ascending, lower triangle) of a float64 (..., n, n) stack."""
+    return _umath_linalg.eigvalsh_lo(a, signature="d->d")
 
 
 class InsufficientSamplesError(ValueError):
@@ -318,11 +350,11 @@ def _fit_rows(
         exact = [False] * n_pairs
     else:
         try:
-            min_eig = np.linalg.eigvalsh(gram)[:, 0]
+            min_eig = _eigvalsh(gram)[:, 0]
         except np.linalg.LinAlgError:  # a non-finite Gram matrix fails the whole stack
             bad = ~np.isfinite(gram).all(axis=(1, 2))
             gram[bad] = _EYE3
-            min_eig = np.linalg.eigvalsh(gram)[:, 0]
+            min_eig = _eigvalsh(gram)[:, 0]
             bad_gram = bad.tolist()
             traces = _traces(gram)
         exact = [e >= GAMMA_FLOOR for e in min_eig.tolist()]
@@ -333,12 +365,12 @@ def _fit_rows(
         if any(exact):
             system = np.where(np.array(exact)[:, None, None], gram, system)
     try:
-        h = np.linalg.solve(system, rhs).ravel().tolist()
+        h = _solve(system, rhs).ravel().tolist()
     except np.linalg.LinAlgError:  # one singular system fails the stack: retry per pair
         h = []
         for j in range(n_pairs):
             try:
-                h += np.linalg.solve(system[j], rhs[j, :, 0]).tolist()
+                h += _solve(system[j], rhs[j]).ravel().tolist()
             except np.linalg.LinAlgError:
                 h += [math.nan] * 3
     rows = [h[i:i + 3] for i in range(0, len(h), 3)]

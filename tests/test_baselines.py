@@ -1,7 +1,11 @@
 """Tests for the randomized-gradient baselines."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zosah.baselines as baselines_mod
 from zosah.baselines import (
@@ -74,6 +78,75 @@ class TestRgeGradient:
         f_x = oracle(x)
         g = rge_gradient(oracle, x, 10_000, 1e-6, np.random.default_rng(123), f_x)
         assert np.max(np.abs(g - c)) < 0.2
+
+
+def rge_gradient_loop(oracle, x, q, eps, rng, f_x):
+    """The per-direction loop ``rge_gradient`` replaced, kept as its reference."""
+    x = np.asarray(x, dtype=float)
+    g = np.zeros_like(x)
+    for _ in range(q):
+        u = rng.standard_normal(x.shape[0])
+        g += (oracle(x + eps * u) - f_x) / eps * u
+    return g / q
+
+
+class ReplayObjective:
+    """Returns the given values in turn (cycling) and records each point."""
+
+    def __init__(self, values):
+        self.values = values
+        self.points = []
+
+    def __call__(self, x):
+        self.points.append(np.array(x))
+        return self.values[(len(self.points) - 1) % len(self.values)]
+
+
+# f-values: m * 10**e, signed zeros and, rarely, infinities and nan
+RGE_VALUES = st.one_of(
+    st.builds(lambda m, e: m * 10.0 ** e,
+              st.floats(-10.0, 10.0, exclude_min=True, exclude_max=True),
+              st.integers(-30, 30)),
+    st.sampled_from([0.0, -0.0, 1.5]),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+
+
+class TestRgeGradientBlocks:
+    """The block estimator has the loop's bits and consumes the generator as it did."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(d=st.integers(1, 29), q=st.integers(1, 11),
+           eps=st.floats(1e-8, 1.0), seed=st.integers(0, 2**32 - 1),
+           x_kind=st.sampled_from(["zero", "normal", "scaled"]),
+           values=st.lists(RGE_VALUES, min_size=1, max_size=11),
+           f_x=st.one_of(st.just(0.0), RGE_VALUES))
+    def test_bits_and_generator_state_of_the_loop(self, d, q, eps, seed, x_kind, values, f_x):
+        x = {"zero": np.zeros(d),
+             "normal": np.random.default_rng(seed).standard_normal(d),
+             "scaled": np.random.default_rng(seed).standard_normal(d) * 1e150}[x_kind]
+        got_obj, want_obj = ReplayObjective(values), ReplayObjective(values)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with np.errstate(all="ignore"):
+            got = rge_gradient(CountedOracle(Objective(got_obj, d)), x, q, eps, got_rng, f_x)
+            want = rge_gradient_loop(
+                CountedOracle(Objective(want_obj, d)), x, q, eps, want_rng, f_x)
+        # bytes equal, except that a nan's sign may differ: numpy's add returns
+        # either operand's nan when both are nan, and the loop's in-place add
+        # and cumsum choose differently
+        nan = np.isnan(want)
+        assert (np.isnan(got) == nan).all()
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert len(got_obj.points) == len(want_obj.points) == q
+        for p, r in zip(got_obj.points, want_obj.points):
+            assert p.tobytes() == r.tobytes()
+
+    def test_constant_zero_objective_gives_positive_zeros(self):
+        # each term is +-0.0; summing from g = 0 turns a -0.0 into +0.0
+        oracle = CountedOracle(Objective(lambda x: 0.0, 5))
+        g = rge_gradient(oracle, np.zeros(5), 3, 1e-3, np.random.default_rng(2), 0.0)
+        assert g.tobytes() == np.zeros(5).tobytes()
 
 
 class TestDirections:

@@ -60,3 +60,11 @@ def test_shrunk_pass_is_correct(bench, workload, tmp_path, traced):
         metrics = tracer.layer_metrics()
         assert metrics["oracle.queries"] == res.queries
         assert metrics["optimizer.steps"] > 0
+        # the block estimator issues its q queries per step inside the span
+        # the tracer attributes to rge
+        spans = tracer.arrays()
+        step_id = tracer.names.index(tracer_mod.BASELINE_STEP_SPAN)
+        baseline_steps = int((spans["name"] == step_id).sum())
+        q = small.settings.get("q", z.harness.ExperimentConfig.q)
+        assert baseline_steps > 0
+        assert metrics["oracle.queries.rge"] == q * baseline_steps

@@ -331,6 +331,34 @@ class TestBatchedWindow:
         assert (extra_draws > 0) == redraws
         assert degraded.all() == (radius < 1e-3)
 
+    def test_draw_fresh_scans_one_stream_through_misses(self, monkeypatch):
+        # about half the sets miss this floor at radius 0.05, so a draw has
+        # several misses, outruns its spare sets and draws more blocks, and
+        # with 3 attempts some pairs settle degraded
+        monkeypatch.setattr(cache_mod, "GAMMA_FLOOR", 1e-7)
+        monkeypatch.setattr(cache_mod, "MAX_ATTEMPTS", 3)
+        blocks = []
+        real = cache_mod._circle_points
+        monkeypatch.setattr(cache_mod, "_circle_points",
+                            lambda rng, radius, n: blocks.append(n) or real(rng, radius, n))
+        cache = EvalCache()
+        theta = np.random.default_rng(4).standard_normal((12, 2))
+        multi_block = n_degraded = 0
+        for seed in range(20):
+            blocks.clear()
+            batched_rng = np.random.default_rng(seed)
+            points, degraded = cache.draw_fresh(theta, batched_rng, 0.05)
+            multi_block += len(blocks) > 1
+            n_degraded += int(degraded.sum())
+            serial_rng = np.random.default_rng(seed)
+            for j in range(len(theta)):
+                want, want_degraded = cache._sample_conditioned(theta[j], serial_rng, 0.05)
+                assert points[j].tobytes() == want.tobytes()
+                assert degraded[j] == want_degraded
+            assert batched_rng.bit_generator.state == serial_rng.bit_generator.state
+        assert multi_block > 0
+        assert 0 < n_degraded < 20 * len(theta)
+
     def test_draw_fresh_rejects_bad_radius(self):
         cache = EvalCache()
         cache.reset(two_pair_plan())

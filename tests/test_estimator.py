@@ -1,10 +1,13 @@
 """Gradient estimation, quadratic-model fitting, eigen math, PD repair."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zosah.estimator as estimator_mod
 from zosah.estimator import (
     _FD_STEPS,
     _GRAD_STEPS,
@@ -15,11 +18,13 @@ from zosah.estimator import (
     HessianUnavailableError,
     InsufficientSamplesError,
     _eigs,
+    _eigvalsh,
     _fd_rows,
     _fit_rows,
     _gradients,
     _newton_rows,
     _rows,
+    _solve,
     build_fit_system,
     estimate_gradient,
     fd_subspace_hessian,
@@ -214,6 +219,64 @@ def per_pair_fit(theta_bar, values, g_hat, f_theta):
     return fit.min_eig_gram, _rows(H)[0]
 
 
+class TestLapackSeam:
+    """``_solve`` and ``_eigvalsh`` are np.linalg.solve and eigvalsh without the wrapper."""
+
+    @staticmethod
+    def outcome(fn, *args):
+        """The result's bytes, or the LinAlgError it raised."""
+        try:
+            return fn(*args).tobytes()
+        except np.linalg.LinAlgError:
+            return np.linalg.LinAlgError
+
+    def test_bytes_of_np_linalg_on_random_stacks(self):
+        rng = np.random.default_rng(11)
+        for n_pairs in (1, 2, 10, 37):
+            for scale in (1e-150, 1e-6, 1.0, 1e6, 1e150):
+                M = rng.standard_normal((n_pairs, 3, 3)) * scale
+                gram = M @ M.transpose(0, 2, 1)
+                rhs = rng.standard_normal((n_pairs, 3, 1)) * scale
+                assert _solve(M, rhs).tobytes() == np.linalg.solve(M, rhs).tobytes()
+                assert _solve(gram, rhs).tobytes() == np.linalg.solve(gram, rhs).tobytes()
+                assert _solve(M[0], rhs[0]).tobytes() == np.linalg.solve(M[0], rhs[0]).tobytes()
+                assert _eigvalsh(gram).tobytes() == np.linalg.eigvalsh(gram).tobytes()
+                # eigvalsh reads the lower triangle only
+                assert _eigvalsh(M).tobytes() == np.linalg.eigvalsh(M).tobytes()
+
+    def test_singular_and_non_finite_stacks_raise_like_np_linalg(self):
+        rng = np.random.default_rng(12)
+        stacks = {}
+        stacks["singular"] = rng.standard_normal((3, 3, 3))
+        stacks["singular"][1] = 0.0
+        stacks["rank_one"] = np.ones((2, 3, 3))
+        for name, bad in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf)):
+            full = rng.standard_normal((3, 3, 3))
+            full[2] = bad
+            stacks[name] = full
+            one = np.eye(3)[None].repeat(2, axis=0)
+            one[1, 0, 0] = bad
+            stacks[name + " entry"] = one
+        raised = set()
+        for name, a in stacks.items():
+            b = np.ones((len(a), 3, 1))
+            solved = self.outcome(_solve, a, b)
+            assert solved == self.outcome(np.linalg.solve, a, b), name
+            eigs = self.outcome(_eigvalsh, a)
+            assert eigs == self.outcome(np.linalg.eigvalsh, a), name
+            raised |= {("solve", name)} if solved is np.linalg.LinAlgError else set()
+            raised |= {("eigvalsh", name)} if eigs is np.linalg.LinAlgError else set()
+        # np.linalg.solve returns nan on a non-finite stack, it does not raise
+        assert raised >= {("solve", "singular"), ("solve", "rank_one"),
+                          ("eigvalsh", "nan"), ("eigvalsh", "inf"), ("eigvalsh", "-inf")}
+
+    def test_floating_point_settings_are_restored(self):
+        before = np.geterr()
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve(np.zeros((3, 3)), np.ones((3, 1)))
+        assert np.geterr() == before
+
+
 class TestBatchedFit:
     """_fit_rows against the per-pair path, bit for bit."""
 
@@ -305,8 +368,8 @@ class TestBatchedFit:
         values = rng.standard_normal((3, 4))
         g = rng.standard_normal((3, 2))
         calls = []
-        real = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or real(a))
+        real = estimator_mod._eigvalsh
+        monkeypatch.setattr(estimator_mod, "_eigvalsh", lambda a: calls.append(a) or real(a))
         rows, outcome = _fit_rows(theta_bar, values, g, 0.5)
         assert calls == []
         assert outcome == [RIDGE] * 3

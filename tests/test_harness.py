@@ -475,6 +475,20 @@ class TestCliNonFiniteObjective:
         )
         assert not (tmp_path / "combined.csv").exists()
 
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_overflowing_start_value_is_fatal(self, tmp_path, capsys, alg):
+        # (1e200 - 1)**2 overflows: rosenbrock gives inf instead of raising
+        code = main([
+            "run", "--alg", alg, "--obj", "rosenbrock", "--x0", "1e200,0",
+            "--evals", "200", "--out", str(tmp_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == (
+            "error: objective returned non-finite value inf at the start point"
+            " x0 = [1e+200, 0.0]\n"
+        )
+
     def test_worker_error_reaches_the_cli(self, tmp_path, capsys):
         code = main([
             "run", "--alg", "zosah", "--obj", "rosenbrock", "--x0", "nan,1",

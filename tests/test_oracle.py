@@ -56,6 +56,12 @@ class TestRosenbrock:
                 else:
                     assert v > 0.0
 
+    def test_overflow_gives_inf(self):
+        assert rosenbrock([1e200, 0.0]) == math.inf
+        assert rosenbrock(np.array([0.0, 1e200])) == math.inf
+        assert rosenbrock(np.array([-1e200, 1e200])) == math.inf
+        assert math.isnan(rosenbrock(np.array([1e200, math.inf])))  # 1e200**2 + 100*nan
+
     def test_objective_wrapper(self):
         obj = rosenbrock_objective()
         assert obj.dim == 2
@@ -101,6 +107,74 @@ class TestQuadraticModel:
         x = rng.standard_normal(4)
         np.testing.assert_allclose(obj(x), quadratic_model(A, b, 1.5, x),
                                    rtol=1e-14)
+
+
+def laid_out(a: np.ndarray, layout: str) -> np.ndarray:
+    """The values of ``a`` in a given memory layout."""
+    if layout == "C":
+        return np.ascontiguousarray(a)
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "strided":  # every other element of a larger array
+        big = np.zeros(tuple(2 * n for n in a.shape))
+        big[tuple(slice(None, None, 2) for _ in a.shape)] = a
+        return big[tuple(slice(None, None, 2) for _ in a.shape)]
+    if layout == "reversed":  # negative strides
+        return np.flip(np.flip(a).copy())
+    if layout == "broadcast":  # zero stride: the first entry everywhere
+        return np.broadcast_to(a.flat[0], a.shape)
+    raise ValueError(layout)
+
+
+class TestQuadraticObjectiveBits:
+    """``quadratic_objective`` gives the bits of ``quadratic_model`` on any layout."""
+
+    @staticmethod
+    def entries(rng, shape, e_max, special_share):
+        """m * 10**e with |m| < 10 and e in [-e_max, e_max], some entries
+        replaced by +-0, +-inf or nan."""
+        values = rng.uniform(-10.0, 10.0, shape) * 10.0 ** rng.integers(-e_max, e_max + 1, shape)
+        special = rng.random(shape) < special_share
+        values[special] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan], special.sum())
+        return values
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12),
+           e_max=st.sampled_from([0, 3, 30, 300]), special_share=st.sampled_from([0.0, 0.05, 0.3]),
+           a_layout=st.sampled_from(["C", "F", "strided"]),
+           b_layout=st.sampled_from(["C", "strided", "reversed"]),
+           x_layouts=st.lists(st.sampled_from(["C", "strided", "reversed", "broadcast"]),
+                              min_size=1, max_size=4))
+    def test_bits_of_quadratic_model(self, seed, d, e_max, special_share, a_layout, b_layout,
+                                     x_layouts):
+        rng = np.random.default_rng(seed)
+        A = laid_out(self.entries(rng, (d, d), e_max, special_share), a_layout)
+        b = laid_out(self.entries(rng, d, e_max, special_share), b_layout)
+        c = float(self.entries(rng, 1, e_max, special_share)[0])
+        objective = quadratic_objective(A, b, c)
+        for x_layout in x_layouts:
+            x = laid_out(self.entries(rng, d, e_max, special_share), x_layout)
+            with np.errstate(all="ignore"):
+                got = objective(x)
+                want = quadratic_model(A, b, c, x)
+            assert (math.isnan(got) and math.isnan(want)) or (
+                np.float64(got).tobytes() == np.float64(want).tobytes())
+
+    def test_bits_on_every_layout_at_unit_scale(self):
+        # at unit scale a different summation order shows in the last bits
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 7, 20, 33):
+            B = rng.standard_normal((d, d))
+            for a_layout, b_layout in ((a, b) for a in ("C", "F", "strided")
+                                       for b in ("C", "strided", "reversed")):
+                A = laid_out((B + B.T) / 2.0, a_layout)
+                b = laid_out(rng.standard_normal(d), b_layout)
+                objective = quadratic_objective(A, b, 0.25)
+                for x_layout in ("C", "strided", "reversed", "broadcast") * 5:
+                    x = laid_out(rng.standard_normal(d) * 10.0 ** rng.uniform(-3.0, 3.0),
+                                 x_layout)
+                    assert np.float64(objective(x)).tobytes() == np.float64(
+                        quadratic_model(A, b, 0.25, x)).tobytes()
 
 
 class TestCountedOracle:
