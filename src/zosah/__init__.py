@@ -13,8 +13,9 @@ Armijo backtracking line search.
 Also included: randomized-gradient baselines (plain descent, sign descent,
 adaptive momentum) sharing the same metering and line search, benchmark
 objectives (Rosenbrock, quadratics, sparse logistic regression with a LIBSVM
-loader), and a CLI harness that writes deterministic, query-indexed
-convergence traces as CSV (`zosah run`, `zosah summarize`).
+loader; scipy is imported only when the last is used), and a CLI harness
+that writes deterministic, query-indexed convergence traces as CSV
+(`zosah run`, `zosah summarize`).
 """
 
 from .baselines import (
@@ -33,15 +34,7 @@ from .harness import (
     write_trace_csv,
 )
 from .optimizer import TraceRow, ZosahConfig, ZosahOptimizer, run_zosah
-from .oracle import (
-    CountedOracle,
-    Dataset,
-    Objective,
-    load_libsvm,
-    logistic_objective,
-    quadratic_objective,
-    rosenbrock_objective,
-)
+from .oracle import CountedOracle, Objective, quadratic_objective, rosenbrock_objective
 
 __version__ = "0.1.0"
 
@@ -73,3 +66,15 @@ __all__ = [
     "summarize",
     "__version__",
 ]
+
+# Names of the LIBSVM layer, resolved on first access (PEP 562) so that
+# ``import zosah`` does not import scipy.
+_LOGISTIC_NAMES = frozenset({"Dataset", "load_libsvm", "logistic_objective"})
+
+
+def __getattr__(name: str):
+    if name in _LOGISTIC_NAMES:
+        from . import logistic
+
+        return getattr(logistic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

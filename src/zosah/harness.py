@@ -14,20 +14,13 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import BASELINES, BaselineConfig, run_baseline
-from .oracle import (
-    DatasetFormatError,
-    Objective,
-    load_libsvm,
-    logistic_objective,
-    rosenbrock_objective,
-)
+from .oracle import DatasetFormatError, Objective, rosenbrock_objective
 from .optimizer import TraceRow, ZosahConfig, run_zosah
 
 __all__ = [
@@ -106,6 +99,8 @@ def resolve_objective(obj_id: str) -> Objective:
     if obj_id == "rosenbrock":
         return rosenbrock_objective()
     if obj_id.startswith("logistic:"):
+        from .logistic import load_libsvm, logistic_objective  # imports scipy
+
         raw = obj_id[len("logistic:"):]
         if not raw:
             raise UsageError("logistic objective needs a path: logistic:<path>")
@@ -170,6 +165,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[Path]:
     _resolve_x0(cfg, objective.dim)  # fail fast on a bad policy before running
 
     if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         # One worker process per seed at most: each works on its own copy of
         # the objective, and the pool starts all its workers at once.
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(cfg.seeds))) as pool:

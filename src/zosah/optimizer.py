@@ -79,6 +79,12 @@ C1 = 1e-4
 SHRINK = 0.5
 MIN_STEP = 1e-6
 
+# Largest hess_radius whose fresh samples' Gram matrix cannot overflow: at
+# radius r each monomial is at most r^2 / 2 in magnitude, so each entry of
+# the Gram over three points is at most 0.75 r^4, which stays below the
+# largest double (about 1.8e308) up to r = 1.24e77 less rounding.
+MAX_HESS_RADIUS = 1.2e77
+
 
 @dataclass(frozen=True)
 class ZosahConfig:
@@ -107,6 +113,11 @@ class ZosahConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.hess_radius > MAX_HESS_RADIUS:
+            raise ValueError(
+                f"hess_radius must be at most {MAX_HESS_RADIUS:g}, beyond which the "
+                f"fresh samples' Gram matrix can overflow, got {self.hess_radius:g}"
+            )
         if self.m is not None and (self.m < 2 or self.m % 2 != 0):
             raise ValueError(f"m must be an even integer >= 2, got {self.m}")
         if self.hessian_mode not in HESSIAN_MODES:

@@ -186,7 +186,7 @@ class TestRunExperiment:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr("zosah.harness.ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         cfg = ExperimentConfig(alg="rspg", obj="rosenbrock", max_evals=50, seeds=(0, 1, 2), jobs=64)
         run_experiment(cfg, tmp_path)
         assert asked == [3]
@@ -419,7 +419,8 @@ class TestCliRun:
 
 
 class TestCliNonFiniteSettings:
-    """NaN or inf where a positive setting belongs is a usage error (exit 2)."""
+    """NaN, inf or an overflowing value where a positive setting belongs is a
+    usage error (exit 2)."""
 
     @pytest.mark.parametrize("args,message", [
         (["--alg", "rspg", "--eps", "nan"], "eps must be finite and positive, got nan"),
@@ -428,6 +429,9 @@ class TestCliNonFiniteSettings:
         (["--alg", "zosah", "--hess-radius", "inf"],
          "hess_radius must be finite and positive, got inf"),
         (["--alg", "zosah", "--seeds", "-1"], "seeds must be non-negative, got (-1,)"),
+        (["--alg", "zosah", "--hess-radius", "1e78"],
+         "hess_radius must be at most 1.2e+77, beyond which the fresh samples' Gram matrix "
+         "can overflow, got 1e+78"),
     ])
     def test_exit_2_with_one_line_error(self, tmp_path, capsys, args, message):
         code = main(["run", "--obj", "rosenbrock", "--evals", "200",

@@ -26,6 +26,7 @@ from zosah.oracle import (
     rosenbrock_objective,
 )
 from zosah.optimizer import (
+    MAX_HESS_RADIUS,
     TraceRow,
     ZosahConfig,
     ZosahOptimizer,
@@ -70,6 +71,7 @@ class TestZosahConfig:
             {"max_evals": 100, "m": 3},
             {"max_evals": 100, "m": 0},
             {"max_evals": 100, "hessian_mode": "newton"},
+            {"max_evals": 100, "hess_radius": 1e78},  # fresh samples' Gram overflows
         ],
     )
     def test_invalid_fields(self, kwargs):
@@ -78,6 +80,11 @@ class TestZosahConfig:
 
     def test_zero_budget_is_legal(self):
         assert ZosahConfig(max_evals=0).max_evals == 0
+
+    def test_largest_hess_radius_is_legal(self):
+        assert ZosahConfig(max_evals=1, hess_radius=MAX_HESS_RADIUS).hess_radius == MAX_HESS_RADIUS
+        with pytest.raises(ValueError, match="hess_radius must be at most"):
+            ZosahConfig(max_evals=1, hess_radius=np.nextafter(MAX_HESS_RADIUS, np.inf))
 
 
 class TestDefaultSubspaceSize:

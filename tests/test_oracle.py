@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import zosah.oracle
+import zosah.logistic
 
 from zosah import (
     CountedOracle,
@@ -23,13 +23,8 @@ from zosah import (
     quadratic_objective,
     rosenbrock_objective,
 )
-from zosah.oracle import (
-    DatasetFormatError,
-    DimensionMismatchError,
-    logistic_loss,
-    quadratic_model,
-    rosenbrock,
-)
+from zosah.logistic import logistic_loss
+from zosah.oracle import DatasetFormatError, DimensionMismatchError, quadratic_model, rosenbrock
 
 
 def make_dataset(rows, labels):
@@ -346,20 +341,20 @@ class TestLogisticObjectiveRows:
     def test_one_coordinate_move_sums_only_its_rows(self, synth123_data, monkeypatch):
         data = synth123_data
         n_rows = []
-        kernel = zosah.oracle._csr_matvec
+        kernel = zosah.logistic._csr_matvec
 
         def spy(n_row, *args):
             n_rows.append(n_row)
             return kernel(n_row, *args)
 
-        monkeypatch.setattr(zosah.oracle, "_csr_matvec", spy)
+        monkeypatch.setattr(zosah.logistic, "_csr_matvec", spy)
         objective = logistic_objective(data)
         x = np.random.default_rng(5).standard_normal(data.dim) * 0.1
         objective(x)
         assert n_rows == [data.n]
         holding = np.diff(data.features.tocsc().indptr)
         for j in (0, 17, data.dim - 1):
-            assert 0 < zosah.oracle._ROW_PATH_SHARE * holding[j] <= data.n
+            assert 0 < zosah.logistic._ROW_PATH_SHARE * holding[j] <= data.n
             probe = x.copy()
             probe[j] += 1e-4
             n_rows.clear()
@@ -389,14 +384,14 @@ class TestLogisticObjectiveRows:
         for _ in range(20):
             x = rng.standard_normal(d) * 10.0 ** rng.uniform(-3.0, 3.0)
             t = np.zeros(n)
-            zosah.oracle._csr_matvec(n, d, signed.indptr, signed.indices, signed.data, x, t)
+            zosah.logistic._csr_matvec(n, d, signed.indptr, signed.indices, signed.data, x, t)
             assert t.tobytes() == (signed @ x).tobytes()
         rows = np.sort(rng.choice(n, 37, replace=False)).astype(signed.indptr.dtype)
         block = signed[rows]
         cols = np.empty(block.nnz, dtype=signed.indices.dtype)
         vals = np.empty(block.nnz)
-        zosah.oracle._csr_row_index(rows.size, rows, signed.indptr, signed.indices,
-                                    signed.data, cols, vals)
+        zosah.logistic._csr_row_index(rows.size, rows, signed.indptr, signed.indices,
+                                      signed.data, cols, vals)
         assert cols.tobytes() == block.indices.tobytes()
         assert vals.tobytes() == block.data.tobytes()
 
