@@ -13,15 +13,16 @@ slice point:
 - second step: reuse the previous step's 2 probes and 3 fresh samples;
 - every later step: reuse the 4 gradient probes of the two preceding steps.
 
-The window is two arrays over the plan's P pairs, ``points`` (P, 7, 2) in
-absolute slice coordinates and ``values`` (P, 7), split into three slot
-groups: the older probes, the newer probes and the period's fresh samples,
-each tagged with the step it was recorded at. A step's sample set is always
-one contiguous slot range (newer probes + fresh, or older + newer probes),
-so every pair's samples come out as one (P, s, 2) slab for the batched fit.
-A slot not written at its group's step holds NaN and counts as missing. The
-window is cleared on every plan switch, so it never serves points recorded
-under a different plan.
+The plan is the (P, 2) array of pair coordinates that ``make_plan`` draws,
+and row j of the window belongs to its pair j. The window is two arrays,
+``points`` (P, 7, 2) in absolute slice coordinates and ``values`` (P, 7),
+split into three slot groups: the older probes, the newer probes and the
+period's fresh samples, each tagged with the step it was recorded at. A
+step's sample set is always one contiguous slot range (newer probes + fresh,
+or older + newer probes), so every pair's samples come out as one (P, s, 2)
+slab for the batched fit. A slot not written at its group's step holds NaN
+and counts as missing. The window is cleared on every plan switch, so it
+never serves points recorded under a different plan.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimator import GAMMA_FLOOR, _all_finite, _eigvalsh, quad_monomials
-from .subspace import PairProjection, SubspacePlan
+from .subspace import PairProjection
 
 __all__ = ["EvalCache", "GatherResult", "PlanMismatchError"]
 
@@ -86,11 +87,12 @@ class EvalCache:
         self._new_step: int | None = None
         self._fresh_step: int | None = None
 
-    def reset(self, plan: SubspacePlan) -> None:
-        """Adopt a new plan, dropping everything recorded under the old one."""
-        self._rows = {p.pair: j for j, p in enumerate(plan.pairs)}
-        self.points = np.full((len(plan.pairs), _SLOTS, 2), np.nan)
-        self.values = np.full((len(plan.pairs), _SLOTS), np.nan)
+    def reset(self, idx: np.ndarray) -> None:
+        """Adopt a new plan, the (P, 2) pair coordinates from ``make_plan``,
+        dropping everything recorded under the old one."""
+        self._rows = {pair: j for j, pair in enumerate(map(tuple, idx.tolist()))}
+        self.points = np.full((len(idx), _SLOTS, 2), np.nan)
+        self.values = np.full((len(idx), _SLOTS), np.nan)
         self._old_step = self._new_step = self._fresh_step = None
 
     # --- all pairs at once ----------------------------------------------

@@ -195,10 +195,9 @@ def probe_values(
 
     ``idx`` is the (P, 2) array of pair coordinates and ``points`` the
     (P, n, 2) absolute slice coordinates; returns the (P, n) values, queried
-    pair by pair in row order (P * n queries). To query what
-    :meth:`PairProjection.lift` would build from a displacement delta, pass
-    ``x[idx] + delta``. Raises FloatingPointError naming ``what`` if any value
-    is non-finite.
+    pair by pair in row order (P * n queries). To query x moved by a
+    displacement delta on a pair's two axes, pass ``x[idx] + delta``. Raises
+    FloatingPointError naming ``what`` if any value is non-finite.
     """
     points = np.asarray(points, dtype=float)
     values = _probe(oracle, np.asarray(x, dtype=float), np.asarray(idx), points, what)

@@ -164,12 +164,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[Path]:
     objective = resolve_objective(cfg.obj)
     _resolve_x0(cfg, objective.dim)  # fail fast on a bad policy before running
 
-    if cfg.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+    if cfg.jobs > 1:  # a serial run does not load multiprocessing
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
+    if cfg.jobs > 1 and "fork" in multiprocessing.get_all_start_methods():
         # One worker process per seed at most: each works on its own copy of
-        # the objective, and the pool starts all its workers at once.
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(cfg.seeds))) as pool:
+        # the objective, and the pool starts all its workers at once. Only
+        # forked workers beat a serial run; spawn and forkserver workers
+        # re-import the package and lose, so without fork the seeds run
+        # serially.
+        with ProcessPoolExecutor(
+            max_workers=min(cfg.jobs, len(cfg.seeds)),
+            mp_context=multiprocessing.get_context("fork"),
+        ) as pool:
             traces = list(pool.map(functools.partial(run_single, objective, cfg), cfg.seeds))
     else:
         traces = [run_single(objective, cfg, seed) for seed in cfg.seeds]

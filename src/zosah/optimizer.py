@@ -257,11 +257,10 @@ class ZosahOptimizer(BudgetedOptimizer):
             raise ValueError(f"need dimension >= 2 to form coordinate pairs, got d={d}")
         self.cfg = cfg
         self.m = cfg.m if cfg.m is not None else default_subspace_size(d)
-        if self.m % 2 != 0 or not 2 <= self.m <= d:
+        if self.m > d:  # ZosahConfig has checked that m is even and >= 2
             raise ValueError(f"m must be even with 2 <= m <= d={d}, got {self.m}")
         self.rng = np.random.default_rng(cfg.seed)
-        self.plan = None
-        self._idx = None  # (P, 2) coordinates of the plan's pairs
+        self._idx = None  # the plan: (P, 2) coordinates of its pairs
         self.cache = EvalCache()
         self.stats: list[StepStats] = []
         # probe displacements of every step of the run
@@ -271,10 +270,9 @@ class ZosahOptimizer(BudgetedOptimizer):
     def step(self) -> TraceRow:
         cfg = self.cfg
         k = self.k
-        if self.plan is None or k % cfg.T == 0:
-            self.plan = make_plan(self.oracle.dim, self.m, self.rng, step=k)
-            self.cache.reset(self.plan)
-            self._idx = np.array([p.pair for p in self.plan.pairs])
+        if self._idx is None or k % cfg.T == 0:
+            self._idx = make_plan(self.oracle.dim, self.m, self.rng)
+            self.cache.reset(self._idx)
 
         oracle = self.oracle
         x = self.x

@@ -6,12 +6,11 @@ import pytest
 import zosah.cache as cache_mod
 from zosah.cache import EvalCache, PlanMismatchError
 from zosah.estimator import GAMMA_FLOOR, quad_monomials
-from zosah.subspace import PairProjection, SubspacePlan
+from zosah.subspace import PairProjection
 
 
-def two_pair_plan(step=0):
-    pairs = (PairProjection(0, 1), PairProjection(2, 3))
-    return SubspacePlan(6, (0, 1, 2, 3), pairs, step)
+def two_pair_plan():
+    return np.array([[0, 1], [2, 3]])
 
 
 def records_for(k, values, base=0.0):
@@ -86,8 +85,7 @@ class TestPlanHandling:
         cache.record_probes(1, pair, records_for(1, [3.0, 4.0]))
 
         # new plan reuses the same coordinate pair: records must not survive
-        other = SubspacePlan(6, (0, 1, 4, 5), (PairProjection(0, 1), PairProjection(4, 5)), 5)
-        cache.reset(other)
+        cache.reset(np.array([[0, 1], [4, 5]]))
         got = cache.gather_samples(7, 5, pair, np.zeros(2), np.random.default_rng(0), 0.05)
         assert got.samples == []
 
@@ -296,7 +294,7 @@ class TestBatchedWindow:
             cache.store_probes(k, rng.standard_normal((2, 2, 2)), rng.standard_normal((2, 2)))
         theta = rng.standard_normal((2, 2))
         points, values = cache.window(3, 20)
-        for j, pair in enumerate(plan.pairs):
+        for j, pair in enumerate(PairProjection(i1, i2) for i1, i2 in plan.tolist()):
             got = cache.gather_samples(3, 20, pair, theta[j], rng, 0.05)
             for (tb, f), point, value in zip(got.samples, points[j], values[j]):
                 np.testing.assert_array_equal(tb, point - theta[j])
@@ -313,7 +311,7 @@ class TestBatchedWindow:
         monkeypatch.setattr(cache_mod, "GAMMA_FLOOR", floor)
         cache = EvalCache()
         pairs = tuple(PairProjection(2 * j, 2 * j + 1) for j in range(8))
-        cache.reset(SubspacePlan(16, tuple(range(16)), pairs, 0))
+        cache.reset(np.array([p.pair for p in pairs]))
         theta = np.random.default_rng(9).standard_normal((8, 2))
         extra_draws = 0
         for seed in range(10):

@@ -38,6 +38,14 @@ from zosah.oracle import CountedOracle, Objective, quadratic_model, quadratic_ob
 from zosah.subspace import PairProjection
 
 
+def _lift(pair, delta, base):
+    """A copy of ``base`` with ``delta`` added on the pair's two axes."""
+    out = np.array(base, dtype=float)
+    out[pair.i1] += delta[0]
+    out[pair.i2] += delta[1]
+    return out
+
+
 def random_symmetric(rng, scale=1.0):
     B = rng.standard_normal((2, 2))
     return scale * (B + B.T) / 2.0
@@ -424,7 +432,7 @@ class TestBatchedProbes:
         for j, (i1, i2) in enumerate(idx):
             p = PairProjection(int(i1), int(i2))
             for r, delta in enumerate(((eps, 0.0), (0.0, eps))):
-                f_probe = obj(p.lift(delta, x))
+                f_probe = obj(_lift(p, delta, x))
                 assert values[j, r] == f_probe
                 assert g[j, r] == (f_probe - f_x) / eps
                 assert np.array_equal(points[j, r], p.project(x) + np.asarray(delta))
@@ -440,9 +448,9 @@ class TestBatchedProbes:
         assert oracle.count - before == 3 * len(idx)
         for j, (i1, i2) in enumerate(idx):
             p = PairProjection(int(i1), int(i2))
-            f_2e1 = obj(p.lift((2.0 * eps, 0.0), x))
-            f_2e2 = obj(p.lift((0.0, 2.0 * eps), x))
-            f_e1e2 = obj(p.lift((eps, eps), x))
+            f_2e1 = obj(_lift(p, (2.0 * eps, 0.0), x))
+            f_2e2 = obj(_lift(p, (0.0, 2.0 * eps), x))
+            f_e1e2 = obj(_lift(p, (eps, eps), x))
             f1, f2 = f_probes[j]
             eps2 = eps * eps
             a11 = (f_2e1 - 2.0 * f1 + f_x) / eps2

@@ -1,6 +1,8 @@
 """Tests for the experiment harness, trace persistence, and the CLI."""
 
+import dataclasses
 import math
+import multiprocessing
 import subprocess
 import sys
 
@@ -26,6 +28,29 @@ from zosah.harness import (
 )
 from zosah.oracle import DatasetFormatError, Objective
 from zosah.optimizer import TraceRow
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stand in for ProcessPoolExecutor with a pool that maps in this process,
+    so no worker starts; returns the keyword arguments of each pool made."""
+    made = []
+
+    class InlinePool:
+        def __init__(self, **kwargs):
+            made.append(kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    return made
 
 
 class TestExperimentConfig:
@@ -170,26 +195,29 @@ class TestRunExperiment:
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
 
-    def test_worker_count_capped_at_seed_count(self, tmp_path, monkeypatch):
-        asked = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    def test_worker_count_capped_at_seed_count(self, tmp_path, inline_pool):
         cfg = ExperimentConfig(alg="rspg", obj="rosenbrock", max_evals=50, seeds=(0, 1, 2), jobs=64)
         run_experiment(cfg, tmp_path)
-        assert asked == [3]
+        assert [kwargs["max_workers"] for kwargs in inline_pool] == [3]
+
+    def test_jobs_fork_workers_or_run_serially(self, tmp_path, monkeypatch, inline_pool):
+        cfg = ExperimentConfig(alg="zosah", obj="rosenbrock", max_evals=150, seeds=(0, 1, 2), jobs=3)
+        serial = run_experiment(dataclasses.replace(cfg, jobs=1), tmp_path / "serial")
+        assert inline_pool == []
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["fork", "spawn", "forkserver"])
+        forked = run_experiment(cfg, tmp_path / "fork")
+        assert len(inline_pool) == 1
+        assert inline_pool[0]["mp_context"].get_start_method() == "fork"
+
+        # without fork no pool is made: the seeds run in this process
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn", "forkserver"])
+        no_fork = run_experiment(cfg, tmp_path / "no_fork")
+        assert len(inline_pool) == 1
+        for a, b, c in zip(serial, forked, no_fork, strict=True):
+            assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
 class TestTraceCsv:

@@ -34,9 +34,17 @@ from zosah.optimizer import (
     default_subspace_size,
     run_zosah,
 )
-from zosah.subspace import make_plan
+from zosah.subspace import PairProjection, make_plan
 
 ROTATED = np.array([[5.5, 4.5], [4.5, 5.5]])
+
+
+def _lift(pair, delta, base):
+    """A copy of ``base`` with ``delta`` added on the pair's two axes."""
+    out = np.array(base, dtype=float)
+    out[pair.i1] += delta[0]
+    out[pair.i2] += delta[1]
+    return out
 
 
 def sphere(d):
@@ -233,16 +241,18 @@ class TestStepAccounting:
 
 
 class TestPlanSchedule:
-    def test_plan_refreshes_every_T_steps(self):
+    def test_plan_refreshes_every_T_steps(self, monkeypatch):
         oracle = CountedOracle(rosenbrock_objective())
         cfg = ZosahConfig(max_evals=100_000, seed=4, m=2, T=4)
         opt = ZosahOptimizer(oracle, np.array([-1.2, 1.0]), cfg)
         oracle(opt.x)
-        created = []
+        drawn_at = []
+        real = optimizer_mod.make_plan
+        monkeypatch.setattr(optimizer_mod, "make_plan",
+                            lambda *args: drawn_at.append(opt.k) or real(*args))
         for _ in range(10):
             opt.step()
-            created.append(opt.plan.created_at_step)
-        assert created == [0, 0, 0, 0, 4, 4, 4, 4, 8, 8]
+        assert drawn_at == [0, 4, 8]
 
     def test_plan_indices_cover_m_coordinates(self):
         oracle = CountedOracle(sphere(10))
@@ -250,8 +260,8 @@ class TestPlanSchedule:
         opt = ZosahOptimizer(oracle, np.ones(10), cfg)
         oracle(opt.x)
         opt.step()
-        assert len(opt.plan.indices) == 6
-        assert len(opt.plan.pairs) == 3
+        assert opt._idx.shape == (3, 2)
+        assert len(set(opt._idx.ravel().tolist())) == 6
 
 
 class TestDriverBehaviour:
@@ -411,12 +421,13 @@ def reference_trace(obj, x0, cfg):
     k = 0
     while oracle.count < cfg.max_evals:
         if k % cfg.T == 0:
-            plan = make_plan(obj.dim, cfg.m, rng, step=k)
+            plan = make_plan(obj.dim, cfg.m, rng)
             sampler.reset(plan)
-            banked = {p.pair: {} for p in plan.pairs}
+            pairs = [PairProjection(i1, i2) for i1, i2 in plan.tolist()]
+            banked = {p.pair: {} for p in pairs}
         f_x = oracle(x)
         v = np.zeros_like(x)
-        for p in plan.pairs:
+        for p in pairs:
             theta = p.project(x)
             grad = estimate_gradient(oracle, x, p, cfg.eps, f_x)
             if cfg.hessian_mode == "fd":
@@ -426,7 +437,7 @@ def reference_trace(obj, x0, cfg):
                 store = banked[p.pair]
                 if k % cfg.T == 0:
                     fresh = sampler.gather_samples(k, cfg.T, p, theta, rng, cfg.hess_radius).fresh
-                    store["fresh"] = [(pt, oracle(p.lift(pt - theta, x))) for pt in fresh]
+                    store["fresh"] = [(pt, oracle(_lift(p, pt - theta, x))) for pt in fresh]
                     records = store["fresh"]
                 elif k % cfg.T == 1:
                     records = store[k - 1] + store["fresh"]
@@ -444,7 +455,7 @@ def reference_trace(obj, x0, cfg):
                 if cfg.hessian_mode == "diag":
                     A = np.diag(np.diag(A))
                 A_bar = make_pd(A, cfg.kappa)
-            v = p.lift(newton_direction(A_bar, grad.g), v)
+            v = _lift(p, newton_direction(A_bar, grad.g), v)
         rho, accepted, f_new = armijo_search(oracle, x, v, f_x)
         if accepted:
             x = x - rho * v

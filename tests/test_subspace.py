@@ -1,33 +1,41 @@
-"""Coordinate selection, pairing, projection, and lifting."""
+"""Coordinate selection, pairing and projection."""
 
 import numpy as np
 import pytest
 
-from zosah.subspace import PairProjection, SubspacePlan, make_plan
+from zosah.subspace import PairProjection, make_plan
+
+
+def reference_plan(d, m, rng):
+    """The plan's draws spelled out: m sorted distinct coordinates, then a
+    permutation of them cut into consecutive pairs."""
+    idx = np.sort(rng.choice(d, size=m, replace=False))
+    perm = rng.permutation(idx).tolist()
+    return np.array([(perm[j], perm[j + 1]) for j in range(0, m, 2)])
 
 
 class TestSelectIntermediate:
+    @pytest.mark.parametrize("d,m", [(2, 2), (20, 20), (123, 20), (30, 8)])
+    def test_draws_match_the_reference(self, d, m):
+        for seed in range(200):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            plan, want = make_plan(d, m, rng), reference_plan(d, m, ref_rng)
+            assert plan.dtype == want.dtype == np.int64
+            assert plan.shape == want.shape == (m // 2, 2)
+            assert np.array_equal(plan, want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_full_set_when_m_equals_d(self):
         rng = np.random.default_rng(0)
-        assert make_plan(4, 4, rng).indices == (0, 1, 2, 3)
+        assert sorted(make_plan(4, 4, rng).ravel().tolist()) == [0, 1, 2, 3]
 
     def test_distinct_and_in_range(self):
         for seed in range(200):
             rng = np.random.default_rng(seed)
-            idx = make_plan(123, 20, rng).indices
+            idx = make_plan(123, 20, rng).ravel().tolist()
             assert len(idx) == 20
             assert len(set(idx)) == 20
-            assert list(idx) == sorted(idx)
             assert min(idx) >= 0 and max(idx) < 123
-
-    def test_parameter_errors(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            make_plan(10, 3, rng)  # odd
-        with pytest.raises(ValueError):
-            make_plan(3, 4, rng)  # m > d
-        with pytest.raises(ValueError):
-            make_plan(10, 0, rng)  # m < 2
 
     def test_selection_uniformity(self):
         # d=6, m=2: every index should appear with frequency 1/3
@@ -35,7 +43,7 @@ class TestSelectIntermediate:
         n_draws = 10000
         for seed in range(n_draws):
             rng = np.random.default_rng(seed)
-            counts[list(make_plan(6, 2, rng).indices)] += 1
+            counts[make_plan(6, 2, rng).ravel()] += 1
         freqs = counts / n_draws
         assert np.all(np.abs(freqs - 1.0 / 3.0) <= 0.02)
 
@@ -44,17 +52,16 @@ class TestPairSubspaces:
     def test_single_pair(self):
         rng = np.random.default_rng(1)
         plan = make_plan(10, 2, rng)
-        assert len(plan.pairs) == 1
-        assert set(plan.pairs[0].pair) == set(plan.indices)
+        assert plan.shape == (1, 2)
+        assert plan[0, 0] != plan[0, 1]
 
     def test_partition_and_all_matchings_reached(self):
         seen = set()
         for seed in range(200):
             rng = np.random.default_rng(seed)
-            pairs = make_plan(4, 4, rng).pairs
-            flat = [i for p in pairs for i in p.pair]
-            assert sorted(flat) == [0, 1, 2, 3]
-            seen.add(frozenset(frozenset(p.pair) for p in pairs))
+            pairs = make_plan(4, 4, rng).tolist()
+            assert sorted(i for pair in pairs for i in pair) == [0, 1, 2, 3]
+            seen.add(frozenset(frozenset(pair) for pair in pairs))
         matchings = {
             frozenset({frozenset({0, 1}), frozenset({2, 3})}),
             frozenset({frozenset({0, 2}), frozenset({1, 3})}),
@@ -62,9 +69,26 @@ class TestPairSubspaces:
         }
         assert seen == matchings
 
-    def test_odd_input_rejected(self):
-        with pytest.raises(ValueError, match="m must be even"):
-            make_plan(3, 3, np.random.default_rng(0))
+    def test_make_plan_invariants(self):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            plan = make_plan(30, 8, rng)
+            assert plan.shape == (4, 2)
+            covered = plan.ravel().tolist()
+            assert len(set(covered)) == 8
+            assert min(covered) >= 0 and max(covered) < 30
+
+    def test_accumulated_update_assembly(self):
+        # the step adds every pair's direction into one update as v[idx] += w
+        rng = np.random.default_rng(4)
+        plan = make_plan(12, 6, rng)
+        directions = rng.standard_normal((3, 2))
+        v = np.zeros(12)
+        v[plan] += directions
+        support = set(np.nonzero(v)[0].tolist())
+        assert support <= set(plan.ravel().tolist())
+        for (i1, i2), w in zip(plan.tolist(), directions):
+            np.testing.assert_array_equal(PairProjection(i1, i2).project(v), w)
 
 
 class TestPairProjection:
@@ -76,71 +100,3 @@ class TestPairProjection:
     def test_project_order_follows_pair(self):
         p = PairProjection(1, 0)
         np.testing.assert_array_equal(p.project(np.array([3.0, 4.0])), [4.0, 3.0])
-
-    def test_lift_embeds_displacement(self):
-        p = PairProjection(0, 2)
-        out = p.lift(np.array([1.0, -1.0]), np.zeros(3))
-        np.testing.assert_array_equal(out, [1.0, 0.0, -1.0])
-
-    def test_lift_zero_is_identity_and_copies(self):
-        p = PairProjection(0, 2)
-        base = np.array([1.0, 2.0, 3.0])
-        out = p.lift(np.zeros(2), base)
-        np.testing.assert_array_equal(out, base)
-        assert out is not base
-
-    def test_project_of_lift_adds_exactly(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            p = PairProjection(1, 3)
-            x = rng.standard_normal(5)
-            delta = rng.standard_normal(2)
-            np.testing.assert_array_equal(
-                p.project(p.lift(delta, x)), p.project(x) + delta)
-
-    def test_disjoint_lifts_commute(self):
-        rng = np.random.default_rng(3)
-        p1 = PairProjection(0, 2)
-        p2 = PairProjection(1, 4)
-        for _ in range(100):
-            x = rng.standard_normal(5)
-            d1 = rng.standard_normal(2)
-            d2 = rng.standard_normal(2)
-            np.testing.assert_array_equal(
-                p1.lift(d1, p2.lift(d2, x)), p2.lift(d2, p1.lift(d1, x)))
-
-
-class TestSubspacePlan:
-    def test_make_plan_invariants(self):
-        for seed in range(50):
-            rng = np.random.default_rng(seed)
-            plan = make_plan(30, 8, rng, step=5)
-            assert plan.dim_full == 30
-            assert len(plan.indices) == 8
-            assert plan.created_at_step == 5
-            assert len(set(plan.indices)) == 8
-            covered = sorted(i for p in plan.pairs for i in p.pair)
-            assert covered == sorted(plan.indices)
-
-    def test_validation_rejects_bad_plans(self):
-        p01 = PairProjection(0, 1)
-        with pytest.raises(ValueError):
-            SubspacePlan(4, (0, 1, 2), (p01,))  # odd index count
-        with pytest.raises(ValueError):
-            SubspacePlan(4, (0, 0), (PairProjection(0, 0),))  # duplicates
-        with pytest.raises(ValueError):
-            SubspacePlan(2, (0, 5), (PairProjection(0, 5),))  # out of range
-        with pytest.raises(ValueError):
-            SubspacePlan(4, (0, 1, 2, 3), (p01, PairProjection(2, 0)))
-
-    def test_accumulated_update_assembly(self):
-        rng = np.random.default_rng(4)
-        plan = make_plan(12, 6, rng)
-        directions = {p: rng.standard_normal(2) for p in plan.pairs}
-        v = np.zeros(12)
-        for p, w in directions.items():
-            v = p.lift(w, v)
-        support = set(np.nonzero(v)[0].tolist())
-        assert support <= set(plan.indices)
-        for p, w in directions.items():
-            np.testing.assert_array_equal(p.project(v), w)
