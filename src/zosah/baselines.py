@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import CountedOracle, Objective
-from .optimizer import BudgetedOptimizer, TraceRow, ZosahConfig, armijo_search
+from .optimizer import BudgetedOptimizer, TraceRow, ZosahConfig, _require_integer, armijo_search
 
 __all__ = [
     "BaselineConfig",
@@ -49,6 +49,7 @@ class BaselineConfig:
     eps: float = ZosahConfig.eps
 
     def __post_init__(self):
+        _require_integer("q", self.q)
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
         if not (math.isfinite(self.eps) and self.eps > 0):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,14 @@ MIN_STEP = 1e-6
 MAX_HESS_RADIUS = 1.2e77
 
 
+def _require_integer(name: str, value) -> None:
+    """Reject a non-integral count field (numpy integers pass), naming it."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ZosahConfig:
     """Hyperparameters of one optimizer run.
@@ -107,6 +116,9 @@ class ZosahConfig:
     def __post_init__(self):
         if self.max_evals < 0:
             raise ValueError("max_evals must be non-negative")
+        _require_integer("T", self.T)
+        if self.m is not None:
+            _require_integer("m", self.m)
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
         for name in ("eps", "kappa", "hess_radius"):

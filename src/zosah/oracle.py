@@ -10,10 +10,12 @@ The benchmark objectives are the 2-d Rosenbrock function, arbitrary quadratic
 models (used heavily by the tests), and full-batch logistic regression over a
 sparse dataset read from LIBSVM-format text files (:mod:`zosah.logistic`).
 
-The quadratic objective evaluates its model with ``np.dot`` rather than
-calling :func:`quadratic_model`, which stays the reference for its bits: on
-C- or F-ordered matrices and C-ordered vectors both reach the same BLAS gemv
-and ddot, and np.dot dispatches in fewer steps.
+The quadratic objective evaluates its model with ``ndarray.dot`` rather
+than calling :func:`quadratic_model`, which stays the reference for its bits:
+on C- or F-ordered matrices and C-ordered vectors both reach the same BLAS
+gemv and ddot, and the method skips the dispatch of ``@`` and ``np.dot``.
+When the linear term is all zeros it is added as ``+ 0.0`` without a ddot,
+its exact value wherever the quadratic part is finite (see the objective).
 
 The sparse-data layer (``Dataset``, ``logistic_loss``, ``load_libsvm`` and
 ``logistic_objective``) lives in :mod:`zosah.logistic`, the package's only
@@ -24,6 +26,7 @@ so only a run that builds a logistic objective pays for ``scipy.sparse``.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -49,6 +52,10 @@ def __getattr__(name: str):
 
         return getattr(logistic, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# The dtype of a point the oracle passes on unconverted (native-order float64).
+_FLOAT64 = np.dtype(np.float64)
 
 
 class DimensionMismatchError(ValueError):
@@ -91,16 +98,18 @@ class CountedOracle:
     def __init__(self, objective: Objective):
         self.objective = objective
         self.count = 0
+        self._shape = (objective.dim,)
 
     @property
     def dim(self) -> int:
         return self.objective.dim
 
     def __call__(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.objective.dim,):
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+            x = np.asarray(x, dtype=float)
+        if x.shape != self._shape:
             raise DimensionMismatchError(
-                f"expected point of shape ({self.objective.dim},), got {x.shape}"
+                f"expected point of shape {self._shape}, got {x.shape}"
             )
         value = float(self.objective(x))
         self.count += 1
@@ -146,17 +155,32 @@ def quadratic_objective(A: np.ndarray, b: np.ndarray | None = None, c: float = 0
     if b_arr.shape != (d,):
         raise ValueError(f"b must have shape ({d},), got {b_arr.shape}")
 
-    # np.dot reaches the BLAS gemv and ddot that ``@`` does, with less dispatch,
-    # for a C- or F-ordered A and C-ordered vectors. On other layouts (a
-    # strided A, a vector with a negative or zero stride) np.dot copies where
-    # matmul runs its own loop, so those keep quadratic_model's bits by
+    # ndarray.dot is np.dot's C routine without its Python-level dispatch, and
+    # reaches the BLAS gemv and ddot that ``@`` does for a C- or F-ordered A
+    # and C-ordered vectors. On other layouts (a strided A, a vector with a
+    # negative or zero stride) it copies where matmul runs its own loop, and
+    # at d = 1 it is the plain product, where matmul sums from +0.0 (the two
+    # differ on a -0.0 product), so those keep quadratic_model's bits by
     # calling it.
-    blas = (A.flags.c_contiguous or A.flags.f_contiguous) and b_arr.flags.c_contiguous
+    #
+    # An all-zero b (b=None, or every entry +-0) is added as + 0.0 without its
+    # ddot. That is exact while the quadratic part is finite: a finite part
+    # needs a finite x (an inf or nan entry makes every entry of A x, and so
+    # the part, inf or nan), each product b_i x_i is then +-0, and dot sums
+    # them from +0.0, which gives +0.0. A non-finite part computes b.x.
+    blas = d > 1 and (A.flags.c_contiguous or A.flags.f_contiguous) and b_arr.flags.c_contiguous
+    zero_b = not b_arr.any()
 
     def fn(x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+            x = np.asarray(x, dtype=float)
         if blas and x.flags.c_contiguous:
-            return float(np.dot(0.5 * x, np.dot(A, x)) + np.dot(b_arr, x) + c)
+            # quad stays a numpy float64 until c is added: a Python float plus
+            # an np.float32 c would be computed in float32 (NEP 50).
+            quad = (0.5 * x).dot(A.dot(x))
+            if zero_b and math.isfinite(quad):
+                return float(quad + 0.0 + c)
+            return float(quad + b_arr.dot(x) + c)
         return quadratic_model(A, b_arr, c, x)
 
     return Objective(fn, d, "quadratic")

@@ -34,6 +34,7 @@ class TestBaselineConfig:
             {"eps": -1.0},
             {"eps": float("nan")},
             {"eps": float("inf")},
+            {"q": 2.0},
         ],
     )
     def test_invalid_fields(self, kwargs):

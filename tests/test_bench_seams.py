@@ -60,9 +60,14 @@ def test_shrunk_pass_is_correct(bench, workload, tmp_path, traced):
         metrics = tracer.layer_metrics()
         assert metrics["oracle.queries"] == res.queries
         assert metrics["optimizer.steps"] > 0
+        # every query is one metered call into one Objective.__call__, so a
+        # shortcut past either (a memo, a batch path) cannot zero their times
+        spans = tracer.arrays()
+        objective_id = tracer.names.index(tracer_mod.OBJECTIVE_SPAN)
+        assert int((spans["name"] == objective_id).sum()) == metrics["oracle.queries"]
+        assert metrics["oracle.objective_s"] > 0 and metrics["oracle.meter_s"] > 0
         # the block estimator issues its q queries per step inside the span
         # the tracer attributes to rge
-        spans = tracer.arrays()
         step_id = tracer.names.index(tracer_mod.BASELINE_STEP_SPAN)
         baseline_steps = int((spans["name"] == step_id).sum())
         q = small.settings.get("q", z.harness.ExperimentConfig.q)

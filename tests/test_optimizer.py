@@ -80,11 +80,23 @@ class TestZosahConfig:
             {"max_evals": 100, "m": 0},
             {"max_evals": 100, "hessian_mode": "newton"},
             {"max_evals": 100, "hess_radius": 1e78},  # fresh samples' Gram overflows
+            {"max_evals": 100, "m": 2.0},
+            {"max_evals": 100, "T": 2.5},
+            {"max_evals": 100, "T": 3.0},
         ],
     )
     def test_invalid_fields(self, kwargs):
         with pytest.raises(ValueError):
             ZosahConfig(**kwargs)
+
+    @pytest.mark.parametrize("field,value", [("m", 2.0), ("T", 2.5)])
+    def test_non_integral_count_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+            ZosahConfig(max_evals=100, **{field: value})
+
+    def test_numpy_integers_pass(self):
+        cfg = ZosahConfig(max_evals=100, m=np.int64(4), T=np.int32(3))
+        assert (cfg.m, cfg.T) == (4, 3)
 
     def test_zero_budget_is_legal(self):
         assert ZosahConfig(max_evals=0).max_evals == 0

@@ -1,6 +1,8 @@
 """Objectives, metering, logistic loss, and the LIBSVM loader."""
 
+import itertools
 import math
+import re
 import sys
 import threading
 
@@ -137,23 +139,54 @@ class TestQuadraticObjectiveBits:
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12),
            e_max=st.sampled_from([0, 3, 30, 300]), special_share=st.sampled_from([0.0, 0.05, 0.3]),
            a_layout=st.sampled_from(["C", "F", "strided"]),
+           b_kind=st.sampled_from(["drawn", "None", "zeros"]),
            b_layout=st.sampled_from(["C", "strided", "reversed"]),
+           c_kind=st.sampled_from(["float", "int", "float32"]),
            x_layouts=st.lists(st.sampled_from(["C", "strided", "reversed", "broadcast"]),
                               min_size=1, max_size=4))
-    def test_bits_of_quadratic_model(self, seed, d, e_max, special_share, a_layout, b_layout,
-                                     x_layouts):
+    def test_bits_of_quadratic_model(self, seed, d, e_max, special_share, a_layout, b_kind,
+                                     b_layout, c_kind, x_layouts):
         rng = np.random.default_rng(seed)
         A = laid_out(self.entries(rng, (d, d), e_max, special_share), a_layout)
-        b = laid_out(self.entries(rng, d, e_max, special_share), b_layout)
-        c = float(self.entries(rng, 1, e_max, special_share)[0])
+        if b_kind == "drawn":
+            b = laid_out(self.entries(rng, d, e_max, special_share), b_layout)
+        elif b_kind == "zeros":  # all +-0: the objective skips the linear term
+            b = laid_out(rng.choice([0.0, -0.0], d), b_layout)
+        else:
+            b = None
+        c = self.entries(rng, 1, e_max, special_share)[0]
+        if c_kind == "int":
+            c = int(rng.integers(-5, 6))
+        else:
+            with np.errstate(over="ignore"):  # a float32 c may overflow to inf
+                c = float(c) if c_kind == "float" else np.float32(c)
         objective = quadratic_objective(A, b, c)
+        b_ref = np.zeros(d) if b is None else b
         for x_layout in x_layouts:
             x = laid_out(self.entries(rng, d, e_max, special_share), x_layout)
             with np.errstate(all="ignore"):
                 got = objective(x)
-                want = quadratic_model(A, b, c, x)
+                want = quadratic_model(A, b_ref, c, x)
             assert (math.isnan(got) and math.isnan(want)) or (
                 np.float64(got).tobytes() == np.float64(want).tobytes())
+
+    def test_bits_at_signed_zeros_and_inf(self):
+        # every mix of +-0, -1 and inf entries at d = 1 and 2: the order of the
+        # adds decides the sign of a zero value, and an inf x makes the linear
+        # term 0 * inf = nan even when b is all zeros
+        for d in (1, 2):
+            for a in itertools.product([0.0, -0.0, -1.0], repeat=d * d):
+                A = np.array(a).reshape(d, d)
+                for b in itertools.product([0.0, -0.0, 1.0], repeat=d):
+                    for c in (0.0, -0.0):
+                        objective = quadratic_objective(A, np.array(b), c)
+                        for x in itertools.product([0.0, -0.0, 1.0, math.inf], repeat=d):
+                            x = np.array(x)
+                            with np.errstate(invalid="ignore"):
+                                got = objective(x)
+                                want = quadratic_model(A, np.array(b), c, x)
+                            assert (math.isnan(got) and math.isnan(want)) or (
+                                np.float64(got).tobytes() == np.float64(want).tobytes())
 
     def test_bits_on_every_layout_at_unit_scale(self):
         # at unit scale a different summation order shows in the last bits
@@ -163,13 +196,17 @@ class TestQuadraticObjectiveBits:
             for a_layout, b_layout in ((a, b) for a in ("C", "F", "strided")
                                        for b in ("C", "strided", "reversed")):
                 A = laid_out((B + B.T) / 2.0, a_layout)
-                b = laid_out(rng.standard_normal(d), b_layout)
-                objective = quadratic_objective(A, b, 0.25)
-                for x_layout in ("C", "strided", "reversed", "broadcast") * 5:
-                    x = laid_out(rng.standard_normal(d) * 10.0 ** rng.uniform(-3.0, 3.0),
-                                 x_layout)
-                    assert np.float64(objective(x)).tobytes() == np.float64(
-                        quadratic_model(A, b, 0.25, x)).tobytes()
+                # an all-zero b (None or zeros) skips the linear term's ddot;
+                # an np.float32 c is added in float64, as quadratic_model does
+                for b in (laid_out(rng.standard_normal(d), b_layout), None, np.zeros(d)):
+                    for c in (0.25, 3, np.float32(0.1)):
+                        objective = quadratic_objective(A, b, c)
+                        b_ref = np.zeros(d) if b is None else b
+                        for x_layout in ("C", "strided", "reversed", "broadcast") * 5:
+                            x = laid_out(rng.standard_normal(d) * 10.0 ** rng.uniform(-3.0, 3.0),
+                                         x_layout)
+                            assert np.float64(objective(x)).tobytes() == np.float64(
+                                quadratic_model(A, b_ref, c, x)).tobytes()
 
 
 class TestCountedOracle:
@@ -189,6 +226,34 @@ class TestCountedOracle:
         with pytest.raises(DimensionMismatchError):
             oracle(np.zeros(3))
         assert oracle.count == 0
+
+    @pytest.mark.parametrize("kind", ["list", "float32", "big-endian", "strided", "2-d",
+                                      "wrong-length"])
+    def test_input_kinds_act_as_a_converted_point(self, kind):
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return float((0.1 * x).sum())  # in float32 on a float32 x
+
+        objective = Objective(fn, 3)
+        base = np.random.default_rng(8).standard_normal(3)
+        x = {"list": base.tolist(), "float32": base.astype(np.float32),
+             "big-endian": base.astype(">f8"), "strided": np.repeat(base, 2)[::2],
+             "2-d": base[None, :], "wrong-length": base[:2]}[kind]
+        converted = np.asarray(x, dtype=float)
+        oracle = CountedOracle(objective)
+        if converted.shape != (3,):
+            with pytest.raises(DimensionMismatchError,
+                               match=re.escape(f"got {converted.shape}")):
+                oracle(x)
+            assert oracle.count == 0 and seen == []
+            return
+        got = oracle(x)
+        assert oracle.count == 1
+        assert np.float64(got).tobytes() == np.float64(objective(converted)).tobytes()
+        assert all(type(s) is np.ndarray and s.dtype == np.float64 and s.dtype.isnative
+                   for s in seen)
 
     def test_objective_dim_validation(self):
         with pytest.raises(ValueError):
