@@ -49,7 +49,12 @@ class BaselineConfig:
     eps: float = ZosahConfig.eps
 
     def __post_init__(self):
-        _require_integer("q", self.q)
+        for name in ("max_evals", "seed", "q"):
+            _require_integer(name, getattr(self, name))
+        if self.max_evals < 0:
+            raise ValueError("max_evals must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
         if not (math.isfinite(self.eps) and self.eps > 0):

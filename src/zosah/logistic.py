@@ -7,18 +7,22 @@ objectives never pay for ``scipy.sparse``.
 The logistic objective keeps the point and the per-row losses of its last
 full evaluation. A query that moves one coordinate away from the kept point
 (a gradient probe does) recomputes only the rows holding that column, when
-they are at most a third of the rows. A repeat of the kept point only sums
+they are at most half of the rows. A repeat of the kept point only sums
 the kept losses. Every other query (the first one, moves of two or more
 coordinates, line-search trials, the baselines' random directions) is a full
 evaluation and becomes the kept point. The value has the bits of
 :func:`logistic_loss` whichever path runs: a recomputed row's margin is
 summed by the same kernel in the same index order, each loss is the same
 elementwise ``logaddexp``, and the whole loss vector is reduced by the same
-``np.add.reduce``. The kernels are ``csr_matvec`` (what ``signed @ x`` runs)
-and ``csr_row_index`` (what gathering rows of a CSR matrix runs), private to
-``scipy.sparse._sparsetools``. They are called directly because scipy's
-public dispatch costs more than the kernel does on a block of about a
-hundred rows; ``tests/test_oracle.py`` pins them against ``signed @ x``.
+``np.add.reduce``. The kernel is ``csr_matvec`` (what ``signed @ x`` runs),
+private to ``scipy.sparse._sparsetools``. It is called directly because
+scipy's public dispatch costs more than the kernel does on about a hundred
+rows. A one-column move hands it the (start, end) pointers of the column's
+rows into ``signed``, interleaved and in descending row order, as a row
+pointer array of 2k - 1 rows: each even row is one held row, read in place,
+and each odd row runs from one row's end back to a lower row's start, an
+empty range that sums to +0.0. ``tests/test_oracle.py`` pins the kernel
+against ``signed @ x``, read both ways.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-from scipy.sparse._sparsetools import csr_row_index as _csr_row_index
 
 from .oracle import DatasetFormatError, DimensionMismatchError, Objective
 
@@ -189,11 +192,13 @@ def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
 
 
 # A one-column move takes the row path when the rows holding that column are
-# at most 1/_ROW_PATH_SHARE of all rows. On the benchmark's 400 x 123 set
-# (2-core x86_64 VM) the row path costs about 4 us plus 0.08 us per row
-# (gather, sum, loss and scatter) and a full evaluation about 14.5 us, so they
-# break even near 130 rows: every one-column move there (78-123 rows) gains.
-_ROW_PATH_SHARE = 3
+# at most 1/_ROW_PATH_SHARE of all rows. On a 400 x 123 set with 30 entries
+# per row (2-core x86_64 VM) the row path costs about 6 us plus 0.04 us per
+# row (sum, loss, copy and scatter) and a full evaluation 18-29 us (the host's
+# speed varied), so they break even at 300 rows or more (near 200 while the
+# row path gathered its rows first): every column held by up to half the rows
+# gains, and every one-column move on the benchmark set (78-123 rows) does.
+_ROW_PATH_SHARE = 2
 
 
 class _LogisticLoss:
@@ -232,55 +237,41 @@ class _LogisticLoss:
         return float(np.add.reduce(losses) / self._n)
 
     def _column_index(self) -> tuple:
-        """(bounds, rows, block_ptr): the rows holding column j are
-        ``rows[bounds[j]:bounds[j+1]]`` (ascending, from ``signed.tocsc()``)
-        and the CSR row pointers of their block of ``signed`` are
-        ``block_ptr[bounds[j] + j:bounds[j+1] + j + 1]``. O(nnz) memory."""
+        """(ends, rows, ptr): the rows holding column j, in descending order,
+        are ``rows[ends[j+1]:ends[j]]``, and ``ptr[2*ends[j+1]:2*ends[j]]``
+        holds their (start, end) CSR pointers into ``signed``, interleaved.
+        O(nnz) memory."""
         index = self._index
         if index is None:
             signed = self.data.signed
-            idx = np.result_type(signed.indptr, signed.indices)  # the kernels' index type
+            idx = np.result_type(signed.indptr, signed.indices)  # the kernel's index type
             # Only the structure is needed; bool data keeps the build's
             # temporaries small.
             csc = sp.csr_matrix((np.ones(signed.nnz, dtype=bool), signed.indices, signed.indptr),
                                 shape=signed.shape).tocsc()
-            starts = csc.indptr[:-1] + np.arange(self._dim)
-            rows = csc.indices.astype(idx, copy=False)
-            row_nnz = np.diff(signed.indptr).astype(idx)
-            # Each column's block pointers: a 0, then the running sum of its
-            # rows' lengths. One running sum over all columns, with a 0 put
-            # before each column, less its value at each column's 0. (np.insert
-            # places the 0s in one call but raised peak RSS by about 0.4 MB
-            # on the benchmark set.)
-            block_ptr = np.zeros(rows.size + starts.size, dtype=idx)
-            body = np.ones(block_ptr.size, dtype=bool)
-            body[starts] = False
-            block_ptr[body] = row_nnz[rows]
-            np.cumsum(block_ptr, out=block_ptr)
-            block_ptr -= np.repeat(block_ptr[starts], np.diff(csc.indptr) + 1)
-            index = self._index = (csc.indptr.tolist(), rows, block_ptr)
+            # Reversed, the CSC row indices run from the last column to the
+            # first, each column's rows descending. Scattering by intp beats
+            # by int32 indices.
+            rows = csc.indices[::-1].astype(np.intp)
+            ptr = np.stack((signed.indptr[rows], signed.indptr[rows + 1]), axis=1).astype(idx)
+            index = self._index = ((csc.nnz - csc.indptr).tolist(), rows, ptr.ravel())
         return index
 
     def _patched(self, x: np.ndarray, losses: np.ndarray, j: int) -> float | None:
         """The mean loss with the rows holding column ``j`` recomputed at
         ``x`` and the other rows' losses kept; None when those rows are more
         than 1/_ROW_PATH_SHARE of all rows."""
-        bounds, col_rows, block_ptr = self._index or self._column_index()
-        a, b = bounds[j], bounds[j + 1]
+        ends, col_rows, ptr = self._index or self._column_index()
+        a, b = ends[j + 1], ends[j]
         if _ROW_PATH_SHARE * (b - a) > self._n:
             return None
-        rows, ptr = col_rows[a:b], block_ptr[a + j:b + j + 1]
+        if a == b:  # no row holds column j (and 2k - 1 rows would be -1)
+            return float(np.add.reduce(losses) / self._n)
         signed = self.data.signed
-        nnz = int(ptr[-1])
-        block_cols = np.empty(nnz, dtype=rows.dtype)
-        block_vals = np.empty(nnz, dtype=signed.data.dtype)
-        _csr_row_index(rows.size, rows, signed.indptr, signed.indices, signed.data,
-                       block_cols, block_vals)
-        t = np.zeros(rows.size)
-        _csr_matvec(rows.size, self._dim, ptr, block_cols, block_vals, x, t)
-        np.logaddexp(0.0, t, out=t)
+        t = np.zeros(2 * (b - a) - 1)  # the held rows' margins in the even slots
+        _csr_matvec(t.size, self._dim, ptr[2 * a:2 * b], signed.indices, signed.data, x, t)
         out = losses.copy()
-        out[rows.astype(np.intp)] = t  # scattering by intp beats by int32 indices
+        out[col_rows[a:b]] = np.logaddexp(0.0, t[::2])
         return float(np.add.reduce(out) / self._n)
 
 
@@ -290,7 +281,7 @@ def logistic_objective(data: Dataset) -> Objective:
     Gives the bits of :func:`logistic_loss` at every point. It keeps the
     point and the per-row losses of its last full evaluation. A query that
     moves one coordinate away from the kept point (a gradient probe) and
-    whose column is held by at most a third of the rows (every column of the
+    whose column is held by at most half of the rows (every column of the
     benchmark set) recomputes only those rows; a repeat of the kept point
     only sums the kept losses; any other query (the first, moves of two or
     more coordinates, line-search trials, the baselines' random directions)

@@ -114,9 +114,12 @@ class ZosahConfig:
     hessian_mode: str = "fit"
 
     def __post_init__(self):
+        for name in ("max_evals", "seed", "T"):
+            _require_integer(name, getattr(self, name))
         if self.max_evals < 0:
             raise ValueError("max_evals must be non-negative")
-        _require_integer("T", self.T)
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.m is not None:
             _require_integer("m", self.m)
         if self.T < 1:

@@ -35,11 +35,15 @@ class TestBaselineConfig:
             {"eps": float("nan")},
             {"eps": float("inf")},
             {"q": 2.0},
+            {"max_evals": 50.5},
+            {"max_evals": -1},
+            {"seed": 1.5},
+            {"seed": -1},
         ],
     )
     def test_invalid_fields(self, kwargs):
-        with pytest.raises(ValueError):
-            BaselineConfig(max_evals=100, **kwargs)
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} "):  # names the bad field
+            BaselineConfig(**{"max_evals": 100, **kwargs})
 
     def test_defaults(self):
         cfg = BaselineConfig(max_evals=100)

@@ -83,16 +83,20 @@ class TestZosahConfig:
             {"max_evals": 100, "m": 2.0},
             {"max_evals": 100, "T": 2.5},
             {"max_evals": 100, "T": 3.0},
+            {"max_evals": 50.5},
+            {"max_evals": 100, "seed": 1.5},
+            {"max_evals": 100, "seed": -1},
         ],
     )
     def test_invalid_fields(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{list(kwargs)[-1]} "):  # names the bad field
             ZosahConfig(**kwargs)
 
-    @pytest.mark.parametrize("field,value", [("m", 2.0), ("T", 2.5)])
+    @pytest.mark.parametrize("field,value", [("m", 2.0), ("T", 2.5), ("max_evals", 50.5),
+                                             ("seed", 1.5)])
     def test_non_integral_count_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
-            ZosahConfig(max_evals=100, **{field: value})
+            ZosahConfig(**{"max_evals": 100, field: value})
 
     def test_numpy_integers_pass(self):
         cfg = ZosahConfig(max_evals=100, m=np.int64(4), T=np.int32(3))

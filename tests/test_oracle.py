@@ -135,8 +135,10 @@ class TestQuadraticObjectiveBits:
         values[special] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan], special.sum())
         return values
 
+    # d from 2, where the objective takes the ndarray.dot path; a 1-d quadratic
+    # calls quadratic_model itself (test_bits_at_signed_zeros_and_inf covers it).
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12),
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 12),
            e_max=st.sampled_from([0, 3, 30, 300]), special_share=st.sampled_from([0.0, 0.05, 0.3]),
            a_layout=st.sampled_from(["C", "F", "strided"]),
            b_kind=st.sampled_from(["drawn", "None", "zeros"]),
@@ -405,12 +407,12 @@ class TestLogisticObjectiveRows:
 
     def test_one_coordinate_move_sums_only_its_rows(self, synth123_data, monkeypatch):
         data = synth123_data
-        n_rows = []
+        n_rows = []  # per kernel call, the rows it sums: its nonempty pointer ranges
         kernel = zosah.logistic._csr_matvec
 
-        def spy(n_row, *args):
-            n_rows.append(n_row)
-            return kernel(n_row, *args)
+        def spy(n_row, n_col, Ap, *args):
+            n_rows.append(int(np.count_nonzero(np.diff(Ap[:n_row + 1]) > 0)))
+            return kernel(n_row, n_col, Ap, *args)
 
         monkeypatch.setattr(zosah.logistic, "_csr_matvec", spy)
         objective = logistic_objective(data)
@@ -442,6 +444,28 @@ class TestLogisticObjectiveRows:
         x[3] = 1.0  # the caller reuses its array
         assert objective(x) == logistic_loss(synth123_data, x)
 
+    def test_no_kernel_for_a_column_in_no_row(self, synth123_path, synth123_data, monkeypatch):
+        dim = synth123_data.dim
+        data = load_libsvm(synth123_path, expected_dim=dim + 3)  # 3 columns in no row
+        kernel = zosah.logistic._csr_matvec
+        calls = []
+
+        def spy(*args):
+            calls.append(args[0])
+            return kernel(*args)
+
+        monkeypatch.setattr(zosah.logistic, "_csr_matvec", spy)
+        objective = logistic_objective(data)
+        x = np.random.default_rng(7).standard_normal(data.dim) * 0.1
+        objective(x)
+        for j in range(dim, dim + 3):
+            probe = x.copy()
+            probe[j] = 3.0
+            calls.clear()
+            got = objective(probe)
+            assert calls == []
+            assert loss_bits(got) == loss_bits(logistic_loss(data, probe))
+
     def test_private_kernels_match_public_scipy(self, synth123_data):
         signed = synth123_data.signed
         n, d = signed.shape
@@ -451,14 +475,16 @@ class TestLogisticObjectiveRows:
             t = np.zeros(n)
             zosah.logistic._csr_matvec(n, d, signed.indptr, signed.indices, signed.data, x, t)
             assert t.tobytes() == (signed @ x).tobytes()
-        rows = np.sort(rng.choice(n, 37, replace=False)).astype(signed.indptr.dtype)
-        block = signed[rows]
-        cols = np.empty(block.nnz, dtype=signed.indices.dtype)
-        vals = np.empty(block.nnz)
-        zosah.logistic._csr_row_index(rows.size, rows, signed.indptr, signed.indices,
-                                      signed.data, cols, vals)
-        assert cols.tobytes() == block.indices.tobytes()
-        assert vals.tobytes() == block.data.tobytes()
+        # The row path's reading: (start, end) pointers of descending rows,
+        # interleaved, as 2k - 1 rows.
+        for rows in (np.sort(rng.choice(n, 37, replace=False)), np.array([123]), np.arange(n)):
+            desc = rows[::-1]
+            ptr = np.stack((signed.indptr[desc], signed.indptr[desc + 1]), axis=1).ravel()
+            x = rng.standard_normal(d)
+            t = np.zeros(2 * rows.size - 1)
+            zosah.logistic._csr_matvec(t.size, d, ptr, signed.indices, signed.data, x, t)
+            assert t[::2].tobytes() == (signed[rows] @ x)[::-1].tobytes()
+            assert t[1::2].tobytes() == np.zeros(rows.size - 1).tobytes()  # +0.0
 
     def test_threads_sharing_the_objective_get_exact_values(self, synth123_data):
         data = synth123_data
