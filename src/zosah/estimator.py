@@ -12,7 +12,12 @@ always points downhill for the local model.
 The module has two layers. The first is the rows pass the optimizer runs
 for all P pairs of a plan, from probes to Newton directions.
 ``_gradients`` and ``_fd_rows`` lift every pair's probe points into one
-array of query points (``_probe``) and query them in row order.
+array of query points (``_probe``) and query them in one ``map``:
+``_gradients`` pair by pair, ``_fd_rows`` probe by probe (every pair's
+2 eps e1, then every pair's 2 eps e2, then every pair's eps e1 + eps e2), so
+that on the logistic objective every axis probe moves one coordinate from
+the kept point and takes the row path before the mixed probes, each a full
+evaluation, replace that point.
 ``_fit_rows`` fits every pair's model in one stacked computation (monomial
 design, pinned targets, Gram matrix, eigenvalue floor test, ridge, one
 stacked solve) and hands each pair's coefficients (h0, h1, h2), the matrix
@@ -170,13 +175,28 @@ def _all_finite(values) -> bool:
 
 
 def _probe(
-    oracle: CountedOracle, x: np.ndarray, idx: np.ndarray, points: np.ndarray, what: str
+    oracle: CountedOracle,
+    x: np.ndarray,
+    idx: np.ndarray,
+    points: np.ndarray,
+    what: str,
+    by_probe: bool = False,
 ) -> list[float]:
-    """:func:`probe_values` as a flat list, for float arrays ``x`` and ``points``."""
+    """:func:`probe_values` as a flat list, for float arrays ``x`` and ``points``.
+
+    With ``by_probe`` the queries (and the list) run probe by probe instead:
+    every pair's ``points[:, 0]``, then every pair's ``points[:, 1]``, ...
+    """
     n_pairs, n, _ = points.shape
-    queried = np.empty((n_pairs, n, x.size))
-    queried[...] = x
-    queried[np.arange(n_pairs)[:, None], :, idx] = points.transpose(0, 2, 1)
+    pairs = np.arange(n_pairs)[:, None]
+    if by_probe and n_pairs > 1:  # with one pair both orders are the pair's own
+        queried = np.empty((n, n_pairs, x.size))
+        queried[...] = x
+        queried[:, pairs, idx] = points.transpose(1, 0, 2)
+    else:
+        queried = np.empty((n_pairs, n, x.size))
+        queried[...] = x
+        queried[pairs, :, idx] = points.transpose(0, 2, 1)
     values = list(map(oracle, queried.reshape(n_pairs * n, -1)))
     if not _all_finite(values):
         bad = next(v for v in values if not math.isfinite(v))
@@ -573,12 +593,20 @@ def _fd_rows(
 ) -> list[tuple[float, float, float]]:
     """:func:`fd_subspace_hessian` of every pair in ``idx`` as (a11, a12, a22) rows,
     given ``theta = x[idx]``, ``steps = eps * _FD_STEPS`` and the gradient
-    probe values as (f1, f2) rows of Python floats; 3P queries."""
-    f = _probe(oracle, x, idx, theta[:, None, :] + steps, "curvature probe")
+    probe values as (f1, f2) rows of Python floats; 3P queries.
+
+    The probes are queried probe by probe: every pair's 2 eps e1, then every
+    pair's 2 eps e2, then every pair's eps e1 + eps e2. On the logistic
+    objective each axis probe then moves one coordinate from x, the kept
+    point, and takes the row path; a mixed probe moves two, is a full
+    evaluation and becomes the kept point, so the mixed probes come last.
+    With one pair the order is the pair's own."""
+    f = _probe(oracle, x, idx, theta[:, None, :] + steps, "curvature probe", by_probe=True)
+    p = len(f_probes)
     eps2 = eps * eps
     rows = []
     for j, (f1, f2) in enumerate(f_probes):
-        f_2e1, f_2e2, f_e1e2 = f[3 * j:3 * j + 3]
+        f_2e1, f_2e2, f_e1e2 = f[j], f[p + j], f[2 * p + j]
         rows.append((
             (f_2e1 - 2.0 * f1 + f_x) / eps2,
             (f_e1e2 - f1 - f2 + f_x) / eps2,

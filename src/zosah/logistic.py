@@ -23,11 +23,24 @@ pointer array of 2k - 1 rows: each even row is one held row, read in place,
 and each odd row runs from one row's end back to a lower row's start, an
 empty range that sums to +0.0. ``tests/test_oracle.py`` pins the kernel
 against ``signed @ x``, read both ways.
+
+``load_libsvm`` parses the file in blocks of about 64 KiB of text, each in a
+few bulk passes with no Python statement per token: the block's lines
+split, every feature token joined into one string, one check that each
+token holds exactly one colon, one split of that string into index and
+value strings, ``int`` and ``float`` mapped over them, and numpy checks of
+the labels, the indices and duplicates in a row. It reports the error that
+a line-by-line parse reports first; only a block that fails a check is read
+again line by line, to find it. ``tests/libsvm_reference.py`` keeps the
+line-by-line loader it replaced, and ``tests/test_load_libsvm.py`` compares
+the two on drawn files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -114,81 +127,151 @@ def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
     Raises :class:`DatasetFormatError` (naming the offending line) on
     malformed tokens, non-numeric or non-finite values, indices < 1,
     duplicate indices within a line, or out-of-domain labels, and (naming
-    the file) on a file that is not ASCII.
-    """
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    labels: list[float] = []
-    max_index = 0
+    the file) on a file that is not ASCII. The error is the first in file
+    order: the first line with a syntax error, and on it the label, then
+    each feature token left to right (malformed, non-numeric, index < 1,
+    duplicate). "No examples", "no features" and a non-finite value are
+    reported only when no line has a syntax error.
 
+    The file is read once in text mode, so that CRLF and lone CR end lines
+    as they do for ``readlines()``, and split at line feeds in blocks of
+    about ``_BLOCK_CHARS`` characters, each ending at a line end, so that
+    only one block's token strings are alive at a time. Each block is
+    parsed in a few bulk passes (see ``_parse_block``) with ``float`` and
+    ``int``, the converters of a line-by-line parse. Only a block that fails
+    a bulk check is read again line by line (``_check_line``) to find the
+    first error.
+    """
     with open(path, "r", encoding="ascii") as fh:
         try:
-            lines = fh.readlines()
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise DatasetFormatError(f"{path}: not an ASCII LIBSVM file ({exc.reason})") from None
-        for lineno, line in enumerate(lines, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue  # blank line
-            try:
-                raw_label = float(tokens[0])
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: non-numeric label {tokens[0]!r}"
-                ) from None
-            if raw_label == 0.0:
-                label = -1.0
-            elif raw_label in (1.0, -1.0):
-                label = raw_label
-            else:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: label {tokens[0]!r} outside {{0, 1, -1, +1}}"
-                )
-            seen: set[int] = set()
-            row = len(labels)
-            for tok in tokens[1:]:
-                idx_s, sep, val_s = tok.partition(":")
-                if not sep:
-                    raise DatasetFormatError(
-                        f"{path}:{lineno}: malformed feature token {tok!r}"
-                    )
-                try:
-                    idx = int(idx_s)
-                    val = float(val_s)
-                except ValueError:
-                    raise DatasetFormatError(
-                        f"{path}:{lineno}: non-numeric feature token {tok!r}"
-                    ) from None
-                if idx < 1:
-                    raise DatasetFormatError(
-                        f"{path}:{lineno}: feature index {idx} < 1"
-                    )
-                if idx in seen:
-                    raise DatasetFormatError(
-                        f"{path}:{lineno}: duplicate feature index {idx}"
-                    )
-                seen.add(idx)
-                rows.append(row)
-                cols.append(idx - 1)
-                vals.append(val)
-                max_index = max(max_index, idx)
-            labels.append(label)
+    blocks = []  # (labels, rows, indices, values) per block
+    n = 0  # examples in the blocks before
+    start, lineno = 0, 1  # the block's offset in text and its first line number
+    while True:
+        end = text.find("\n", start + _BLOCK_CHARS)
+        lines = (text[start:] if end < 0 else text[start:end]).split("\n")
+        block = _parse_block(lines, n)
+        if block is None:  # a line has a syntax error
+            for i, line in enumerate(lines, start=lineno):
+                _check_line(path, i, line)
+        blocks.append(block)
+        n += block[0].size
+        if end < 0:
+            break
+        start, lineno = end + 1, lineno + len(lines)
 
-    if not labels:
+    if not n:
         raise DatasetFormatError(f"{path}: file contains no examples")
-    dim = max(max_index, expected_dim or 0)
+    labels, rows, idx, data = map(np.concatenate, zip(*blocks))
+    del blocks
+    dim = max(int(idx.max(initial=0)), expected_dim or 0)
     if dim == 0:
         raise DatasetFormatError(f"{path}: no features and no expected_dim given")
-    data = np.asarray(vals, dtype=float)
-    if not np.isfinite(data).all():
-        k = int(np.argmin(np.isfinite(data)))
-        lineno = [i for i, line in enumerate(lines, start=1) if line.split()][rows[k]]
-        raise DatasetFormatError(f"{path}:{lineno}: non-finite feature {cols[k] + 1}:{vals[k]}")
+    finite = np.isfinite(data)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        lineno = [i for i, line in enumerate(text.split("\n"), start=1) if line.split()][rows[k]]
+        raise DatasetFormatError(f"{path}:{lineno}: non-finite feature {idx[k]}:{float(data[k])}")
+    del text
     mat = sp.csr_matrix(
-        (data, (rows, cols)), shape=(len(labels), dim), dtype=float
+        (data, (rows, idx - 1)), shape=(n, dim), dtype=float
     )
-    return Dataset(mat, np.asarray(labels, dtype=float))
+    return Dataset(mat, labels)
+
+
+# The loader parses the file in blocks of about this many characters. With
+# short tokens (a9a's "14:1 ") a block's token, index and value strings take
+# about 40 bytes per character of text, a few MB for 64 KiB; the bulk passes
+# cost a few numpy calls per block.
+_BLOCK_CHARS = 1 << 16
+# Every byte but ":" and " ": deleting them from a block's feature tokens
+# joined by " " leaves ": : ... :" when each token holds exactly one colon.
+_NOT_SEPARATORS = bytes(c for c in range(256) if c not in b": ")
+
+
+def _parse_block(lines: list[str], first_row: int):
+    """(labels, rows, indices, values) of the examples on ``lines``, with
+    rows counted from ``first_row`` and 1-based indices, or None if a line
+    has a syntax error.
+
+    Bulk passes: each line split; the labels gathered in one list and the
+    feature tokens joined by spaces into one string; one check that each
+    token holds exactly one colon; one split of that string into index and
+    value strings (twice the token count unless a side is empty); ``float``
+    and ``int`` mapped over them; numpy checks of the label domain, of
+    indices < 1 and of duplicates in a row.
+    """
+    split = list(filter(None, map(str.split, lines)))  # each example's tokens
+    n = len(split)
+    lengths = np.fromiter(map(len, split), np.intp, n) - 1  # feature tokens per row
+    t = int(lengths.sum())
+    label_strings = list(map(itemgetter(0), split))
+    joined = " ".join(chain.from_iterable(map(itemgetter(slice(1, None)), split)))
+    del split
+    if joined.encode().translate(None, _NOT_SEPARATORS) != (b": " * t)[:-1]:
+        return None
+    pieces = joined.replace(":", " ").split()  # index, value, index, value, ...
+    del joined
+    if len(pieces) != 2 * t:  # an empty index or value
+        return None
+    try:
+        labels = np.fromiter(map(float, label_strings), float, n)
+        idx = np.fromiter(map(int, pieces[0::2]), np.int64, t)
+        vals = np.fromiter(map(float, pieces[1::2]), float, t)
+    except ValueError:
+        return None
+    del pieces
+    if not ((labels == 0.0) | (np.abs(labels) == 1.0)).all():
+        return None
+    rows = np.repeat(np.arange(first_row, first_row + n), lengths)
+    if t and (idx.min() < 1 or _has_duplicate(rows, idx)):
+        return None
+    labels[labels == 0.0] = -1.0
+    return labels, rows, idx, vals
+
+
+def _has_duplicate(rows: np.ndarray, idx: np.ndarray) -> bool:
+    """Whether a row holds an index twice (``rows`` ascending)."""
+    if not (np.diff(idx)[rows[1:] == rows[:-1]] <= 0).any():
+        return False  # every row's indices ascend
+    order = np.lexsort((idx, rows))
+    rows, idx = rows[order], idx[order]
+    return bool(((rows[1:] == rows[:-1]) & (idx[1:] == idx[:-1])).any())
+
+
+def _check_line(path, lineno: int, line: str) -> None:
+    """Raise the :class:`DatasetFormatError` of the first syntax error on
+    ``line``, if it has one: the label first, then each feature token left
+    to right."""
+    tokens = line.split()
+    if not tokens:
+        return  # blank line
+    try:
+        label = float(tokens[0])
+    except ValueError:
+        raise DatasetFormatError(f"{path}:{lineno}: non-numeric label {tokens[0]!r}") from None
+    if label not in (0.0, 1.0, -1.0):
+        raise DatasetFormatError(f"{path}:{lineno}: label {tokens[0]!r} outside {{0, 1, -1, +1}}")
+    seen: set[int] = set()
+    for tok in tokens[1:]:
+        idx_s, sep, val_s = tok.partition(":")
+        if not sep:
+            raise DatasetFormatError(f"{path}:{lineno}: malformed feature token {tok!r}")
+        try:
+            idx = int(idx_s)
+            float(val_s)
+        except ValueError:
+            raise DatasetFormatError(
+                f"{path}:{lineno}: non-numeric feature token {tok!r}"
+            ) from None
+        if idx < 1:
+            raise DatasetFormatError(f"{path}:{lineno}: feature index {idx} < 1")
+        if idx in seen:
+            raise DatasetFormatError(f"{path}:{lineno}: duplicate feature index {idx}")
+        seen.add(idx)
 
 
 # A one-column move takes the row path when the rows holding that column are

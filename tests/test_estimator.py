@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zosah.estimator as estimator_mod
+import zosah.logistic
 from zosah.estimator import (
     _FD_STEPS,
     _GRAD_STEPS,
@@ -34,8 +35,9 @@ from zosah.estimator import (
     quad_monomials,
     solve_hessian,
 )
+from zosah.logistic import logistic_loss, logistic_objective
 from zosah.oracle import CountedOracle, Objective, quadratic_model, quadratic_objective
-from zosah.subspace import PairProjection
+from zosah.subspace import PairProjection, make_plan
 
 
 def _lift(pair, delta, base):
@@ -457,6 +459,50 @@ class TestBatchedProbes:
             a22 = (f_2e2 - 2.0 * f2 + f_x) / eps2
             a12 = (f_e1e2 - f1 - f2 + f_x) / eps2
             assert rows[j] == (a11, a12, a22)
+
+    def test_fd_queries_every_axis_probe_before_the_mixed_ones(self):
+        obj, x, idx = self.setup_problem()
+        eps = 1e-2
+        queried = []
+        oracle = CountedOracle(Objective(lambda z: queried.append(z.copy()) or obj(z), obj.dim))
+        f_x = obj(x)
+        f_probes = [(obj(x), obj(x))] * len(idx)  # only the order is checked
+        _fd_rows(oracle, x, idx, x[idx], eps * _FD_STEPS, eps, f_x, f_probes)
+        want = [_lift(PairProjection(int(i1), int(i2)), delta, x)
+                for delta in ((2 * eps, 0.0), (0.0, 2 * eps), (eps, eps)) for i1, i2 in idx]
+        assert [z.tobytes() for z in queried] == [z.tobytes() for z in want]
+
+    def test_fd_axis_probes_take_the_logistic_row_path(self, synth123_data, monkeypatch):
+        full = []  # the points of the logistic objective's full evaluations
+        row_losses = zosah.logistic._row_losses
+
+        def spy(signed, z):
+            full.append(z.copy())
+            return row_losses(signed, z)
+
+        monkeypatch.setattr(zosah.logistic, "_row_losses", spy)
+        oracle = CountedOracle(logistic_objective(synth123_data))
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(synth123_data.dim) * 0.1
+        idx = make_plan(synth123_data.dim, 20, rng)
+        eps = 1e-4
+        f_x = oracle(x)
+        _, _, f_probes = _gradients(oracle, x, idx, x[idx], eps * _GRAD_STEPS, eps, f_x)
+        assert len(full) == 1  # f(x); the gradient probes took the row path
+        full.clear()
+        rows = _fd_rows(oracle, x, idx, x[idx], eps * _FD_STEPS, eps, f_x, f_probes.tolist())
+        # every axis probe took the row path; each mixed probe is a full evaluation
+        assert [np.flatnonzero(z != x).tolist() for z in full] == np.sort(idx).tolist()
+        assert rows == _fd_rows(CountedOracle(Objective(
+            lambda z: logistic_loss(synth123_data, z), synth123_data.dim)),
+            x, idx, x[idx], eps * _FD_STEPS, eps, f_x, f_probes.tolist())
+
+    def test_non_finite_curvature_probe_is_named(self):
+        oracle = CountedOracle(Objective(lambda x: np.nan if x[0] > 1.5e-3 else 0.0, 3))
+        x = np.zeros(3)
+        idx = np.array([[1, 2], [0, 1]])
+        with pytest.raises(FloatingPointError, match="at a curvature probe$"):
+            _fd_rows(oracle, x, idx, x[idx], 1e-3 * _FD_STEPS, 1e-3, 0.0, [(0.0, 0.0)] * 2)
 
     def test_non_finite_probe_names_the_probe(self):
         oracle = CountedOracle(Objective(lambda x: np.inf if x[1] > 0 else 0.0, 3))

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import zosah.logistic
@@ -390,7 +390,9 @@ def query_plans(draw, d):
 class TestLogisticObjectiveRows:
     """The logistic objective recomputes only the rows a query moves."""
 
-    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    # No shrink phase: shrinking each data.draw of a failing run took minutes.
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(data=st.data())
     def test_every_query_has_the_bits_of_logistic_loss(self, data):
         dataset = data.draw(sparse_sets())
