@@ -189,7 +189,7 @@ def _probe(
     """
     n_pairs, n, _ = points.shape
     pairs = np.arange(n_pairs)[:, None]
-    if by_probe and n_pairs > 1:  # with one pair both orders are the pair's own
+    if by_probe:
         queried = np.empty((n, n_pairs, x.size))
         queried[...] = x
         queried[:, pairs, idx] = points.transpose(1, 0, 2)

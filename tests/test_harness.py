@@ -431,8 +431,9 @@ class TestCliRun:
         ])
         assert code == 3
 
-    @pytest.mark.parametrize("content", [b"+1 1:1.0\n-1 2:caf\xc3\xa9\n", b"+1 1:1.0\n-1 2:nan\n"],
-                             ids=["non_ascii", "nan_value"])
+    @pytest.mark.parametrize("content", [b"+1 1:1.0\n-1 2:caf\xc3\xa9\n", b"+1 1:1.0\n-1 2:nan\n",
+                                         b"+1 1:1.0\n-1 100000000000000000000:1\n"],
+                             ids=["non_ascii", "nan_value", "index_above_int64"])
     def test_unreadable_dataset_values_are_data_errors(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(content)

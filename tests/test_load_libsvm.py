@@ -30,7 +30,8 @@ VALUES = st.one_of(
 # What a defect puts into a row: a bad label, a bad feature token, or a
 # value that parses but is not finite. None stands for a duplicate index.
 BAD_LABELS = ["2", "foo", "nan", "1:1", "inf"]
-BAD_TOKENS = ["5", "1:2:3", ":3", "3:", ":", "a:1", "1:x", "1.5:2", "0:1", "-3:1", None]
+BAD_TOKENS = ["5", "1:2:3", ":3", "3:", ":", "a:1", "1:x", "1.5:2", "0:1", "-3:1",
+              "-100000000000000000000:1", None]
 NON_FINITE = ["nan", "1e999", "-inf"]
 
 
@@ -169,3 +170,44 @@ def test_every_defect_gives_the_reference_error(path, bad, block_chars):
     assert want[0] is DatasetFormatError
     with mock.patch.object(zosah.logistic, "_BLOCK_CHARS", block_chars):
         assert outcome(load_libsvm, path, None) == want
+
+
+@pytest.mark.parametrize("block_chars", [1, 1 << 16])
+def test_an_index_above_int64_is_a_syntax_error(path, block_chars):
+    """The one place the loaders differ: the reference accepts the token and
+    fails later, in ``sp.csr_matrix``, with a bare OverflowError, so that a
+    later syntax error wins over it; here it is the line's syntax error, in
+    token order after "index < 1" and before "duplicate"."""
+    big = 2**63
+    path.write_bytes(f"-1 1:1\n+1 7:1 {big}:1 7:2\n-1 2:x\n".encode("ascii"))
+    with mock.patch.object(zosah.logistic, "_BLOCK_CHARS", block_chars):
+        with pytest.raises(DatasetFormatError) as got:
+            load_libsvm(path)
+    assert str(got.value) == f"{path}:2: feature index {big} > {big - 1}"
+    with pytest.raises(DatasetFormatError, match=":2: duplicate feature index 7$"):
+        reference_load_libsvm(path)
+    path.write_bytes(f"-1 1:1\n+1 7:1 {big}:1\n-1 2:x\n".encode("ascii"))
+    with mock.patch.object(zosah.logistic, "_BLOCK_CHARS", block_chars):
+        with pytest.raises(DatasetFormatError, match=f":2: feature index {big} > "):
+            load_libsvm(path)
+    with pytest.raises(DatasetFormatError, match=":3: non-numeric feature token '2:x'$"):
+        reference_load_libsvm(path)
+    path.write_bytes(f"-1 1:1\n+1 7:1 {big}:1\n".encode("ascii"))
+    with pytest.raises(OverflowError):
+        reference_load_libsvm(path)
+    # the largest int64 is a valid index for both
+    path.write_bytes(f"-1 1:1\n+1 7:1 {big - 1}:1\n".encode("ascii"))
+    want = outcome(reference_load_libsvm, path, None)
+    assert want[0] == (2, big - 1)
+    with mock.patch.object(zosah.logistic, "_BLOCK_CHARS", block_chars):
+        assert outcome(load_libsvm, path, None) == want
+
+
+def test_a_failed_block_without_a_line_error_still_raises_a_format_error(path):
+    """Were the bulk and line checks ever to disagree, the block still raises
+    a DatasetFormatError naming its lines, not a TypeError."""
+    path.write_bytes(b"-1 1:1\n+1 0:1\n")
+    with mock.patch.object(zosah.logistic, "_check_line", lambda *args: None):
+        with pytest.raises(DatasetFormatError) as got:
+            load_libsvm(path)
+    assert str(got.value) == f"{path}:1: this line or one of the next 2 fails a bulk check"
