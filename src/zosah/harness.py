@@ -212,10 +212,11 @@ def read_trace_csv(path) -> dict[int, list[TraceRow]]:
     """Inverse of :func:`write_trace_csv`; rows grouped by seed column.
 
     Raises :class:`DatasetFormatError` naming ``path:line`` when the header is
-    missing, a row does not have exactly four fields, a field does not parse,
-    an f_value is not finite (no optimizer writes one: f(x0) must be finite
-    and a trial is accepted only when finite) or a row's cum_evals is below
-    the previous row of its seed.
+    missing, a row does not have exactly four fields, a field does not parse
+    (one with a digit separator, as in "1_0", does not), an f_value is not
+    finite (no optimizer writes one: f(x0) must be finite and a trial is
+    accepted only when finite) or a row's cum_evals is below the previous row
+    of its seed.
     """
     try:
         text = Path(path).read_text(encoding="ascii")
@@ -229,6 +230,8 @@ def read_trace_csv(path) -> dict[int, list[TraceRow]]:
     for lineno, ln in lines[1:]:
         fields = ln.split(",")
         try:
+            if "_" in ln:  # int and float read digit separators ("1_0" is 10)
+                raise ValueError
             seed_s, step_s, evals_s, f_s = fields
             row = TraceRow(int(step_s), int(evals_s), float(f_s))
             seed = int(seed_s)
@@ -253,6 +256,8 @@ def _row_problem(fields: list[str]) -> str:
         return f"expected {len(names)} fields ({TRACE_HEADER}), got {len(fields)}"
     for name, text, parse in zip(names, fields, (int, int, int, float)):
         try:
+            if "_" in text:
+                raise ValueError
             parse(text)
         except ValueError:
             return f"non-numeric {name} {text!r}"

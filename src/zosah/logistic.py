@@ -127,9 +127,10 @@ def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
     index seen, or ``expected_dim`` if that is larger.
 
     Raises :class:`DatasetFormatError` (naming the offending line) on
-    malformed tokens, non-numeric or non-finite values, indices < 1 or
-    above 2^63 - 1, duplicate indices within a line, or out-of-domain
-    labels, and (naming the file) on a file that is not ASCII. The error is
+    malformed tokens, non-numeric or non-finite values (a Python digit
+    separator, as in "1_0", is non-numeric), indices < 1 or above 2^63 - 1,
+    duplicate indices within a line, or out-of-domain labels, and (naming
+    the file) on a file that is not ASCII. The error is
     the first in file order: the first line with a syntax error, and on it
     the label, then each feature token left to right (malformed,
     non-numeric, index < 1, index > 2^63 - 1, duplicate). "No examples",
@@ -208,8 +209,9 @@ def _parse_block(lines: list[str], first_row: int):
     Bulk passes: each line split; the labels gathered in one list and the
     feature tokens joined by spaces into one string; one check that each
     token holds exactly one colon; one split of that string into index and
-    value strings (twice the token count unless a side is empty); ``float``
-    and ``int`` mapped over them; numpy checks of the label domain, of
+    value strings (twice the token count unless a side is empty), after one
+    check that no label or token holds a digit separator; ``float`` and
+    ``int`` mapped over them; numpy checks of the label domain, of
     indices < 1 and of duplicates in a row.
     """
     split = list(filter(None, map(str.split, lines)))  # each example's tokens
@@ -220,6 +222,9 @@ def _parse_block(lines: list[str], first_row: int):
     joined = " ".join(chain.from_iterable(map(itemgetter(slice(1, None)), split)))
     del split
     if joined.encode().translate(None, _NOT_SEPARATORS) != (b": " * t)[:-1]:
+        return None
+    # int and float read digit separators ("1_0" is 10); LIBSVM has none
+    if "_" in joined or "_" in " ".join(label_strings):
         return None
     pieces = joined.replace(":", " ").split()  # index, value, index, value, ...
     del joined
@@ -254,6 +259,14 @@ def _has_duplicate(rows: np.ndarray, idx: np.ndarray) -> bool:
     return bool(((rows[1:] == rows[:-1]) & (idx[1:] == idx[:-1])).any())
 
 
+def _number(parse, text: str):
+    """``parse(text)`` for ``int`` or ``float``, which also read a digit
+    separator ("1_0" is 10); LIBSVM has none, so one is a ValueError here."""
+    if "_" in text:
+        raise ValueError(f"digit separator in {text!r}")
+    return parse(text)
+
+
 def _check_line(path, lineno: int, line: str) -> None:
     """Raise the :class:`DatasetFormatError` of the first syntax error on
     ``line``, if it has one: the label first, then each feature token left
@@ -262,7 +275,7 @@ def _check_line(path, lineno: int, line: str) -> None:
     if not tokens:
         return  # blank line
     try:
-        label = float(tokens[0])
+        label = _number(float, tokens[0])
     except ValueError:
         raise DatasetFormatError(f"{path}:{lineno}: non-numeric label {tokens[0]!r}") from None
     if label not in (0.0, 1.0, -1.0):
@@ -273,8 +286,8 @@ def _check_line(path, lineno: int, line: str) -> None:
         if not sep:
             raise DatasetFormatError(f"{path}:{lineno}: malformed feature token {tok!r}")
         try:
-            idx = int(idx_s)
-            float(val_s)
+            idx = _number(int, idx_s)
+            _number(float, val_s)
         except ValueError:
             raise DatasetFormatError(
                 f"{path}:{lineno}: non-numeric feature token {tok!r}"

@@ -15,7 +15,11 @@ then ``_fit_rows`` (or ``_fd_rows``), then ``_newton_rows``. The curvature
 stage hands each pair's matrix on as a row of Python floats with its fit
 outcome, the step swaps a failed fit's row for kappa * I (and, in the diag
 variant, drops the off-diagonal) on those rows, and the repair-and-solve
-stage turns the rows into directions. The per-pair functions
+stage turns the rows into directions. A step whose direction inputs (plan,
+f(x), gradients, and the fit's samples and values or the fd rows) repeat the
+previous step's bit for bit, as at a point the line search cannot leave,
+reuses that step's direction and skips those stages; it still pays every
+query. The per-pair functions
 (``estimate_gradient``, ``fd_subspace_hessian``, ``make_pd``,
 ``newton_direction``) are one-pair views of the same pass, and the fit's
 reference, ``build_fit_system`` + ``solve_hessian``, gives the same bits.
@@ -30,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +90,9 @@ MIN_STEP = 1e-6
 # the Gram over three points is at most 0.75 r^4, which stays below the
 # largest double (about 1.8e308) up to r = 1.24e77 less rounding.
 MAX_HESS_RADIUS = 1.2e77
+
+# f(x) as the 8 bytes of a double: the first field of a step's direction key
+_F64 = struct.Struct("<d")
 
 
 def _require_integer(name: str, value) -> None:
@@ -162,6 +170,7 @@ class StepStats:
     accepted: bool
     rho: float
     degraded_pairs: int
+    repeated: bool = False  # direction reused: its inputs repeated the last step's bits
 
     @property
     def total_evals(self) -> int:
@@ -225,6 +234,27 @@ def armijo_search(
     return rho, False, f_x
 
 
+def _same_bits(memo, key: tuple) -> bool:
+    """Whether a step's direction key repeats the bits of the memo's.
+
+    A key is (bytes, the plan array, arrays or row lists of floats): the
+    bytes, f(x) first, are compared first, so a step at a new point costs
+    one short comparison; then the plan by identity and the rest as bytes,
+    so -0.0 never matches 0.0 and a nan matches only its own bits.
+    """
+    if memo is None:
+        return False
+    old = memo[0]
+    return (
+        old[0] == key[0]
+        and old[1] is key[1]
+        and all(
+            np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            for a, b in zip(old[2:], key[2:])
+        )
+    )
+
+
 class BudgetedOptimizer:
     """Shared run loop: one initial value row, then steps until the budget.
 
@@ -281,6 +311,9 @@ class ZosahOptimizer(BudgetedOptimizer):
         # probe displacements of every step of the run
         self._grad_steps = cfg.eps * _GRAD_STEPS
         self._fd_steps = cfg.eps * _FD_STEPS
+        # (key, v) of the last direction computed, see _same_bits; a repeated
+        # step hands the same v to its search, so nothing may write to v
+        self._memo = None
 
     def step(self) -> TraceRow:
         cfg = self.cfg
@@ -308,6 +341,8 @@ class ZosahOptimizer(BudgetedOptimizer):
                 oracle, x, idx, theta, self._fd_steps, cfg.eps, f_x, probe_f.tolist()
             )
             fresh_paid = 3
+            key = (_F64.pack(f_x), idx, g, rows)
+            repeated = _same_bits(self._memo, key)
         else:
             if k % cfg.T == 0:
                 points, flags = self.cache.draw_fresh(theta, self.rng, cfg.hess_radius)
@@ -322,18 +357,26 @@ class ZosahOptimizer(BudgetedOptimizer):
             else:
                 points, values = self.cache.window(k, cfg.T)
                 theta_bar = points - theta[:, None, :]
-            rows, outcome = _fit_rows(theta_bar, values, g, f_x)
+            # the window's values as bytes: store_probes overwrites its views
+            key = (_F64.pack(f_x) + values.tobytes(), idx, g, theta_bar)
+            repeated = _same_bits(self._memo, key)
+            if not repeated:
+                rows, outcome = _fit_rows(theta_bar, values, g, f_x)
+                # a failed fit falls back to a scaled gradient step (kappa * I);
+                # the diag variant drops the fitted off-diagonal
+                kappa_eye = (cfg.kappa, 0.0, cfg.kappa)
+                diag = cfg.hessian_mode == "diag"
+                rows = [
+                    kappa_eye if o == FAILED else (h[0], 0.0, h[2]) if diag else h
+                    for h, o in zip(rows, outcome)
+                ]
             self.cache.store_probes(k, probe_points, probe_f)
-            # a failed fit falls back to a scaled gradient step (kappa * I);
-            # the diag variant drops the fitted off-diagonal
-            kappa_eye = (cfg.kappa, 0.0, cfg.kappa)
-            diag = cfg.hessian_mode == "diag"
-            rows = [
-                kappa_eye if o == FAILED else (h[0], 0.0, h[2]) if diag else h
-                for h, o in zip(rows, outcome)
-            ]
-        v = np.zeros(x.size)
-        v[idx] += _newton_rows(rows, g.tolist(), cfg.kappa)
+        if repeated:
+            v = self._memo[1]
+        else:
+            v = np.zeros(x.size)
+            v[idx] += _newton_rows(rows, g.tolist(), cfg.kappa)
+            self._memo = (key, v)
 
         hess_evals = fresh_paid * n_pairs
         rho, accepted, f_new = armijo_search(oracle, x, v, f_x)
@@ -354,6 +397,7 @@ class ZosahOptimizer(BudgetedOptimizer):
                 accepted=accepted,
                 rho=rho,
                 degraded_pairs=degraded,
+                repeated=repeated,
             )
         )
         return row

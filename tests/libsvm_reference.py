@@ -1,6 +1,9 @@
 """The line-by-line LIBSVM loader that ``zosah.logistic.load_libsvm``
-replaced, kept verbatim as the reference of the differential loader test
-(``test_load_libsvm.py``): one Python step per feature token."""
+replaced, kept as the reference of the differential loader test
+(``test_load_libsvm.py``): one Python step per feature token. It differs
+from the replaced loader in one rule: a label or feature token holding a
+digit separator ("1_0", which ``int`` and ``float`` read as 10) is
+non-numeric."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +41,8 @@ def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
             if not tokens:
                 continue  # blank line
             try:
+                if "_" in tokens[0]:
+                    raise ValueError
                 raw_label = float(tokens[0])
             except ValueError:
                 raise DatasetFormatError(
@@ -60,6 +65,8 @@ def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
                         f"{path}:{lineno}: malformed feature token {tok!r}"
                     )
                 try:
+                    if "_" in tok:
+                        raise ValueError
                     idx = int(idx_s)
                     val = float(val_s)
                 except ValueError:

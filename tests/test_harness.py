@@ -255,6 +255,9 @@ MALFORMED_TRACES = {
     "long_row": (f"{TRACE_HEADER}\n0,0,1,2.5,7\n", 2, "expected 4 fields"),
     "text_value": (f"{TRACE_HEADER}\n0,0,1,abc\n", 2, "non-numeric f_value 'abc'"),
     "float_count": (f"{TRACE_HEADER}\n0,0,1.5,2.0\n", 2, "non-numeric cum_evals '1.5'"),
+    # int and float read digit separators: "1_0" would be 10
+    "digit_separator": (f"{TRACE_HEADER}\n0,0,1,2.5\n0,0,1_0,0.5\n", 3,
+                        "non-numeric cum_evals '1_0'"),
     "decreasing_evals": (f"{TRACE_HEADER}\n0,0,5,2.5\n1,0,1,3.0\n0,1,3,2.0\n", 4,
                          "seed 0: cum_evals 3 below the previous row's 5"),
     "nan_value": (f"{TRACE_HEADER}\n0,0,1,1.0\n0,1,5,nan\n0,2,9,inf\n", 3,

@@ -1,11 +1,12 @@
 """load_libsvm against the line-by-line loader it replaced.
 
-The reference (``libsvm_reference.py``) is the earlier loader, verbatim. On
-every drawn file both must return the same arrays, dtypes and labels, or
-raise the same error with the same text. The files mix valid rows with every
-kind of syntax error, non-finite values, every line end and whitespace
-separator ``str.split`` knows in ASCII, unsorted rows, signed, zero-padded
-and underscored indices, blank and label-only lines; the block size is drawn
+The reference (``libsvm_reference.py``) is the earlier loader with one rule
+added (a digit separator is non-numeric). On every drawn file both must
+return the same arrays, dtypes and labels, or raise the same error with the
+same text. The files mix valid rows with every kind of syntax error (digit
+separators among them), non-finite values, every line end and whitespace
+separator ``str.split`` knows in ASCII, unsorted rows, signed and
+zero-padded indices, blank and label-only lines; the block size is drawn
 too, so that errors and examples fall on either side of block boundaries.
 """
 
@@ -25,23 +26,21 @@ LINE_ENDS = ["\n", "\r\n", "\r"]
 LABELS = ["0", "1", "-1", "+1", "+1.0", "-1.0", "-0"]
 VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.sampled_from(["1", "0", "-2.5", "+.5", "1e-3", "1_0.5", "0003"]),
+    st.sampled_from(["1", "0", "-2.5", "+.5", "1e-3", "0003"]),
 )
 # What a defect puts into a row: a bad label, a bad feature token, or a
 # value that parses but is not finite. None stands for a duplicate index.
-BAD_LABELS = ["2", "foo", "nan", "1:1", "inf"]
+# Digit separators ("0_1", "1_0") are defects: int and float read them.
+BAD_LABELS = ["2", "foo", "nan", "1:1", "inf", "0_1"]
 BAD_TOKENS = ["5", "1:2:3", ":3", "3:", ":", "a:1", "1:x", "1.5:2", "0:1", "-3:1",
-              "-100000000000000000000:1", None]
+              "-100000000000000000000:1", "1_0:0.5", "2:1_5.0", None]
 NON_FINITE = ["nan", "1e999", "-inf"]
 
 
 def index_text(draw, k: int) -> str:
-    """k as int() reads it: plain, signed, zero-padded or underscored."""
+    """k as int() reads it: plain, signed or zero-padded."""
     s = str(k)
-    forms = [s, "+" + s, "0" + s]
-    if len(s) > 1:
-        forms.append(s[0] + "_" + s[1:])
-    return draw(st.sampled_from(forms))
+    return draw(st.sampled_from([s, "+" + s, "0" + s]))
 
 
 @st.composite
@@ -62,8 +61,10 @@ def add_defect(draw, row: list[str]) -> None:
     if kind == "token":
         bad = draw(st.sampled_from(BAD_TOKENS))
         if bad is None:  # repeat an index of the row, written another way
-            k = int(row[draw(st.integers(1, len(row) - 1))].split(":")[0]) if len(row) > 1 else 7
-            bad = f"{index_text(draw, k)}:1" + ("" if len(row) > 1 else f" {k}:2")
+            heads = [tok.split(":")[0] for tok in row[1:]]
+            ks = [int(h) for h in heads if h.lstrip("+-").isdigit()]  # not an earlier defect's
+            k = draw(st.sampled_from(ks)) if ks else 7
+            bad = f"{index_text(draw, k)}:1" + ("" if ks else f" {k}:2")
     else:
         bad = f"{draw(st.integers(41, 60))}:{draw(st.sampled_from(NON_FINITE))}"
     row.insert(draw(st.integers(1, len(row))), bad)
@@ -170,6 +171,27 @@ def test_every_defect_gives_the_reference_error(path, bad, block_chars):
     assert want[0] is DatasetFormatError
     with mock.patch.object(zosah.logistic, "_BLOCK_CHARS", block_chars):
         assert outcome(load_libsvm, path, None) == want
+
+
+@pytest.mark.parametrize("block_chars", [1, 1 << 16])
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("+1 1_0:0.5", "non-numeric feature token '1_0:0.5'"),
+        ("-1 2:1_5.0", "non-numeric feature token '2:1_5.0'"),
+        ("0_1 2:1", "non-numeric label '0_1'"),
+    ],
+)
+def test_a_digit_separator_is_a_syntax_error(path, block_chars, row, message):
+    """int and float read "1_0" as 10; a LIBSVM file has no such numbers."""
+    path.write_bytes(f"-1 1:1\n{row}\n".encode("ascii"))
+    with mock.patch.object(zosah.logistic, "_BLOCK_CHARS", block_chars):
+        with pytest.raises(DatasetFormatError) as got:
+            load_libsvm(path)
+    assert str(got.value) == f"{path}:2: {message}"
+    with pytest.raises(DatasetFormatError) as want:
+        reference_load_libsvm(path)
+    assert str(want.value) == str(got.value)
 
 
 @pytest.mark.parametrize("block_chars", [1, 1 << 16])

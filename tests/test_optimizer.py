@@ -1,5 +1,8 @@
 """Tests for the line search, step accounting, and the optimizer driver."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,8 @@ from zosah.estimator import (
     EXACT,
     FAILED,
     RIDGE,
+    _fd_rows,
+    _gradients,
     HessianUnavailableError,
     InsufficientSamplesError,
     build_fit_system,
@@ -23,6 +28,7 @@ from zosah.oracle import (
     DimensionMismatchError,
     Objective,
     quadratic_objective,
+    rosenbrock,
     rosenbrock_objective,
 )
 from zosah.optimizer import (
@@ -532,3 +538,164 @@ class TestBatchedStepMatchesPerPairReference:
         if mode != "fd":
             assert outcomes.count(RIDGE) > 0.5 * len(outcomes)
             assert outcomes.count(EXACT) > 0
+
+
+ROSENBROCK_CRITERION_1 = dict(m=2, T=20, eps=1e-5)
+
+
+def recorded_run(opt, monkeypatch, clear_memo=False):
+    """Run ``opt``, recording every step's search direction and its x and
+    plan before and after; with ``clear_memo`` the optimizer forgets its
+    last direction before every step, so it computes them all."""
+    directions = []
+
+    def search(oracle, x, v, f_x):
+        directions.append(np.array(v))
+        return armijo_search(oracle, x, v, f_x)
+
+    monkeypatch.setattr(optimizer_mod, "armijo_search", search)
+    moves = []  # (x before, x after, plan before, plan after) per step
+    real_step = opt.step
+
+    def step():
+        if clear_memo:
+            opt._memo = None
+        x, plan = opt.x, opt._idx
+        row = real_step()
+        moves.append((x, opt.x, plan, opt._idx))
+        return row
+
+    opt.step = step
+    return opt.run(), directions, moves
+
+
+def rotated_quadratic(d=6):
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    A = (Q * 10.0 ** rng.uniform(0.0, 2.0, d)) @ Q.T
+    return quadratic_objective((A + A.T) / 2.0), rng.standard_normal(d)
+
+
+class TestRepeatedDirection:
+    """A step whose direction inputs repeat the last step's bits reuses its
+    direction, and the run stays what it is when every direction is computed."""
+
+    @pytest.mark.parametrize("mode", ["fit", "diag", "fd"])
+    @pytest.mark.parametrize("problem", ["rosenbrock", "quadratic"])
+    def test_reuse_changes_no_bit_of_the_run(self, mode, problem, monkeypatch):
+        if problem == "rosenbrock":
+            obj, x0 = rosenbrock_objective(), np.array([-1.2, 1.0])
+            settings = dict(max_evals=1500, **ROSENBROCK_CRITERION_1)
+        else:
+            obj, x0 = rotated_quadratic()
+            settings = dict(max_evals=1500, m=6, T=20)
+        repeated = 0
+        for seed in range(2):
+            cfg = ZosahConfig(seed=seed, hessian_mode=mode, **settings)
+            runs, opts = [], []
+            for clear_memo in (False, True):
+                opt = ZosahOptimizer(CountedOracle(obj), x0, cfg)
+                trace, directions, _ = recorded_run(opt, monkeypatch, clear_memo)
+                runs.append((
+                    [(r.step, r.cum_evals, r.f_value.hex()) for r in trace],
+                    opt.oracle.count,
+                    [dataclasses.replace(s, repeated=False) for s in opt.stats],
+                    [v.tobytes() for v in directions],
+                ))
+                opts.append(opt)
+            assert runs[0] == runs[1]
+            assert not any(s.repeated for s in opts[1].stats)
+            repeated += sum(s.repeated for s in opts[0].stats)
+        if (problem, mode) in {("rosenbrock", "fit"), ("rosenbrock", "fd"), ("quadratic", "fd")}:
+            assert repeated > 0
+
+    def test_fd_repeats_at_the_rosenbrock_fixed_point(self, monkeypatch):
+        cfg = ZosahConfig(max_evals=1500, seed=0, hessian_mode="fd", **ROSENBROCK_CRITERION_1)
+        opt = ZosahOptimizer(CountedOracle(rosenbrock_objective()), np.array([-1.2, 1.0]), cfg)
+        _, directions, moves = recorded_run(opt, monkeypatch)
+        repeated = [i for i, s in enumerate(opt.stats) if s.repeated]
+        assert len(repeated) > 0.5 * len(opt.stats)
+        for i in repeated:
+            x_before, x_after, plan_before, plan_after = moves[i]
+            assert x_after.tobytes() == x_before.tobytes()
+            assert plan_after is plan_before
+            assert directions[i].tobytes() == directions[i - 1].tobytes()
+
+    @pytest.mark.parametrize("mode", ["fit", "fd"])
+    @pytest.mark.parametrize("where", ["everywhere", "off the iterate"])
+    def test_new_values_at_a_repeated_point_are_never_reused(self, mode, where, monkeypatch):
+        # Rosenbrock, except that a point queried again gets a value 16 ulps
+        # higher each time: at every point, or only away from the current
+        # iterate, so that f(x) repeats exactly
+        seen = {}
+
+        def drifting(x):
+            key = x.tobytes()
+            n = seen[key] = seen.get(key, -1) + 1
+            if where == "off the iterate" and key == opt.x.tobytes():
+                n = 0
+            return rosenbrock(x) * (1.0 + n * 2.0**-48)
+
+        cfg = ZosahConfig(max_evals=1500, seed=0, hessian_mode=mode, **ROSENBROCK_CRITERION_1)
+        opt = ZosahOptimizer(CountedOracle(Objective(drifting, 2)), np.array([-1.2, 1.0]), cfg)
+        _, _, moves = recorded_run(opt, monkeypatch)
+        assert not any(s.repeated for s in opt.stats)
+        # the run does stall: many steps leave x and the plan as they were
+        stalled = [m for m in moves if m[0].tobytes() == m[1].tobytes() and m[2] is m[3]]
+        assert len(stalled) > 0.25 * len(moves)
+
+    @pytest.mark.parametrize("mode, which", [
+        ("fit", "gradients"), ("fit", "sample points"), ("fit", "sample values"),
+        ("fd", "gradients"), ("fd", "fd rows"),
+    ])
+    def test_an_input_that_changes_is_never_reused(self, mode, which, monkeypatch):
+        # the n-th step scales one input of its direction by 1 + n * 1e-9,
+        # in the run and in its memo-cleared twin alike
+        def drifting(fn, drift):
+            calls = [0]
+
+            def wrapped(*args):
+                calls[0] += 1
+                return drift(fn(*args), 1.0 + calls[0] * 1e-9)
+
+            return wrapped
+
+        def scale_window(out, c):
+            # in place: the window is a view of the cache, and stays one
+            out[0 if which == "sample points" else 1][...] *= c
+            return out
+
+        cfg = ZosahConfig(max_evals=1500, seed=0, hessian_mode=mode, **ROSENBROCK_CRITERION_1)
+        real_window = EvalCache.window
+        runs = []
+        for clear_memo in (False, True):
+            if which == "gradients":
+                monkeypatch.setattr(optimizer_mod, "_gradients", drifting(
+                    _gradients, lambda out, c: (out[0] * c, *out[1:])))
+            elif which == "fd rows":
+                monkeypatch.setattr(optimizer_mod, "_fd_rows", drifting(
+                    _fd_rows, lambda out, c: (np.array(out) * c).tolist()))
+            else:
+                monkeypatch.setattr(EvalCache, "window", drifting(real_window, scale_window))
+            opt = ZosahOptimizer(CountedOracle(rosenbrock_objective()), np.array([-1.2, 1.0]), cfg)
+            _, directions, moves = recorded_run(opt, monkeypatch, clear_memo)
+            runs.append([v.tobytes() for v in directions])
+            assert not any(s.repeated for s in opt.stats)
+        assert runs[0] == runs[1]
+        # the run does stall: many steps leave x and the plan as they were
+        stalled = [m for m in moves if m[0].tobytes() == m[1].tobytes() and m[2] is m[3]]
+        assert len(stalled) > 0.25 * len(moves)
+
+    def test_keys_compare_bits_not_values(self):
+        plan = np.array([[0, 1]])
+
+        def key(f_x=1.0, g=(1.0, 0.0), plan=plan):
+            return (optimizer_mod._F64.pack(f_x), plan, np.array([g]))
+
+        memo = (key(), None)
+        assert optimizer_mod._same_bits(memo, key())
+        assert not optimizer_mod._same_bits(None, key())
+        assert not optimizer_mod._same_bits(memo, key(plan=plan.copy()))
+        assert not optimizer_mod._same_bits(memo, key(g=(1.0, -0.0)))
+        assert not optimizer_mod._same_bits((key(0.0), None), key(-0.0))
+        assert optimizer_mod._same_bits((key(math.nan), None), key(math.nan))
