@@ -20,8 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimator import _all_finite
 from .oracle import CountedOracle, Objective
-from .optimizer import BudgetedOptimizer, TraceRow, ZosahConfig, _require_integer, armijo_search
+from .optimizer import (
+    BudgetedOptimizer,
+    TraceRow,
+    ZosahConfig,
+    _moved,
+    _require_integer,
+    armijo_search,
+)
 
 __all__ = [
     "BaselineConfig",
@@ -81,10 +89,19 @@ def rge_gradient(
     ``0 + t`` does to a -0.0). Only a nan's sign bit may differ (when two
     nans meet, which one an add returns depends on the loop), and a nan
     direction is rejected by the line search either way.
+
+    Raises FloatingPointError naming the random-direction probe if a
+    queried value is not finite.
     """
     x = np.asarray(x, dtype=float)
     u = rng.standard_normal((q, x.shape[0]))
-    diffs = [(oracle(point) - f_x) / eps for point in x + eps * u]
+    values = list(map(oracle, x + eps * u))
+    if not _all_finite(values):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise FloatingPointError(
+            f"objective returned non-finite value {bad} at a random-direction probe"
+        )
+    diffs = [(value - f_x) / eps for value in values]
     terms = np.array(diffs)[:, None] * u
     terms[0] += 0.0
     return np.cumsum(terms, axis=0)[-1] / q
@@ -108,7 +125,7 @@ class _RgeDescent(BudgetedOptimizer):
         v = self._direction(g)
         rho, accepted, f_new = armijo_search(self.oracle, self.x, v, f_x)
         if accepted:
-            self.x = self.x - rho * v
+            self.x = _moved(self.x, rho, v)
         self.k += 1
         row = TraceRow(self.k, self.oracle.count, f_new)
         self.trace.append(row)

@@ -126,33 +126,30 @@ class EvalCache:
 
         The first store of a new step moves the newer probes to the older
         slots, so the window holds the probes of the last two steps recorded.
-        ``row`` restricts the store to one pair's row.
+        ``row`` restricts the store to one pair's row; only then are the
+        other rows' newer slots marked missing, since a store of every row
+        overwrites them all.
         """
+        values = _checked(values)
         if self._new_step != k:
             self.points[:, _OLD] = self.points[:, _NEW]
             self.values[:, _OLD] = self.values[:, _NEW]
-            self.values[:, _NEW] = np.nan
+            if row != slice(None):
+                self.values[:, _NEW] = np.nan
             self._old_step, self._new_step = self._new_step, k
-        self._put(_NEW, row, points, values)
+        self.points[row, _NEW] = points
+        self.values[row, _NEW] = values
 
     def store_fresh(
         self, k: int, points: np.ndarray, values: np.ndarray, row=slice(None)
     ) -> None:
         """Bank step k's fresh samples: (P, 3, 2) points and (P, 3) values."""
+        values = _checked(values)
         if self._fresh_step != k:
             self.values[:, _FRESH] = np.nan
             self._fresh_step = k
-        self._put(_FRESH, row, points, values)
-
-    def _put(self, slots: slice, row, points, values) -> None:
-        values = np.asarray(values, dtype=float)
-        if not _all_finite(values.ravel().tolist()):
-            bad = values[~np.isfinite(values)][0]
-            raise FloatingPointError(
-                f"objective returned non-finite value {bad} at a cached sample"
-            )
-        self.points[row, slots] = points
-        self.values[row, slots] = values
+        self.points[row, _FRESH] = points
+        self.values[row, _FRESH] = values
 
     def draw_fresh(
         self, theta: np.ndarray, rng: np.random.Generator, radius: float
@@ -270,6 +267,15 @@ class EvalCache:
             if min_eig >= GAMMA_FLOOR:
                 return best_points, False
         return best_points, True
+
+
+def _checked(values) -> np.ndarray:
+    """``values`` as a float array; raises FloatingPointError if one is not finite."""
+    values = np.asarray(values, dtype=float)
+    if not _all_finite(values.ravel().tolist()):
+        bad = values[~np.isfinite(values)][0]
+        raise FloatingPointError(f"objective returned non-finite value {bad} at a cached sample")
+    return values
 
 
 def _unzip(samples) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,9 @@ always points downhill for the local model.
 The module has two layers. The first is the rows pass the optimizer runs
 for all P pairs of a plan, from probes to Newton directions.
 ``_gradients`` and ``_fd_rows`` lift every pair's probe points into one
-array of query points (``_probe``) and query them in one ``map``:
+(P * n, d) block of query points (``_probe``: copies of x, then one
+``ndarray.put`` at the flat positions ``_lift_index`` gives, which the
+optimizer builds once per plan) and query its rows in one ``map``:
 ``_gradients`` pair by pair, ``_fd_rows`` probe by probe (every pair's
 2 eps e1, then every pair's 2 eps e2, then every pair's eps e1 + eps e2), so
 that on the logistic objective every axis probe moves one coordinate from
@@ -32,8 +34,11 @@ rhs gemv, ``eigvalsh``, ``solve``, ``hypot``, the eigenvector candidates'
 ddot and the repair's gemm. ``eigvalsh`` and ``solve`` call np.linalg's
 LAPACK gufuncs directly (``_eigvalsh``, ``_solve``), under np.linalg's
 floating-point settings, because its Python wrappers cost more than LAPACK
-on a few 3x3 systems. No (P, 2, 2) matrix stack is built on the way. So the
-pass costs about as much for one pair as for ten.
+on a few 3x3 systems. No (P, 2, 2) matrix stack is built on the way. So
+the fit's cost grows little with P, but the repair and solve loop over the
+pairs in Python. In one timeit run (2-core x86_64 VM, 4 samples per pair),
+``_fit_rows`` took 16 us at P = 1 and 24 us at P = 10, and ``_newton_rows``
+on non-diagonal rows 12 us and 36 us (2.4 us and 11 us on diagonal rows).
 
 The second layer is per pair: ``estimate_gradient``, ``fd_subspace_hessian``,
 ``make_pd`` and ``newton_direction`` are one-pair views of the rows pass.
@@ -88,9 +93,10 @@ _EYE3 = np.eye(3)
 # finite-difference curvature probes.
 _GRAD_STEPS = np.eye(2)
 _FD_STEPS = np.array([[2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-# quad_monomials column c is _MONO_COEF[c] * t[_MONO_AB[0, c]] * t[_MONO_AB[1, c]].
+# quad_monomials column c is (_MONO_COEF[c] * t[_MONO_A[c]]) * t[_MONO_B[c]].
 _MONO_COEF = np.array([0.5, 1.0, 0.5])
-_MONO_AB = np.array([[0, 0, 1], [0, 1, 1]])
+_MONO_A = np.array([0, 0, 1])
+_MONO_B = np.array([0, 1, 1])
 # Row-major eigenvectors of a diagonal 2x2 (kept or swapped order), and the
 # smallest normal double, below which a squared norm has lost precision.
 _EYE2 = (1.0, 0.0, 0.0, 1.0)
@@ -174,30 +180,37 @@ def _all_finite(values) -> bool:
     return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
+def _lift_index(idx: np.ndarray, d: int, n: int, by_probe: bool = False) -> np.ndarray:
+    """Flat positions, in a (P * n, d) block of query points, of the pairs'
+    coordinates: entry [j, r, c] is where pair j's probe r sets coordinate
+    ``idx[j, c]``, shaped like the (P, n, 2) probe points it places.
+
+    The block's rows run pair by pair (pair j's n probes, then pair j + 1's),
+    or with ``by_probe`` probe by probe (every pair's probe 0, then every
+    pair's probe 1, ...). The positions depend only on the plan, so the
+    optimizer builds them once per plan.
+    """
+    n_pairs = len(idx)
+    pairs = np.arange(n_pairs)[:, None]
+    probes = np.arange(n)
+    rows = probes * n_pairs + pairs if by_probe else pairs * n + probes
+    return rows[:, :, None] * d + idx[:, None, :]
+
+
 def _probe(
     oracle: CountedOracle,
     x: np.ndarray,
-    idx: np.ndarray,
+    lift: np.ndarray,
     points: np.ndarray,
     what: str,
-    by_probe: bool = False,
 ) -> list[float]:
-    """:func:`probe_values` as a flat list, for float arrays ``x`` and ``points``.
-
-    With ``by_probe`` the queries (and the list) run probe by probe instead:
-    every pair's ``points[:, 0]``, then every pair's ``points[:, 1]``, ...
-    """
-    n_pairs, n, _ = points.shape
-    pairs = np.arange(n_pairs)[:, None]
-    if by_probe:
-        queried = np.empty((n, n_pairs, x.size))
-        queried[...] = x
-        queried[:, pairs, idx] = points.transpose(1, 0, 2)
-    else:
-        queried = np.empty((n_pairs, n, x.size))
-        queried[...] = x
-        queried[pairs, :, idx] = points.transpose(0, 2, 1)
-    values = list(map(oracle, queried.reshape(n_pairs * n, -1)))
+    """f at copies of the float array ``x`` with the (P, n, 2) ``points`` put
+    at the positions ``lift`` (see :func:`_lift_index`), in the block's row
+    order, as a flat list; raises FloatingPointError naming ``what`` if any
+    value is non-finite."""
+    queried = np.repeat(x[None], lift.shape[0] * lift.shape[1], axis=0)
+    queried.put(lift, points)
+    values = list(map(oracle, queried))
     if not _all_finite(values):
         bad = next(v for v in values if not math.isfinite(v))
         raise FloatingPointError(f"objective returned non-finite value {bad} at a {what}")
@@ -210,6 +223,7 @@ def probe_values(
     idx: np.ndarray,
     points: np.ndarray,
     what: str = "probe",
+    lift: np.ndarray | None = None,
 ) -> np.ndarray:
     """Query f at x with pair j's coordinates ``idx[j]`` set to ``points[j, r]``.
 
@@ -217,11 +231,14 @@ def probe_values(
     (P, n, 2) absolute slice coordinates; returns the (P, n) values, queried
     pair by pair in row order (P * n queries). To query x moved by a
     displacement delta on a pair's two axes, pass ``x[idx] + delta``. Raises
-    FloatingPointError naming ``what`` if any value is non-finite.
+    FloatingPointError naming ``what`` if any value is non-finite. ``lift``
+    is ``_lift_index(idx, len(x), n)`` when the caller holds it.
     """
     points = np.asarray(points, dtype=float)
-    values = _probe(oracle, np.asarray(x, dtype=float), np.asarray(idx), points, what)
-    return np.array(values).reshape(points.shape[:2])
+    x = np.asarray(x, dtype=float)
+    if lift is None:
+        lift = _lift_index(np.asarray(idx), x.size, points.shape[1])
+    return np.array(_probe(oracle, x, lift, points, what)).reshape(points.shape[:2])
 
 
 def _gradients(
@@ -232,12 +249,16 @@ def _gradients(
     steps: np.ndarray,
     eps: float,
     f_x: float,
+    lift: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forward-difference gradients of the pairs ``idx`` (P, 2), 2P queries, given
     ``theta = x[idx]``, ``steps = eps * _GRAD_STEPS`` and the paid f(x): the (P, 2)
-    gradients, the probes' slice points (P, 2, 2) and their (P, 2) values."""
+    gradients, the probes' slice points (P, 2, 2) and their (P, 2) values.
+    ``lift`` is ``_lift_index(idx, x.size, 2)`` when the caller holds it."""
+    if lift is None:
+        lift = _lift_index(idx, x.size, 2)
     points = theta[:, None, :] + steps
-    values = np.array(_probe(oracle, x, idx, points, "gradient probe")).reshape(len(idx), 2)
+    values = np.array(_probe(oracle, x, lift, points, "gradient probe")).reshape(len(idx), 2)
     return (values - f_x) / eps, points, values
 
 
@@ -268,8 +289,8 @@ def quad_monomials(theta_bar: np.ndarray) -> np.ndarray:
     fancy index on the last axis would not be, and would take matmul off
     BLAS); each entry is (c * t_a) * t_b, the same roundings for any shape.
     """
-    t = np.take(np.asarray(theta_bar, dtype=float), _MONO_AB, axis=-1)
-    return (_MONO_COEF * t[..., 0, :]) * t[..., 1, :]
+    t = np.asarray(theta_bar, dtype=float)
+    return (_MONO_COEF * t.take(_MONO_A, axis=-1)) * t.take(_MONO_B, axis=-1)
 
 
 def build_fit_system(
@@ -590,6 +611,7 @@ def _fd_rows(
     eps: float,
     f_x: float,
     f_probes,
+    lift: np.ndarray | None = None,
 ) -> list[tuple[float, float, float]]:
     """:func:`fd_subspace_hessian` of every pair in ``idx`` as (a11, a12, a22) rows,
     given ``theta = x[idx]``, ``steps = eps * _FD_STEPS`` and the gradient
@@ -600,8 +622,11 @@ def _fd_rows(
     objective each axis probe then moves one coordinate from x, the kept
     point, and takes the row path; a mixed probe moves two, is a full
     evaluation and becomes the kept point, so the mixed probes come last.
-    With one pair the order is the pair's own."""
-    f = _probe(oracle, x, idx, theta[:, None, :] + steps, "curvature probe", by_probe=True)
+    With one pair the order is the pair's own. ``lift`` is
+    ``_lift_index(idx, x.size, 3, by_probe=True)`` when the caller holds it."""
+    if lift is None:
+        lift = _lift_index(idx, x.size, 3, by_probe=True)
+    f = _probe(oracle, x, lift, theta[:, None, :] + steps, "curvature probe")
     p = len(f_probes)
     eps2 = eps * eps
     rows = []

@@ -264,7 +264,7 @@ def _row_problem(fields: list[str]) -> str:
     return f"malformed row {','.join(fields)!r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SummaryRow:
     cum_evals: int
     mean: float

@@ -19,7 +19,10 @@ stage turns the rows into directions. A step whose direction inputs (plan,
 f(x), gradients, and the fit's samples and values or the fd rows) repeat the
 previous step's bit for bit, as at a point the line search cannot leave,
 reuses that step's direction and skips those stages; it still pays every
-query. The per-pair functions
+query. A plan switch also builds the plan's probe-lift positions
+(``_lift_index``) once, for the gradient probes and for the fresh samples or
+the fd probes, so each lift is one ``np.repeat`` of x and one ``ndarray.put``.
+The per-pair functions
 (``estimate_gradient``, ``fd_subspace_hessian``, ``make_pd``,
 ``newton_direction``) are one-pair views of the same pass, and the fit's
 reference, ``build_fit_system`` + ``solve_hessian``, gives the same bits.
@@ -47,6 +50,7 @@ from .estimator import (
     _fd_rows,
     _fit_rows,
     _gradients,
+    _lift_index,
     _newton_rows,
     probe_values,
 )
@@ -149,7 +153,7 @@ class ZosahConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRow:
     """One convergence record: completed steps, queries paid, accepted value."""
 
@@ -158,9 +162,17 @@ class TraceRow:
     f_value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepStats:
-    """Per-step query accounting (1 base query + the categories below)."""
+    """Per-step query accounting (1 base query + the categories below).
+
+    ``accepted`` means the line search's Armijo test passed, not that x
+    moved: when rho * v rounds away against x, the trial is x itself, its
+    value f(x), and the test passes once C1 * rho * ||v||^2 is below half an
+    ulp of f(x). On the Rosenbrock benchmark workload 4,968 of ``zosah-fd``'s
+    5,221 steps are such accepted steps that leave x bit-unchanged. ROADMAP
+    item 3's ``stalled`` is the record that would tell them apart.
+    """
 
     step: int
     grad_evals: int
@@ -196,10 +208,15 @@ def _step_lengths(init_step: float, shrink: float, min_step: float) -> tuple[tup
     return tuple(rhos), rest
 
 
+def _moved(x: np.ndarray, rho: float, v: np.ndarray) -> np.ndarray:
+    """x - rho v, as one subtraction at rho = 1 (1.0 * v is v bit for bit)."""
+    return x - v if rho == 1.0 else x - rho * v
+
+
 def _trial_points(x: np.ndarray, v: np.ndarray, rhos: tuple, rest: np.ndarray):
     """x - rho v for every rho: the first on its own, the rest, needed only
     after a rejection, as one (n-1, d) block (the same roundings row by row)."""
-    yield x - rhos[0] * v
+    yield _moved(x, rhos[0], v)
     yield from x - rest * v
 
 
@@ -223,7 +240,7 @@ def armijo_search(
     stay one at a time and stop at the first accepted trial.
     """
     v = np.asarray(v, dtype=float)
-    vv = float(v @ v)
+    vv = float(v.dot(v))  # ndarray.dot: the ddot of v @ v, with less call overhead
     if vv == 0.0:
         return 0.0, False, f_x
     rhos, rest = _step_lengths(INIT_STEP, SHRINK, MIN_STEP)
@@ -306,6 +323,9 @@ class ZosahOptimizer(BudgetedOptimizer):
             raise ValueError(f"m must be even with 2 <= m <= d={d}, got {self.m}")
         self.rng = np.random.default_rng(cfg.seed)
         self._idx = None  # the plan: (P, 2) coordinates of its pairs
+        # the plan's _lift_index positions of the gradient probes and of the
+        # curvature queries (the fd probes, or else the fresh samples)
+        self._grad_lift = self._curv_lift = None
         self.cache = EvalCache()
         self.stats: list[StepStats] = []
         # probe displacements of every step of the run
@@ -319,8 +339,11 @@ class ZosahOptimizer(BudgetedOptimizer):
         cfg = self.cfg
         k = self.k
         if self._idx is None or k % cfg.T == 0:
-            self._idx = make_plan(self.oracle.dim, self.m, self.rng)
-            self.cache.reset(self._idx)
+            d = self.oracle.dim
+            self._idx = idx = make_plan(d, self.m, self.rng)
+            self.cache.reset(idx)
+            self._grad_lift = _lift_index(idx, d, 2)
+            self._curv_lift = _lift_index(idx, d, 3, by_probe=cfg.hessian_mode == "fd")
 
         oracle = self.oracle
         x = self.x
@@ -330,7 +353,7 @@ class ZosahOptimizer(BudgetedOptimizer):
         n_pairs = len(idx)
         theta = x[idx]
         g, probe_points, probe_f = _gradients(
-            oracle, x, idx, theta, self._grad_steps, cfg.eps, f_x
+            oracle, x, idx, theta, self._grad_steps, cfg.eps, f_x, self._grad_lift
         )
         grad_evals = 2 * n_pairs
         fresh_paid = 0  # per pair
@@ -338,10 +361,13 @@ class ZosahOptimizer(BudgetedOptimizer):
 
         if cfg.hessian_mode == "fd":
             rows = _fd_rows(
-                oracle, x, idx, theta, self._fd_steps, cfg.eps, f_x, probe_f.tolist()
+                oracle, x, idx, theta, self._fd_steps, cfg.eps, f_x, probe_f.tolist(),
+                self._curv_lift,
             )
             fresh_paid = 3
-            key = (_F64.pack(f_x), idx, g, rows)
+            # the rows as an array, so that comparing keys on the steps whose
+            # f(x) repeats converts no list of rows
+            key = (_F64.pack(f_x), idx, g, np.array(rows))
             repeated = _same_bits(self._memo, key)
         else:
             if k % cfg.T == 0:
@@ -349,7 +375,8 @@ class ZosahOptimizer(BudgetedOptimizer):
                 theta_bar = points - theta[:, None, :]
                 # lifted as x[i] + (point - theta), the per-pair path's floats
                 values = probe_values(
-                    oracle, x, idx, theta[:, None, :] + theta_bar, "curvature sample"
+                    oracle, x, idx, theta[:, None, :] + theta_bar, "curvature sample",
+                    self._curv_lift,
                 )
                 self.cache.store_fresh(k, points, values)
                 fresh_paid = 3
@@ -382,7 +409,7 @@ class ZosahOptimizer(BudgetedOptimizer):
         rho, accepted, f_new = armijo_search(oracle, x, v, f_x)
         search_evals = oracle.count - count0 - 1 - grad_evals - hess_evals
         if accepted:
-            self.x = x - rho * v
+            self.x = _moved(x, rho, v)
 
         self.k += 1
         row = TraceRow(self.k, self.oracle.count, f_new)

@@ -118,7 +118,8 @@ RGE_VALUES = st.one_of(
 
 
 class TestRgeGradientBlocks:
-    """The block estimator has the loop's bits and consumes the generator as it did."""
+    """The block estimator has the loop's bits and consumes the generator as it
+    did; where the loop averages a non-finite value, it raises instead."""
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(d=st.integers(1, 29), q=st.integers(1, 11),
@@ -132,16 +133,25 @@ class TestRgeGradientBlocks:
              "scaled": np.random.default_rng(seed).standard_normal(d) * 1e150}[x_kind]
         got_obj, want_obj = ReplayObjective(values), ReplayObjective(values)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        queried = [values[i % len(values)] for i in range(q)]
         with np.errstate(all="ignore"):
-            got = rge_gradient(CountedOracle(Objective(got_obj, d)), x, q, eps, got_rng, f_x)
             want = rge_gradient_loop(
                 CountedOracle(Objective(want_obj, d)), x, q, eps, want_rng, f_x)
-        # bytes equal, except that a nan's sign may differ: numpy's add returns
-        # either operand's nan when both are nan, and the loop's in-place add
-        # and cumsum choose differently
-        nan = np.isnan(want)
-        assert (np.isnan(got) == nan).all()
-        assert got[~nan].tobytes() == want[~nan].tobytes()
+            if all(map(math.isfinite, queried)):
+                got = rge_gradient(CountedOracle(Objective(got_obj, d)), x, q, eps, got_rng, f_x)
+                # bytes equal, except that a nan's sign may differ: numpy's add
+                # returns either operand's nan when both are nan, and the
+                # loop's in-place add and cumsum choose differently
+                nan = np.isnan(want)
+                assert (np.isnan(got) == nan).all()
+                assert got[~nan].tobytes() == want[~nan].tobytes()
+            else:
+                # a non-finite value is an error, raised after the q queries
+                bad = next(v for v in queried if not math.isfinite(v))
+                message = ("^objective returned non-finite value "
+                           f"{bad} at a random-direction probe$")
+                with pytest.raises(FloatingPointError, match=message):
+                    rge_gradient(CountedOracle(Objective(got_obj, d)), x, q, eps, got_rng, f_x)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         assert len(got_obj.points) == len(want_obj.points) == q
         for p, r in zip(got_obj.points, want_obj.points):

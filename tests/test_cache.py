@@ -285,6 +285,32 @@ class TestBatchedWindow:
         np.testing.assert_array_equal(points, np.concatenate([p0_pts, p1_pts], axis=1))
         np.testing.assert_array_equal(values, np.concatenate([p0_f, p1_f], axis=1))
 
+    def test_rejected_store_leaves_the_window_as_it_was(self):
+        # the values are checked before the store moves or refills any slot
+        cache = EvalCache()
+        cache.reset(two_pair_plan())
+        rng = np.random.default_rng(2)
+        for k in range(2):
+            cache.store_probes(k, rng.standard_normal((2, 2, 2)), rng.standard_normal((2, 2)))
+        before = [a.copy() for a in cache.window(2, 5)]
+        bad = np.array([[1.0, 2.0], [np.nan, 3.0]])
+        for row in (slice(None), 1):
+            with pytest.raises(FloatingPointError):
+                cache.store_probes(2, np.zeros((2, 2, 2))[row], bad[row], row=row)
+            after = cache.window(2, 5)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
+
+    def test_one_row_store_marks_the_other_rows_missing(self):
+        cache = EvalCache()
+        cache.reset(two_pair_plan())
+        rng = np.random.default_rng(3)
+        p0_pts, p0_f = rng.standard_normal((2, 2, 2)), rng.standard_normal((2, 2))
+        cache.store_probes(0, p0_pts, p0_f)
+        cache.store_probes(1, p0_pts[1] + 1.0, p0_f[1] + 1.0, row=1)
+        _, values = cache.window(2, 5)
+        np.testing.assert_array_equal(values[0], np.concatenate([p0_f[0], [np.nan] * 2]))
+        np.testing.assert_array_equal(values[1], np.concatenate([p0_f[1], p0_f[1] + 1.0]))
+
     def test_pair_view_matches_batched_window(self):
         cache = EvalCache()
         plan = two_pair_plan()

@@ -23,6 +23,7 @@ from zosah.estimator import (
     _fd_rows,
     _fit_rows,
     _gradients,
+    _lift_index,
     _newton_rows,
     _rows,
     _solve,
@@ -534,6 +535,90 @@ class TestBatchedProbes:
         points = np.zeros((2, 2, 2))
         values = probe_values(oracle, np.zeros(3), np.array([[0, 2], [1, 2]]), points)
         assert np.array_equal(values, np.full((2, 2), 1e308))
+
+
+def naive_lifts(x, idx, points, by_probe=False):
+    """The query points of (P, n, 2) slice ``points``, built one probe at a
+    time: a copy of ``x`` with pair j's two coordinates set by item
+    assignment, pair by pair (or probe by probe with ``by_probe``)."""
+    n_pairs, n, _ = points.shape
+    order = [(j, r) for r in range(n) for j in range(n_pairs)] if by_probe else [
+        (j, r) for j in range(n_pairs) for r in range(n)]
+    out = []
+    for j, r in order:
+        z = x.copy()
+        z[idx[j, 0]] = points[j, r, 0]
+        z[idx[j, 1]] = points[j, r, 1]
+        out.append(z)
+    return out
+
+
+class TestLiftReference:
+    """The lifted query points against naive per-probe copies, bit for bit,
+    with and without the plan's lift index."""
+
+    SHAPES = [(2, 1), (20, 1), (20, 10), (123, 1), (123, 10)]
+
+    @staticmethod
+    def problem(d, n_pairs):
+        rng = np.random.default_rng(d * 100 + n_pairs)
+        idx = make_plan(d, 2 * n_pairs, rng)
+        x = rng.standard_normal(d)
+        x[rng.choice(d, size=max(1, d // 4), replace=False)] = -0.0
+        x[idx[0, 1]] = -0.0  # theta holds -0.0
+        x[idx[-1, 0]] = 5e-324
+        queried = []
+
+        def f(z):
+            queried.append(z.copy())
+            return float(np.sum(np.abs(z)))
+
+        return x, idx, CountedOracle(Objective(f, d)), queried
+
+    @staticmethod
+    def same_bits(got, want):
+        assert [z.tobytes() for z in got] == [z.tobytes() for z in want]
+
+    @pytest.mark.parametrize("d, n_pairs", SHAPES)
+    @pytest.mark.parametrize("planned", [False, True])
+    def test_gradient_probes(self, d, n_pairs, planned):
+        x, idx, oracle, queried = self.problem(d, n_pairs)
+        eps = 1e-3
+        steps = eps * _GRAD_STEPS
+        lift = _lift_index(idx, d, 2) if planned else None
+        theta = x[idx]
+        _, points, _ = _gradients(oracle, x, idx, theta, steps, eps, 1.0, lift)
+        want = [[[theta[j, c] + steps[r, c] for c in range(2)] for r in range(2)]
+                for j in range(n_pairs)]
+        assert np.array(want).tobytes() == points.tobytes()
+        self.same_bits(queried, naive_lifts(x, idx, np.array(want)))
+
+    @pytest.mark.parametrize("d, n_pairs", SHAPES)
+    @pytest.mark.parametrize("planned", [False, True])
+    def test_fd_probes(self, d, n_pairs, planned):
+        x, idx, oracle, queried = self.problem(d, n_pairs)
+        eps = 1e-3
+        steps = eps * _FD_STEPS
+        lift = _lift_index(idx, d, 3, by_probe=True) if planned else None
+        theta = x[idx]
+        _fd_rows(oracle, x, idx, theta, steps, eps, 1.0, [(1.0, 1.0)] * n_pairs, lift)
+        want = np.array([[[theta[j, c] + steps[r, c] for c in range(2)] for r in range(3)]
+                         for j in range(n_pairs)])
+        self.same_bits(queried, naive_lifts(x, idx, want, by_probe=True))
+
+    @pytest.mark.parametrize("d, n_pairs", SHAPES)
+    @pytest.mark.parametrize("planned", [False, True])
+    def test_probe_values(self, d, n_pairs, planned):
+        x, idx, oracle, queried = self.problem(d, n_pairs)
+        rng = np.random.default_rng(7)
+        points = rng.standard_normal((n_pairs, 3, 2))
+        points[0, 1] = (-0.0, 2.5e-320)
+        points[-1, 2, 0] = -0.0
+        lift = _lift_index(idx, d, 3) if planned else None
+        values = probe_values(oracle, x, idx, points, "probe", lift)
+        want = naive_lifts(x, idx, points)
+        self.same_bits(queried, want)
+        assert values.tobytes() == np.array([float(np.sum(np.abs(z))) for z in want]).tobytes()
 
 
 def eig2x2(A):

@@ -484,6 +484,10 @@ class TestCliNonFiniteObjective:
         ("zosah", "0.89,0", "curvature sample"),  # fresh circle crosses x[0] = 0.9
         ("zosah", "0,0", "gradient probe"),  # iterates creep up to the wall
         ("zosah-fd", "0.8985,0", "curvature probe"),  # x + 2 eps e1 crosses it
+        # x + eps u crosses it for a direction u with u[0] > 0.5
+        ("rspg", "0.8995,0", "random-direction probe"),
+        ("signsgd", "0.8995,0", "random-direction probe"),
+        ("adamm", "0.8995,0", "random-direction probe"),
     ])
     def test_exit_3_with_one_line_error(self, monkeypatch, tmp_path, capsys, alg, x0, probe):
         monkeypatch.setattr(

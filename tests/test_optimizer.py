@@ -200,6 +200,48 @@ class TestArmijoSearch:
             assert np.array_equal(np.signbit(got), np.signbit(exp))
 
 
+# -0.0, subnormals and nan, for the bits of x - rho * v at rho = 1
+SPECIAL_X = np.array([-0.0, 0.0, 5e-324, -2.5e-320, 1.5, np.nan, -0.0, 7.0])
+SPECIAL_V = np.array([0.0, -0.0, -5e-324, 2.5e-320, np.nan, 0.5, 5e-324, -0.0])
+
+
+class TestUnitStepBits:
+    """At rho = 1 the search's first trial and the step's accepted point are
+    x - 1.0 * v bit for bit."""
+
+    @pytest.mark.parametrize("v", [SPECIAL_V, np.nan_to_num(SPECIAL_V, nan=0.25)])
+    def test_first_trial(self, v):
+        seen = []
+        oracle = CountedOracle(Objective(lambda z: seen.append(z.copy()) or -1e300, 8))
+        rho, accepted, _ = armijo_search(oracle, SPECIAL_X, v, 0.0)
+        # a nan in v fails every trial; otherwise the first is accepted
+        assert accepted == (not np.isnan(v).any())
+        assert seen[0].tobytes() == (SPECIAL_X - 1.0 * v).tobytes()
+
+    @pytest.mark.parametrize("mode", ["fit", "fd"])
+    def test_accepted_point(self, mode, monkeypatch):
+        directions = []
+
+        def search(oracle, x, v, f_x):
+            directions.append(v.copy())
+            return 1.0, True, f_x
+
+        w = SPECIAL_V.reshape(4, 2).tolist()
+        monkeypatch.setattr(optimizer_mod, "_newton_rows", lambda rows, g, kappa: w)
+        monkeypatch.setattr(optimizer_mod, "armijo_search", search)
+        cfg = ZosahConfig(max_evals=100, m=8, hessian_mode=mode)
+        opt = ZosahOptimizer(CountedOracle(Objective(lambda z: 1.0, 8)), SPECIAL_X, cfg)
+        for _ in range(3):
+            x = opt.x
+            opt.step()
+            assert opt.x.tobytes() == (x - 1.0 * directions[-1]).tobytes()
+        # the direction holds 0.0 + w on the plan's coordinates, 0.0 elsewhere
+        want = np.zeros(8)
+        for (i1, i2), (w1, w2) in zip(opt._idx.tolist(), w):
+            want[i1], want[i2] = 0.0 + w1, 0.0 + w2
+        assert directions[-1].tobytes() == want.tobytes()
+
+
 class TestStepAccounting:
     """Per-step query formulas on a quadratic where the full step is accepted."""
 
