@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import _all_finite
+from .estimator import _require_finite
 from .oracle import CountedOracle, Objective
 from .optimizer import (
     BudgetedOptimizer,
@@ -96,11 +96,7 @@ def rge_gradient(
     x = np.asarray(x, dtype=float)
     u = rng.standard_normal((q, x.shape[0]))
     values = list(map(oracle, x + eps * u))
-    if not _all_finite(values):
-        bad = next(v for v in values if not math.isfinite(v))
-        raise FloatingPointError(
-            f"objective returned non-finite value {bad} at a random-direction probe"
-        )
+    _require_finite(values, "random-direction probe")
     diffs = [(value - f_x) / eps for value in values]
     terms = np.array(diffs)[:, None] * u
     terms[0] += 0.0

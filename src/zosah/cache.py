@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimator import GAMMA_FLOOR, _all_finite, _eigvalsh, quad_monomials
+from .estimator import GAMMA_FLOOR, _eigvalsh, _require_finite, quad_monomials
 from .subspace import PairProjection
 
 __all__ = ["EvalCache", "GatherResult", "PlanMismatchError"]
@@ -272,9 +272,7 @@ class EvalCache:
 def _checked(values) -> np.ndarray:
     """``values`` as a float array; raises FloatingPointError if one is not finite."""
     values = np.asarray(values, dtype=float)
-    if not _all_finite(values.ravel().tolist()):
-        bad = values[~np.isfinite(values)][0]
-        raise FloatingPointError(f"objective returned non-finite value {bad} at a cached sample")
+    _require_finite(values.ravel().tolist(), "cached sample")
     return values
 
 

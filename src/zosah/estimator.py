@@ -180,6 +180,13 @@ def _all_finite(values) -> bool:
     return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
+def _require_finite(values: list[float], what: str) -> None:
+    """Raise FloatingPointError naming ``what`` at the first non-finite value."""
+    if not _all_finite(values):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise FloatingPointError(f"objective returned non-finite value {bad} at a {what}")
+
+
 def _lift_index(idx: np.ndarray, d: int, n: int, by_probe: bool = False) -> np.ndarray:
     """Flat positions, in a (P * n, d) block of query points, of the pairs'
     coordinates: entry [j, r, c] is where pair j's probe r sets coordinate
@@ -211,9 +218,7 @@ def _probe(
     queried = np.repeat(x[None], lift.shape[0] * lift.shape[1], axis=0)
     queried.put(lift, points)
     values = list(map(oracle, queried))
-    if not _all_finite(values):
-        bad = next(v for v in values if not math.isfinite(v))
-        raise FloatingPointError(f"objective returned non-finite value {bad} at a {what}")
+    _require_finite(values, what)
     return values
 
 
