@@ -126,16 +126,13 @@ class EvalCache:
 
         The first store of a new step moves the newer probes to the older
         slots, so the window holds the probes of the last two steps recorded.
-        ``row`` restricts the store to one pair's row; only then are the
-        other rows' newer slots marked missing, since a store of every row
-        overwrites them all.
+        ``row`` restricts the store to one pair's row.
         """
         values = _checked(values)
         if self._new_step != k:
             self.points[:, _OLD] = self.points[:, _NEW]
             self.values[:, _OLD] = self.values[:, _NEW]
-            if row != slice(None):
-                self.values[:, _NEW] = np.nan
+            self.values[:, _NEW] = np.nan
             self._old_step, self._new_step = self._new_step, k
         self.points[row, _NEW] = points
         self.values[row, _NEW] = values

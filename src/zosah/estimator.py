@@ -228,7 +228,6 @@ def probe_values(
     idx: np.ndarray,
     points: np.ndarray,
     what: str = "probe",
-    lift: np.ndarray | None = None,
 ) -> np.ndarray:
     """Query f at x with pair j's coordinates ``idx[j]`` set to ``points[j, r]``.
 
@@ -236,13 +235,11 @@ def probe_values(
     (P, n, 2) absolute slice coordinates; returns the (P, n) values, queried
     pair by pair in row order (P * n queries). To query x moved by a
     displacement delta on a pair's two axes, pass ``x[idx] + delta``. Raises
-    FloatingPointError naming ``what`` if any value is non-finite. ``lift``
-    is ``_lift_index(idx, len(x), n)`` when the caller holds it.
+    FloatingPointError naming ``what`` if any value is non-finite.
     """
     points = np.asarray(points, dtype=float)
     x = np.asarray(x, dtype=float)
-    if lift is None:
-        lift = _lift_index(np.asarray(idx), x.size, points.shape[1])
+    lift = _lift_index(np.asarray(idx), x.size, points.shape[1])
     return np.array(_probe(oracle, x, lift, points, what)).reshape(points.shape[:2])
 
 

@@ -20,8 +20,10 @@ f(x), gradients, and the fit's samples and values or the fd rows) repeat the
 previous step's bit for bit, as at a point the line search cannot leave,
 reuses that step's direction and skips those stages; it still pays every
 query. A plan switch also builds the plan's probe-lift positions
-(``_lift_index``) once, for the gradient probes and for the fresh samples or
-the fd probes, so each lift is one ``np.repeat`` of x and one ``ndarray.put``.
+(``_lift_index``) once, for the gradient probes and for the fd probes, so each
+of their lifts is one ``np.repeat`` of x and one ``ndarray.put``. The fresh
+samples are drawn only at a plan switch, so ``probe_values`` builds their
+positions itself.
 The per-pair functions
 (``estimate_gradient``, ``fd_subspace_hessian``, ``make_pd``,
 ``newton_direction``) are one-pair views of the same pass, and the fit's
@@ -323,9 +325,9 @@ class ZosahOptimizer(BudgetedOptimizer):
             raise ValueError(f"m must be even with 2 <= m <= d={d}, got {self.m}")
         self.rng = np.random.default_rng(cfg.seed)
         self._idx = None  # the plan: (P, 2) coordinates of its pairs
-        # the plan's _lift_index positions of the gradient probes and of the
-        # curvature queries (the fd probes, or else the fresh samples)
-        self._grad_lift = self._curv_lift = None
+        # the plan's _lift_index positions of the gradient probes and, in
+        # zosah-fd, of the curvature probes
+        self._grad_lift = self._fd_lift = None
         self.cache = EvalCache()
         self.stats: list[StepStats] = []
         # probe displacements of every step of the run
@@ -343,7 +345,8 @@ class ZosahOptimizer(BudgetedOptimizer):
             self._idx = idx = make_plan(d, self.m, self.rng)
             self.cache.reset(idx)
             self._grad_lift = _lift_index(idx, d, 2)
-            self._curv_lift = _lift_index(idx, d, 3, by_probe=cfg.hessian_mode == "fd")
+            if cfg.hessian_mode == "fd":
+                self._fd_lift = _lift_index(idx, d, 3, by_probe=True)
 
         oracle = self.oracle
         x = self.x
@@ -362,7 +365,7 @@ class ZosahOptimizer(BudgetedOptimizer):
         if cfg.hessian_mode == "fd":
             rows = _fd_rows(
                 oracle, x, idx, theta, self._fd_steps, cfg.eps, f_x, probe_f.tolist(),
-                self._curv_lift,
+                self._fd_lift,
             )
             fresh_paid = 3
             # the rows as an array, so that comparing keys on the steps whose
@@ -375,8 +378,7 @@ class ZosahOptimizer(BudgetedOptimizer):
                 theta_bar = points - theta[:, None, :]
                 # lifted as x[i] + (point - theta), the per-pair path's floats
                 values = probe_values(
-                    oracle, x, idx, theta[:, None, :] + theta_bar, "curvature sample",
-                    self._curv_lift,
+                    oracle, x, idx, theta[:, None, :] + theta_bar, "curvature sample"
                 )
                 self.cache.store_fresh(k, points, values)
                 fresh_paid = 3

@@ -607,15 +607,13 @@ class TestLiftReference:
         self.same_bits(queried, naive_lifts(x, idx, want, by_probe=True))
 
     @pytest.mark.parametrize("d, n_pairs", SHAPES)
-    @pytest.mark.parametrize("planned", [False, True])
-    def test_probe_values(self, d, n_pairs, planned):
+    def test_probe_values(self, d, n_pairs):
         x, idx, oracle, queried = self.problem(d, n_pairs)
         rng = np.random.default_rng(7)
         points = rng.standard_normal((n_pairs, 3, 2))
         points[0, 1] = (-0.0, 2.5e-320)
         points[-1, 2, 0] = -0.0
-        lift = _lift_index(idx, d, 3) if planned else None
-        values = probe_values(oracle, x, idx, points, "probe", lift)
+        values = probe_values(oracle, x, idx, points, "probe")
         want = naive_lifts(x, idx, points)
         self.same_bits(queried, want)
         assert values.tobytes() == np.array([float(np.sum(np.abs(z))) for z in want]).tobytes()
