@@ -1,8 +1,10 @@
 """Tests for the experiment harness, trace persistence, and the CLI."""
 
 import dataclasses
+import hashlib
 import math
 import multiprocessing
+import statistics
 import subprocess
 import sys
 
@@ -26,8 +28,8 @@ from zosah.harness import (
     write_summary_csv,
     write_trace_csv,
 )
-from zosah.oracle import DatasetFormatError, Objective
-from zosah.optimizer import TraceRow
+from zosah.oracle import DatasetFormatError, Objective, logistic_objective
+from zosah.optimizer import TraceRow, ZosahConfig, run_zosah
 
 
 @pytest.fixture
@@ -78,6 +80,46 @@ class TestExperimentConfig:
         base.update(kwargs)
         with pytest.raises(UsageError):
             ExperimentConfig(**base)
+
+
+class TestDefaultPeriod:
+    """The subspace period T defaults to 3; T = 20, the earlier default, stays
+    selectable and gives the traces it gave as the default."""
+
+    # SHA-256 of combined.csv for one 800-query seed-0 run on the synth123 set
+    # at the default config with T = 20, as written when T = 20 was the default
+    T20_TRACES = {
+        "zosah": "3a7101af51cc1067cc3d1208cbd8c81e4a1430b1a710257c21647fc328af537a",
+        "zosah-diag": "45ee9d7842e46ed906e0ae42e4725d6dc109c71140e5f6b5add81d53e6d5f151",
+        "zosah-fd": "7857c692e8bfe9524cfbb708b80d911d0d58c03eb8ed32ba3752266f01a0a0ae",
+    }
+
+    def test_one_default_everywhere(self, capsys):
+        assert ZosahConfig(max_evals=1).T == ExperimentConfig.T == 3
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "steps per subspace period (default 3)" in help_text
+
+    @pytest.mark.parametrize("alg", sorted(T20_TRACES))
+    def test_t20_reproduces_earlier_default_traces(self, tmp_path, synth123_path, alg):
+        cfg = ExperimentConfig(alg=alg, obj=f"logistic:{synth123_path}", max_evals=800,
+                               seeds=(0,), T=20)
+        combined = run_experiment(cfg, tmp_path)[-1]
+        assert hashlib.sha256(combined.read_bytes()).hexdigest() == self.T20_TRACES[alg]
+
+    def test_default_reaches_logistic_target_fast(self, synth123_data):
+        # queries to f < 0.9 ln 2 from x0 = 0: 153, 171 and 176 at T = 3
+        # against 167, 811 and 550 at T = 20
+        obj = logistic_objective(synth123_data)
+        target = 0.9 * math.log(2.0)
+        hits = []
+        for seed in range(3):
+            trace = run_zosah(obj, np.zeros(obj.dim), ZosahConfig(max_evals=1000, seed=seed))
+            hits.append(next((row.cum_evals for row in trace if row.f_value < target),
+                             math.inf))
+        assert statistics.median(hits) <= 250, hits
 
 
 class TestResolveObjective:
