@@ -9,7 +9,7 @@ slice point:
 - first step of a period: nothing to reuse, draw 3 fresh points on a small
   circle around the current point (re-drawn while their fit system is
   ill-conditioned); every pair's draws come from one scan of the generator's
-  stream, with the per-pair draws' points and generator state;
+  stream, which draws exactly the candidate sets it scans;
 - second step: reuse the previous step's 2 probes and 3 fresh samples;
 - every later step: reuse the 4 gradient probes of the two preceding steps.
 
@@ -46,12 +46,6 @@ _SLOTS = 7
 # Draws of one pair's fresh samples before it settles for the best-conditioned
 # set; a draw is accepted when its Gram matrix clears GAMMA_FLOOR.
 MAX_ATTEMPTS = 10
-# EvalCache.draw_fresh draws 1/_SPARE_SHARE more candidate sets than pairs
-# remain, so that a few misses are served without another draw. About 4% of
-# sets miss the floor at the default radius; below _SPARE_SHARE pairs no spare
-# set is drawn, because giving spare sets back (a generator rewind) costs more
-# than the rare second draw.
-_SPARE_SHARE = 4
 
 
 class PlanMismatchError(ValueError):
@@ -154,21 +148,20 @@ class EvalCache:
         """3 conditioned points on the radius circle around each pair's point.
 
         ``theta`` is (P, 2); returns the (P, 3, 2) absolute points and a (P,)
-        degraded mask, those of one :meth:`_sample_conditioned` call per pair
-        in row order, and leaves ``rng`` where those calls leave it.
+        degraded mask.
 
-        Those calls read one stream of candidate sets (3 angles each): a pair
-        takes sets until one clears the floor or MAX_ATTEMPTS are spent,
-        keeping the best, and the next pair goes on from the following set.
-        Here the stream is drawn in blocks (the remaining pairs' sets plus a
-        few spares for misses, one :func:`_circle_points` call each) and
-        scanned once. If spare sets are left over, the generator is rewound
-        once and exactly the sets used are drawn again.
+        The pairs read one stream of candidate sets (3 angles each) in row
+        order: a pair takes sets until one clears the floor or MAX_ATTEMPTS
+        are spent, keeping the best, and the next pair goes on from the
+        following set. The stream is drawn in blocks of one
+        :func:`_circle_points` call, each as many sets as pairs remain. Each
+        remaining pair takes at least one set, so every set drawn is scanned:
+        none is spare, the generator is never rewound, and it ends where
+        drawing the scanned sets one at a time leaves it.
         """
         if radius <= 0:
             raise ValueError(f"radius must be positive, got {radius}")
         n_pairs = len(theta)
-        state = rng.bit_generator.state
         blocks = []
         eigs: list[float] = []  # smallest Gram eigenvalue of each set drawn
         chosen = []
@@ -178,8 +171,7 @@ class EvalCache:
             best, best_eig = -1, -math.inf
             for _ in range(MAX_ATTEMPTS):
                 if i == len(eigs):
-                    rest = n_pairs - j
-                    blocks.append(_circle_points(rng, radius, rest + rest // _SPARE_SHARE))
+                    blocks.append(_circle_points(rng, radius, n_pairs - j))
                     eigs += _min_gram_eig(blocks[-1]).tolist()
                 eig = eigs[i]
                 if eig > best_eig:
@@ -190,9 +182,6 @@ class EvalCache:
             else:
                 degraded[j] = True
             chosen.append(best)
-        if i < len(eigs):
-            rng.bit_generator.state = state
-            rng.uniform(0.0, 2.0 * np.pi, size=3 * i)
         return theta[:, None, :] + np.concatenate(blocks)[chosen], degraded
 
     # --- one pair ---------------------------------------------------------
@@ -232,8 +221,8 @@ class EvalCache:
         j = self._row(pair)
         theta_current = np.asarray(theta_current, dtype=float)
         if k % T == 0:
-            points, degraded = self._sample_conditioned(theta_current, rng, radius)
-            return GatherResult([], list(points), bool(degraded))
+            points, degraded = self.draw_fresh(theta_current[None], rng, radius)
+            return GatherResult([], list(points[0]), bool(degraded[0]))
         points, values = self.window(k, T)
         samples = [
             (point - theta_current, float(value))
@@ -241,29 +230,6 @@ class EvalCache:
             if np.isfinite(value)
         ]
         return GatherResult(samples, [], False)
-
-    def _sample_conditioned(
-        self, theta: np.ndarray, rng: np.random.Generator, radius: float
-    ) -> tuple[np.ndarray, bool]:
-        """Draw 3 points uniformly on the radius circle around theta.
-
-        Redraws (up to MAX_ATTEMPTS) while the implied Gram matrix of the fit
-        is below the conditioning floor; if the floor is never met, the
-        best-conditioned batch is returned with a degraded flag.
-        """
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
-        best_points: np.ndarray | None = None
-        best_eig = -np.inf
-        for _ in range(MAX_ATTEMPTS):
-            rel = _circle_points(rng, radius, 1)[0]
-            min_eig = float(_min_gram_eig(rel))
-            if min_eig > best_eig:
-                best_eig = min_eig
-                best_points = theta + rel
-            if min_eig >= GAMMA_FLOOR:
-                return best_points, False
-        return best_points, True
 
 
 def _checked(values) -> np.ndarray:

@@ -516,10 +516,9 @@ def _repair(rows, kappa: float) -> tuple[list, list, list]:
     product has exact zeros and ones in V, so it is
     diag(max(|a|, kappa), max(|d|, kappa)) exactly and costs no gemm (an
     infinite eigenvalue, where the gemm would put nan off the diagonal, fails
-    the adjugate either way).
+    the adjugate either way). ``kappa`` is taken as checked finite and
+    positive, by :func:`make_pd` or ``ZosahConfig``.
     """
-    if not 0 < kappa < math.inf:
-        raise ValueError(f"kappa must be finite and positive, got {kappa}")
     lam, V = _eigs(rows)
     lam_bar = []
     A_bar = []
@@ -552,6 +551,8 @@ def make_pd(A: np.ndarray, kappa: float) -> np.ndarray:
     floors everything at kappa, so the result is symmetric with both
     eigenvalues >= kappa.
     """
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be finite and positive, got {kappa}")
     return np.array(_repair(_rows(A), kappa)[0][0]).reshape(2, 2)
 
 

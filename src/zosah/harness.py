@@ -21,7 +21,7 @@ import numpy as np
 
 from .baselines import BASELINES, BaselineConfig, run_baseline
 from .oracle import DatasetFormatError, Objective, rosenbrock_objective
-from .optimizer import TraceRow, ZosahConfig, run_zosah
+from .optimizer import TraceRow, ZosahConfig, _require_integer, run_zosah
 
 __all__ = [
     "ALGORITHMS",
@@ -74,6 +74,10 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        _require_integer("max_evals", self.max_evals)
+        _require_integer("jobs", self.jobs)
+        for i, seed in enumerate(self.seeds):
+            _require_integer(f"seeds[{i}]", seed)
         if self.alg not in ALGORITHMS:
             raise UsageError(
                 f"unknown algorithm {self.alg!r}; expected one of {ALGORITHMS}"
@@ -121,7 +125,10 @@ def initial_point(policy: str | tuple[float, ...], dim: int) -> np.ndarray:
             raise UsageError(
                 f"explicit x0 has {len(policy)} entries but the objective has dimension {dim}"
             )
-        return np.asarray(policy, dtype=float)
+        x0 = np.asarray(policy, dtype=float)
+        if not np.isfinite(x0).all():
+            raise UsageError(f"explicit x0 must be finite, got {x0.tolist()}")
+        return x0
     if policy == "zeros":
         return np.zeros(dim)
     if policy == "standard-rosenbrock":

@@ -13,6 +13,27 @@ def two_pair_plan():
     return np.array([[0, 1], [2, 3]])
 
 
+def sample_conditioned(theta, rng, radius):
+    """Serial reference of EvalCache.draw_fresh for one pair.
+
+    Draws sets of 3 points on the radius circle around theta one at a time
+    until a set's Gram matrix clears the floor or MAX_ATTEMPTS sets are
+    spent. Returns the best-conditioned set, whether it missed the floor and
+    the number of sets drawn.
+    """
+    best_points, best_eig = None, -np.inf
+    for attempt in range(1, cache_mod.MAX_ATTEMPTS + 1):
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=3)
+        rel = radius * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        phi = quad_monomials(rel)
+        min_eig = float(np.linalg.eigvalsh(phi.T @ phi)[0])
+        if min_eig > best_eig:
+            best_points, best_eig = theta + rel, min_eig
+        if min_eig >= cache_mod.GAMMA_FLOOR:
+            return best_points, False, attempt
+    return best_points, True, cache_mod.MAX_ATTEMPTS
+
+
 def records_for(k, values, base=0.0):
     # (point, value) samples with distinct 2-d points, so provenance is
     # detectable downstream; k only documents the step they belong to
@@ -344,20 +365,26 @@ class TestBatchedWindow:
             batched_rng = np.random.default_rng(seed)
             points, degraded = cache.draw_fresh(theta, batched_rng, radius)
             serial_rng = np.random.default_rng(seed)
+            pair_rng = np.random.default_rng(seed)
             for j, pair in enumerate(pairs):
-                got = cache.gather_samples(0, 5, pair, theta[j], serial_rng, radius)
-                np.testing.assert_array_equal(points[j], np.array(got.fresh))
-                assert degraded[j] == got.degraded
+                want, want_degraded, _ = sample_conditioned(theta[j], serial_rng, radius)
+                assert points[j].tobytes() == want.tobytes()
+                assert degraded[j] == want_degraded
+                # the per-pair view is draw_fresh on one pair
+                got = cache.gather_samples(0, 5, pair, theta[j], pair_rng, radius)
+                assert np.array(got.fresh).tobytes() == want.tobytes()
+                assert got.degraded == want_degraded
             one_draw_each = np.random.default_rng(seed)
             one_draw_each.uniform(size=3 * len(pairs))
             extra_draws += batched_rng.bit_generator.state != one_draw_each.bit_generator.state
-            assert batched_rng.random() == serial_rng.random()
+            assert batched_rng.bit_generator.state == serial_rng.bit_generator.state
+            assert pair_rng.bit_generator.state == serial_rng.bit_generator.state
         assert (extra_draws > 0) == redraws
         assert degraded.all() == (radius < 1e-3)
 
     def test_draw_fresh_scans_one_stream_through_misses(self, monkeypatch):
         # about half the sets miss this floor at radius 0.05, so a draw has
-        # several misses, outruns its spare sets and draws more blocks, and
+        # several misses, outruns its first block and draws more blocks, and
         # with 3 attempts some pairs settle degraded
         monkeypatch.setattr(cache_mod, "GAMMA_FLOOR", 1e-7)
         monkeypatch.setattr(cache_mod, "MAX_ATTEMPTS", 3)
@@ -376,12 +403,36 @@ class TestBatchedWindow:
             n_degraded += int(degraded.sum())
             serial_rng = np.random.default_rng(seed)
             for j in range(len(theta)):
-                want, want_degraded = cache._sample_conditioned(theta[j], serial_rng, 0.05)
+                want, want_degraded, _ = sample_conditioned(theta[j], serial_rng, 0.05)
                 assert points[j].tobytes() == want.tobytes()
                 assert degraded[j] == want_degraded
             assert batched_rng.bit_generator.state == serial_rng.bit_generator.state
         assert multi_block > 0
         assert 0 < n_degraded < 20 * len(theta)
+
+    @pytest.mark.parametrize("floor,attempts", [(GAMMA_FLOOR, 10), (1e-7, 3)])
+    def test_draw_fresh_draws_only_the_sets_it_scans(self, monkeypatch, floor, attempts):
+        # the candidate sets drawn (the block sizes) are exactly the sets the
+        # pairs take one at a time: no set is drawn and then given back
+        monkeypatch.setattr(cache_mod, "GAMMA_FLOOR", floor)
+        monkeypatch.setattr(cache_mod, "MAX_ATTEMPTS", attempts)
+        blocks = []
+        real = cache_mod._circle_points
+        monkeypatch.setattr(cache_mod, "_circle_points",
+                            lambda rng, radius, n: blocks.append(n) or real(rng, radius, n))
+        cache = EvalCache()
+        multi_block = 0
+        for n_pairs in (1, 4, 10, 12):
+            theta = np.random.default_rng(n_pairs).standard_normal((n_pairs, 2))
+            for seed in range(15):
+                blocks.clear()
+                cache.draw_fresh(theta, np.random.default_rng(seed), 0.05)
+                serial_rng = np.random.default_rng(seed)
+                n_sets = sum(sample_conditioned(t, serial_rng, 0.05)[2] for t in theta)
+                assert blocks[0] == n_pairs
+                assert sum(blocks) == n_sets
+                multi_block += len(blocks) > 1
+        assert multi_block > 0
 
     def test_draw_fresh_rejects_bad_radius(self):
         cache = EvalCache()

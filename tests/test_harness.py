@@ -4,13 +4,16 @@ import dataclasses
 import hashlib
 import math
 import multiprocessing
+import os
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zosah
 from zosah.cli import main
 from zosah.harness import (
     ALGORITHMS,
@@ -80,6 +83,20 @@ class TestExperimentConfig:
         base.update(kwargs)
         with pytest.raises(UsageError):
             ExperimentConfig(**base)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"jobs": 1.5}, "jobs must be an integer, got 1.5"),
+        ({"max_evals": 50.0}, "max_evals must be an integer, got 50.0"),
+        ({"seeds": (0, 1.5)}, "seeds[1] must be an integer, got 1.5"),
+        ({"seeds": ("0",)}, "seeds[0] must be an integer, got '0'"),
+    ])
+    def test_non_integral_count_names_its_field(self, kwargs, message):
+        # a ValueError, which the CLI reports as a usage error (exit 2)
+        base = {"alg": "zosah", "obj": "rosenbrock", "max_evals": 50, "seeds": (0, 1)}
+        base.update(kwargs)
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig(**base)
+        assert str(info.value) == message
 
 
 class TestDefaultPeriod:
@@ -506,6 +523,10 @@ class TestCliNonFiniteSettings:
         (["--alg", "zosah", "--hess-radius", "1e78"],
          "hess_radius must be at most 1.2e+77, beyond which the fresh samples' Gram matrix "
          "can overflow, got 1e+78"),
+        # a non-finite start point is the user's, not the objective's
+        (["--alg", "zosah", "--x0", "inf,1"], "explicit x0 must be finite, got [inf, 1.0]"),
+        (["--alg", "zosah", "--x0", "nan,1"], "explicit x0 must be finite, got [nan, 1.0]"),
+        (["--alg", "zosah", "--x0", "1e400,1"], "explicit x0 must be finite, got [inf, 1.0]"),
     ])
     def test_exit_2_with_one_line_error(self, tmp_path, capsys, args, message):
         code = main(["run", "--obj", "rosenbrock", "--evals", "200",
@@ -545,15 +566,18 @@ class TestCliNonFiniteObjective:
         assert f"non-finite value inf at a {probe}" in err
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
-    def test_non_finite_start_value_is_fatal(self, tmp_path, capsys, alg):
+    def test_non_finite_start_value_is_fatal(self, monkeypatch, tmp_path, capsys, alg):
+        monkeypatch.setattr(
+            "zosah.harness.resolve_objective", lambda obj_id: Objective(lambda x: math.nan, 2)
+        )
         code = main([
-            "run", "--alg", alg, "--obj", "rosenbrock", "--x0", "nan,1",
+            "run", "--alg", alg, "--obj", "rosenbrock", "--x0", "0,1",
             "--evals", "50", "--out", str(tmp_path),
         ])
         err = capsys.readouterr().err
         assert code == 3
         assert err == (
-            "error: objective returned non-finite value nan at the start point x0 = [nan, 1.0]\n"
+            "error: objective returned non-finite value nan at the start point x0 = [0.0, 1.0]\n"
         )
         assert not (tmp_path / "combined.csv").exists()
 
@@ -573,13 +597,14 @@ class TestCliNonFiniteObjective:
 
     def test_worker_error_reaches_the_cli(self, tmp_path, capsys):
         code = main([
-            "run", "--alg", "zosah", "--obj", "rosenbrock", "--x0", "nan,1",
+            "run", "--alg", "zosah", "--obj", "rosenbrock", "--x0", "1e200,0",
             "--evals", "50", "--seeds", "0,1", "--jobs", "2", "--out", str(tmp_path),
         ])
         err = capsys.readouterr().err
         assert code == 3
         assert err == (
-            "error: objective returned non-finite value nan at the start point x0 = [nan, 1.0]\n"
+            "error: objective returned non-finite value inf at the start point"
+            " x0 = [1e+200, 0.0]\n"
         )
 
 
@@ -681,6 +706,9 @@ class TestCliSummarize:
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self, tmp_path):
         out = tmp_path / "traces"
+        # the child imports the package this test imported, installed or not
+        src = str(Path(zosah.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [
                 sys.executable, "-m", "zosah", "run",
@@ -689,6 +717,7 @@ class TestModuleEntryPoint:
             ],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "combined.csv").exists()
