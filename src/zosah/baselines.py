@@ -21,13 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import _require_finite
-from .oracle import CountedOracle, Objective
+from .oracle import CountedOracle, Objective, _require_integer
 from .optimizer import (
     BudgetedOptimizer,
     TraceRow,
     ZosahConfig,
     _moved,
-    _require_integer,
     armijo_search,
 )
 

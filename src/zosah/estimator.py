@@ -605,6 +605,15 @@ def _newton_rows(rows, g_rows, kappa: float) -> list[tuple[float, float]]:
     return w
 
 
+def _require_fd_eps(eps: float) -> None:
+    """Reject a positive eps whose square, the fd rows' divisor, underflows to 0."""
+    if eps * eps == 0.0:
+        raise ValueError(
+            f"eps must be at least about 1.6e-162 in fd mode, below which eps * eps "
+            f"underflows to 0, got {eps:g}"
+        )
+
+
 def _fd_rows(
     oracle: CountedOracle,
     x: np.ndarray,
@@ -660,6 +669,7 @@ def fd_subspace_hessian(
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
+    _require_fd_eps(eps)
     x = np.asarray(x, dtype=float)
     idx = np.array([p.pair])
     f_probes = [(float(f_probe1), float(f_probe2))]

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BASELINES, BaselineConfig, run_baseline
-from .oracle import DatasetFormatError, Objective, rosenbrock_objective
-from .optimizer import TraceRow, ZosahConfig, _require_integer, run_zosah
+from .oracle import DatasetFormatError, Objective, _require_integer, rosenbrock_objective
+from .optimizer import TraceRow, ZosahConfig, run_zosah
 
 __all__ = [
     "ALGORITHMS",
@@ -291,6 +291,7 @@ def summarize(
     single seed). Each seed's rows must be in non-decreasing cum_evals
     order, as every optimizer writes them.
     """
+    _require_integer("grid", grid)
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
     if not any(rows_by_seed.values()):

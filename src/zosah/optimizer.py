@@ -15,11 +15,12 @@ then ``_fit_rows`` (or ``_fd_rows``), then ``_newton_rows``. The curvature
 stage hands each pair's matrix on as a row of Python floats with its fit
 outcome, the step swaps a failed fit's row for kappa * I (and, in the diag
 variant, drops the off-diagonal) on those rows, and the repair-and-solve
-stage turns the rows into directions. A step whose direction inputs (plan,
-f(x), gradients, and the fit's samples and values or the fd rows) repeat the
-previous step's bit for bit, as at a point the line search cannot leave,
-reuses that step's direction and skips those stages; it still pays every
-query. A plan switch also builds the plan's probe-lift positions
+stage turns the rows into directions. A step whose direction inputs (f(x),
+gradients, and the fit's samples and values or the fd rows), concatenated as
+one byte string, repeat the previous step's bit for bit, as at a point the
+line search cannot leave, reuses that step's direction and skips those
+stages; it still pays every query. A plan switch drops the stored direction,
+so none outlives its plan. A plan switch also builds the plan's probe-lift positions
 (``_lift_index``) once, for the gradient probes and for the fd probes, so each
 of their lifts is one ``np.repeat`` of x and one ``ndarray.put``. The fresh
 samples are drawn only at a plan switch, so ``probe_values`` builds their
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import struct
 from dataclasses import dataclass
 
@@ -54,6 +54,7 @@ from .estimator import (
     _gradients,
     _lift_index,
     _newton_rows,
+    _require_fd_eps,
     probe_values,
 )
 # Per-pair estimators the step does not call; bench/tracer.py looks them up
@@ -66,7 +67,7 @@ from .estimator import (  # noqa: F401
     newton_direction,
     solve_hessian,
 )
-from .oracle import CountedOracle, DimensionMismatchError, Objective
+from .oracle import CountedOracle, DimensionMismatchError, Objective, _require_integer
 from .subspace import make_plan
 
 __all__ = [
@@ -99,14 +100,6 @@ MAX_HESS_RADIUS = 1.2e77
 
 # f(x) as the 8 bytes of a double: the first field of a step's direction key
 _F64 = struct.Struct("<d")
-
-
-def _require_integer(name: str, value) -> None:
-    """Reject a non-integral count field (numpy integers pass), naming it."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -156,6 +149,8 @@ class ZosahConfig:
             raise ValueError(
                 f"hessian_mode must be one of {HESSIAN_MODES}, got {self.hessian_mode!r}"
             )
+        if self.hessian_mode == "fd":
+            _require_fd_eps(self.eps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,27 +251,6 @@ def armijo_search(
     return rho, False, f_x
 
 
-def _same_bits(memo, key: tuple) -> bool:
-    """Whether a step's direction key repeats the bits of the memo's.
-
-    A key is (bytes, the plan array, arrays or row lists of floats): the
-    bytes, f(x) first, are compared first, so a step at a new point costs
-    one short comparison; then the plan by identity and the rest as bytes,
-    so -0.0 never matches 0.0 and a nan matches only its own bits.
-    """
-    if memo is None:
-        return False
-    old = memo[0]
-    return (
-        old[0] == key[0]
-        and old[1] is key[1]
-        and all(
-            np.asarray(a).tobytes() == np.asarray(b).tobytes()
-            for a, b in zip(old[2:], key[2:])
-        )
-    )
-
-
 class BudgetedOptimizer:
     """Shared run loop: one initial value row, then steps until the budget.
 
@@ -336,9 +310,11 @@ class ZosahOptimizer(BudgetedOptimizer):
         # probe displacements of every step of the run
         self._grad_steps = cfg.eps * _GRAD_STEPS
         self._fd_steps = cfg.eps * _FD_STEPS
-        # (key, v) of the last direction computed, see _same_bits; a repeated
-        # step hands the same v to its search, so nothing may write to v
-        self._memo = None
+        # the key of _v, the last direction computed in this plan: the bytes
+        # of its inputs, so -0.0 never matches 0.0 and a nan matches only its
+        # own bits. A repeated step hands the same _v to its search, so
+        # nothing may write to it.
+        self._memo = self._v = None
 
     def step(self) -> TraceRow:
         cfg = self.cfg
@@ -350,6 +326,7 @@ class ZosahOptimizer(BudgetedOptimizer):
             self._grad_lift = _lift_index(idx, d, 2)
             if cfg.hessian_mode == "fd":
                 self._fd_lift = _lift_index(idx, d, 3, by_probe=True)
+            self._memo = None
 
         oracle = self.oracle
         x = self.x
@@ -371,10 +348,8 @@ class ZosahOptimizer(BudgetedOptimizer):
                 self._fd_lift,
             )
             fresh_paid = 3
-            # the rows as an array, so that comparing keys on the steps whose
-            # f(x) repeats converts no list of rows
-            key = (_F64.pack(f_x), idx, g, np.array(rows))
-            repeated = _same_bits(self._memo, key)
+            key = _F64.pack(f_x) + g.tobytes() + np.array(rows).tobytes()
+            repeated = key == self._memo
         else:
             if k % cfg.T == 0:
                 points, flags = self.cache.draw_fresh(theta, self.rng, cfg.hess_radius)
@@ -389,9 +364,12 @@ class ZosahOptimizer(BudgetedOptimizer):
             else:
                 points, values = self.cache.window(k, cfg.T)
                 theta_bar = points - theta[:, None, :]
-            # the window's values as bytes: store_probes overwrites its views
-            key = (_F64.pack(f_x) + values.tobytes(), idx, g, theta_bar)
-            repeated = _same_bits(self._memo, key)
+            # bytes, taken before store_probes overwrites the window's views;
+            # within a plan P is fixed and the key is 8 + 24 P s + 16 P bytes
+            # long for a window of s samples, so equal keys mean equal inputs
+            key = (_F64.pack(f_x) + values.tobytes() + g.tobytes()
+                   + theta_bar.tobytes())
+            repeated = key == self._memo
             if not repeated:
                 rows, outcome = _fit_rows(theta_bar, values, g, f_x)
                 # a failed fit falls back to a scaled gradient step (kappa * I);
@@ -403,12 +381,11 @@ class ZosahOptimizer(BudgetedOptimizer):
                     for h, o in zip(rows, outcome)
                 ]
             self.cache.store_probes(k, probe_points, probe_f)
-        if repeated:
-            v = self._memo[1]
-        else:
-            v = np.zeros(x.size)
-            v[idx] += _newton_rows(rows, g.tolist(), cfg.kappa)
-            self._memo = (key, v)
+        if not repeated:
+            self._v = np.zeros(x.size)
+            self._v[idx] += _newton_rows(rows, g.tolist(), cfg.kappa)
+            self._memo = key
+        v = self._v
 
         hess_evals = fresh_paid * n_pairs
         rho, accepted, f_new = armijo_search(oracle, x, v, f_x)

@@ -27,6 +27,7 @@ so only a run that builds a logistic objective pays for ``scipy.sparse``.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable
 
 import numpy as np
@@ -58,6 +59,14 @@ def __getattr__(name: str):
 _FLOAT64 = np.dtype(np.float64)
 
 
+def _require_integer(name: str, value) -> None:
+    """Reject a non-integral count field (numpy integers pass), naming it."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 class DimensionMismatchError(ValueError):
     """Point dimension does not match the objective's dimension."""
 
@@ -74,6 +83,7 @@ class Objective:
     """
 
     def __init__(self, fn: Callable[[np.ndarray], float], dim: int, name: str = ""):
+        _require_integer("dim", dim)
         if dim < 1:
             raise ValueError(f"objective dimension must be positive, got {dim}")
         self._fn = fn

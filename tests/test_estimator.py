@@ -908,6 +908,17 @@ class TestFdSubspaceHessian:
                                 eps, 0.0, 0.0, 0.0)
         assert oracle.count == 0
 
+    def test_eps_whose_square_underflows_rejected_before_any_query(self):
+        oracle = CountedOracle(Objective(lambda x: 0.0, 2))
+        with pytest.raises(ValueError, match="^eps must be at least about 1.6e-162 in fd mode"):
+            fd_subspace_hessian(oracle, np.zeros(2), PairProjection(0, 1),
+                                1e-200, 0.0, 0.0, 0.0)
+        assert oracle.count == 0
+        # the smallest eps whose square is nonzero still gives finite rows
+        A = fd_subspace_hessian(oracle, np.zeros(2), PairProjection(0, 1),
+                                1.5717277847026288e-162, 0.0, 0.0, 0.0)
+        assert np.all(A == 0.0)
+
     def test_non_finite_rejected(self):
         oracle = CountedOracle(Objective(lambda x: float("nan"), 2))
         with pytest.raises(FloatingPointError):

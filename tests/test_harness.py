@@ -411,6 +411,8 @@ class TestSummarize:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match="grid"):
             summarize({0: [TraceRow(0, 1, 1.0)]}, grid=0)
+        with pytest.raises(ValueError, match="^grid must be an integer, got 2.5$"):
+            summarize({0: [TraceRow(0, 1, 1.0), TraceRow(1, 5, 0.5)]}, grid=2.5)
         with pytest.raises(ValueError, match="no traces"):
             summarize({}, grid=100)
 
@@ -511,7 +513,7 @@ class TestCliRun:
 
 class TestCliNonFiniteSettings:
     """NaN, inf or an overflowing value where a positive setting belongs is a
-    usage error (exit 2)."""
+    usage error (exit 2), and so is an fd eps whose square underflows to 0."""
 
     @pytest.mark.parametrize("args,message", [
         (["--alg", "rspg", "--eps", "nan"], "eps must be finite and positive, got nan"),
@@ -527,6 +529,9 @@ class TestCliNonFiniteSettings:
         (["--alg", "zosah", "--x0", "inf,1"], "explicit x0 must be finite, got [inf, 1.0]"),
         (["--alg", "zosah", "--x0", "nan,1"], "explicit x0 must be finite, got [nan, 1.0]"),
         (["--alg", "zosah", "--x0", "1e400,1"], "explicit x0 must be finite, got [inf, 1.0]"),
+        (["--alg", "zosah-fd", "--eps", "1e-200"],
+         "eps must be at least about 1.6e-162 in fd mode, below which eps * eps "
+         "underflows to 0, got 1e-200"),
     ])
     def test_exit_2_with_one_line_error(self, tmp_path, capsys, args, message):
         code = main(["run", "--obj", "rosenbrock", "--evals", "200",
@@ -534,6 +539,10 @@ class TestCliNonFiniteSettings:
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"error: {message}\n"
+
+    def test_fit_mode_takes_an_eps_whose_square_underflows(self, tmp_path):
+        assert main(["run", "--obj", "rosenbrock", "--evals", "200", "--alg", "zosah",
+                     "--eps", "1e-200", "--out", str(tmp_path)]) == 0
 
 
 class TestCliNonFiniteObjective:

@@ -92,6 +92,7 @@ class TestZosahConfig:
             {"max_evals": 50.5},
             {"max_evals": 100, "seed": 1.5},
             {"max_evals": 100, "seed": -1},
+            {"max_evals": 100, "hessian_mode": "fd", "eps": 1e-200},  # eps * eps is 0
         ],
     )
     def test_invalid_fields(self, kwargs):
@@ -728,16 +729,39 @@ class TestRepeatedDirection:
         stalled = [m for m in moves if m[0].tobytes() == m[1].tobytes() and m[2] is m[3]]
         assert len(stalled) > 0.25 * len(moves)
 
-    def test_keys_compare_bits_not_values(self):
-        plan = np.array([[0, 1]])
+    def test_keys_compare_bits_not_values(self, monkeypatch):
+        # zosah-fd on Rosenbrock with the n-th step's gradient replaced by
+        # gradients[n % len(gradients)]: the direction is zero or nan, so x
+        # never moves, and f(x) and the fd rows repeat every step
+        cfg = ZosahConfig(max_evals=1000, seed=0, hessian_mode="fd", **ROSENBROCK_CRITERION_1)
 
-        def key(f_x=1.0, g=(1.0, 0.0), plan=plan):
-            return (optimizer_mod._F64.pack(f_x), plan, np.array([g]))
+        def repeated_steps(gradients):
+            calls = [0]
 
-        memo = (key(), None)
-        assert optimizer_mod._same_bits(memo, key())
-        assert not optimizer_mod._same_bits(None, key())
-        assert not optimizer_mod._same_bits(memo, key(plan=plan.copy()))
-        assert not optimizer_mod._same_bits(memo, key(g=(1.0, -0.0)))
-        assert not optimizer_mod._same_bits((key(0.0), None), key(-0.0))
-        assert optimizer_mod._same_bits((key(math.nan), None), key(math.nan))
+            def replaced(*args):
+                calls[0] += 1
+                _, *rest = _gradients(*args)
+                return (np.array([gradients[calls[0] % len(gradients)]]), *rest)
+
+            monkeypatch.setattr(optimizer_mod, "_gradients", replaced)
+            opt = ZosahOptimizer(CountedOracle(rosenbrock_objective()), np.array([-1.2, 1.0]), cfg)
+            opt.run()
+            assert len(opt.stats) > cfg.T  # the run switches plans
+            return [s.step for s in opt.stats if s.repeated], len(opt.stats)
+
+        # every step but each plan's first reuses the direction
+        for gradients in ([(0.0, 0.0)], [(math.nan, 0.0)]):  # a nan matches its own bits
+            steps, n = repeated_steps(gradients)
+            assert steps == [k for k in range(n) if k % cfg.T != 0]
+        # equal values, other bits
+        assert repeated_steps([(0.0, 0.0), (-0.0, 0.0)])[0] == []
+
+    def test_a_plan_switch_never_reuses_a_direction(self):
+        # at T = 1 every step switches plans; a stalled zosah-fd step's
+        # inputs repeat across them, and 92 of these 214 steps would reuse
+        # the last plan's direction if the switch kept it
+        cfg = ZosahConfig(max_evals=1500, seed=0, m=2, T=1, eps=1e-5, hessian_mode="fd")
+        opt = ZosahOptimizer(CountedOracle(rosenbrock_objective()), np.array([-1.2, 1.0]), cfg)
+        opt.run()
+        assert len(opt.stats) == 214
+        assert not any(s.repeated for s in opt.stats)

@@ -260,6 +260,9 @@ class TestCountedOracle:
     def test_objective_dim_validation(self):
         with pytest.raises(ValueError):
             Objective(lambda x: 0.0, 0)
+        with pytest.raises(ValueError, match="^dim must be an integer, got 2.5$"):
+            Objective(lambda x: 0.0, 2.5)
+        assert Objective(lambda x: 0.0, np.int64(3)).dim == 3
 
     def test_shadow_counter_over_full_run(self):
         calls = {"n": 0}
