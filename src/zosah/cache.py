@@ -47,6 +47,12 @@ _SLOTS = 7
 # set; a draw is accepted when its Gram matrix clears GAMMA_FLOOR.
 MAX_ATTEMPTS = 10
 
+# Largest radius whose fresh samples' Gram matrix cannot overflow: at
+# radius r each monomial is at most r^2 / 2 in magnitude, so each entry of
+# the Gram over three points is at most 0.75 r^4, which stays below the
+# largest double (about 1.8e308) up to r = 1.24e77 less rounding.
+MAX_HESS_RADIUS = 1.2e77
+
 
 class PlanMismatchError(ValueError):
     """A record or query referenced a pair that is not in the current plan."""
@@ -159,8 +165,11 @@ class EvalCache:
         none is spare, the generator is never rewound, and it ends where
         drawing the scanned sets one at a time leaves it.
         """
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
+        if not 0 < radius <= MAX_HESS_RADIUS:
+            raise ValueError(
+                f"radius must be positive and at most {MAX_HESS_RADIUS:g}, beyond which "
+                f"the Gram matrix can overflow, got {radius:g}"
+            )
         n_pairs = len(theta)
         blocks = []
         eigs: list[float] = []  # smallest Gram eigenvalue of each set drawn

@@ -11,10 +11,10 @@ always points downhill for the local model.
 
 The module has two layers. The first is the rows pass the optimizer runs
 for all P pairs of a plan, from probes to Newton directions.
-``_gradients`` and ``_fd_rows`` lift every pair's probe points into one
-(P * n, d) block of query points (``_probe``: copies of x, then one
-``ndarray.put`` at the flat positions ``_lift_index`` gives, which the
-optimizer builds once per plan) and query its rows in one ``map``:
+Every probe query goes through ``_probe``, which lifts every pair's probe
+points into one (P * n, d) block of query points (copies of x, then one
+``ndarray.put`` at the flat positions ``_lift_index`` gives, which the caller
+passes in) and queries its rows in one ``map``: the step's fresh samples and
 ``_gradients`` pair by pair, ``_fd_rows`` probe by probe (every pair's
 2 eps e1, then every pair's 2 eps e2, then every pair's eps e1 + eps e2), so
 that on the logistic objective every axis probe moves one coordinate from
@@ -32,19 +32,22 @@ form the monomials and pinned targets, and for each step whose rounding
 belongs to a library routine: the ddot of g . theta_bar, the Gram gemm and
 rhs gemv, ``eigvalsh``, ``solve``, ``hypot``, the eigenvector candidates'
 ddot and the repair's gemm. ``eigvalsh`` and ``solve`` call np.linalg's
-LAPACK gufuncs directly (``_eigvalsh``, ``_solve``), under np.linalg's
-floating-point settings, because its Python wrappers cost more than LAPACK
-on a few 3x3 systems. No (P, 2, 2) matrix stack is built on the way. So
-the fit's cost grows little with P, but the repair and solve loop over the
-pairs in Python. In one timeit run (2-core x86_64 VM, 4 samples per pair),
-``_fit_rows`` took 16 us at P = 1 and 24 us at P = 10, and ``_newton_rows``
-on non-diagonal rows 12 us and 36 us (2.4 us and 11 us on diagonal rows).
+LAPACK gufuncs directly (``_eigvalsh``, ``_solve``), because its Python
+wrappers cost more than LAPACK on a few 3x3 systems, with every
+floating-point flag ignored: a matrix LAPACK fails on (a singular system,
+or a non-finite one the eigensolver fails on) comes back as nan and fails
+its own pair, where np.linalg would raise for the whole stack. No (P, 2, 2)
+matrix stack is built on the way. So the fit's cost grows little with P,
+but the repair and solve loop over the pairs in Python. In one timeit run
+(2-core x86_64 VM, 4 samples per pair), ``_fit_rows`` took 16 us at P = 1
+and 24 us at P = 10, and ``_newton_rows`` on non-diagonal rows 12 us and
+36 us (2.4 us and 11 us on diagonal rows).
 
 The second layer is per pair: ``estimate_gradient``, ``fd_subspace_hessian``,
 ``make_pd`` and ``newton_direction`` are one-pair views of the rows pass.
 ``build_fit_system`` + ``solve_hessian`` are the fit's reference, a separate
-per-pair implementation whose bits ``_fit_rows`` reproduces.
-``probe_values`` queries lifted points; the step uses it for fresh samples.
+per-pair implementation whose bits ``_fit_rows`` reproduces. The per-pair
+views build their own lift positions.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ __all__ = [
     "FitSystem",
     "InsufficientSamplesError",
     "HessianUnavailableError",
-    "probe_values",
     "estimate_gradient",
     "quad_monomials",
     "build_fit_system",
@@ -108,21 +110,16 @@ _NAN2 = (math.nan, math.nan)
 _BIG = 4e153
 
 
-def _raise_linalg_error(err, flag):
-    raise np.linalg.LinAlgError("singular or non-finite matrix")
+# The floating-point settings of the two LAPACK seams: every flag ignored, so
+# a matrix LAPACK fails on (a singular system, an eigensolver that fails on
+# non-finite input) comes back as nan and the rest of its stack is unaffected.
+_lapack_quiet = np.errstate(all="ignore")
 
 
-# The floating-point settings np.linalg.solve and eigvalsh call their LAPACK
-# gufuncs under: an invalid result (a singular matrix, an eigensolver that
-# fails on non-finite input) raises LinAlgError, other flags are ignored.
-_lapack_errors = np.errstate(
-    call=_raise_linalg_error, invalid="call", over="ignore", divide="ignore", under="ignore"
-)
-
-
-@_lapack_errors
+@_lapack_quiet
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve(a, b)`` of float64 (..., n, n) and (..., n, k) stacks.
+    """``np.linalg.solve(a, b)`` of float64 (..., n, n) and (..., n, k) stacks,
+    with nan where np.linalg.solve of that matrix alone raises.
 
     The gufunc np.linalg.solve calls, without the wrapper's array checks
     and conversions, which cost more than LAPACK on a few 3x3 systems.
@@ -130,9 +127,10 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _umath_linalg.solve(a, b, signature="dd->d")
 
 
-@_lapack_errors
+@_lapack_quiet
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh(a)`` (ascending, lower triangle) of a float64 (..., n, n) stack."""
+    """``np.linalg.eigvalsh(a)`` (ascending, lower triangle) of a float64 (..., n, n)
+    stack, with nan where np.linalg.eigvalsh of that matrix alone raises."""
     return _umath_linalg.eigvalsh_lo(a, signature="d->d")
 
 
@@ -222,45 +220,21 @@ def _probe(
     return values
 
 
-def probe_values(
-    oracle: CountedOracle,
-    x: np.ndarray,
-    idx: np.ndarray,
-    points: np.ndarray,
-    what: str = "probe",
-) -> np.ndarray:
-    """Query f at x with pair j's coordinates ``idx[j]`` set to ``points[j, r]``.
-
-    ``idx`` is the (P, 2) array of pair coordinates and ``points`` the
-    (P, n, 2) absolute slice coordinates; returns the (P, n) values, queried
-    pair by pair in row order (P * n queries). To query x moved by a
-    displacement delta on a pair's two axes, pass ``x[idx] + delta``. Raises
-    FloatingPointError naming ``what`` if any value is non-finite.
-    """
-    points = np.asarray(points, dtype=float)
-    x = np.asarray(x, dtype=float)
-    lift = _lift_index(np.asarray(idx), x.size, points.shape[1])
-    return np.array(_probe(oracle, x, lift, points, what)).reshape(points.shape[:2])
-
-
 def _gradients(
     oracle: CountedOracle,
     x: np.ndarray,
-    idx: np.ndarray,
+    lift: np.ndarray,
     theta: np.ndarray,
     steps: np.ndarray,
     eps: float,
     f_x: float,
-    lift: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forward-difference gradients of the pairs ``idx`` (P, 2), 2P queries, given
-    ``theta = x[idx]``, ``steps = eps * _GRAD_STEPS`` and the paid f(x): the (P, 2)
-    gradients, the probes' slice points (P, 2, 2) and their (P, 2) values.
-    ``lift`` is ``_lift_index(idx, x.size, 2)`` when the caller holds it."""
-    if lift is None:
-        lift = _lift_index(idx, x.size, 2)
+    """Forward-difference gradients of the P pairs ``idx``, 2P queries, given
+    ``lift = _lift_index(idx, x.size, 2)``, ``theta = x[idx]``,
+    ``steps = eps * _GRAD_STEPS`` and the paid f(x): the (P, 2) gradients, the
+    probes' slice points (P, 2, 2) and their (P, 2) values."""
     points = theta[:, None, :] + steps
-    values = np.array(_probe(oracle, x, lift, points, "gradient probe")).reshape(len(idx), 2)
+    values = np.array(_probe(oracle, x, lift, points, "gradient probe")).reshape(len(theta), 2)
     return (values - f_x) / eps, points, values
 
 
@@ -279,7 +253,8 @@ def estimate_gradient(
         raise ValueError(f"eps must be finite and positive, got {eps}")
     x = np.asarray(x, dtype=float)
     idx = np.array([p.pair])
-    g, points, values = _gradients(oracle, x, idx, x[idx], eps * _GRAD_STEPS, eps, f_x)
+    lift = _lift_index(idx, x.size, 2)
+    g, points, values = _gradients(oracle, x, lift, x[idx], eps * _GRAD_STEPS, eps, f_x)
     probes = tuple((points[0, i], float(values[0, i])) for i in range(2))
     return GradientEstimate(g[0], probes)
 
@@ -375,7 +350,11 @@ def _fit_rows(
     The Gram matrices' smallest eigenvalues decide exact against ridge, but
     when every trace is below half the floor no eigenvalue can clear it
     (lambda_min <= trace / 3, and eigvalsh rounds by a few ulps of the
-    trace), so the stack skips ``eigvalsh``.
+    trace), so the stack skips ``eigvalsh``. LAPACK failures come back as
+    nan for their own pair only: a non-finite Gram matrix's smallest
+    eigenvalue is nan, which fails the pair, and a singular system's solution
+    row is nan, which fails it through the finiteness check. So one stacked
+    ``eigvalsh`` and one stacked ``solve`` serve every pair.
     """
     n_pairs, s, _ = theta_bar.shape
     if s < 3:
@@ -387,40 +366,25 @@ def _fit_rows(
     gram = phi_t @ phi
     rhs = phi_t @ q[..., None]
     traces = _traces(gram)
-    bad_gram = None
     if all(t < 0.5 * GAMMA_FLOOR for t in traces):
-        exact = [False] * n_pairs
+        outcome = [RIDGE] * n_pairs
     else:
-        try:
-            min_eig = _eigvalsh(gram)[:, 0]
-        except np.linalg.LinAlgError:  # a non-finite Gram matrix fails the whole stack
-            bad = ~np.isfinite(gram).all(axis=(1, 2))
-            gram[bad] = _EYE3
-            min_eig = _eigvalsh(gram)[:, 0]
-            bad_gram = bad.tolist()
-            traces = _traces(gram)
-        exact = [e >= GAMMA_FLOOR for e in min_eig.tolist()]
+        outcome = [EXACT if e >= GAMMA_FLOOR else RIDGE if e < GAMMA_FLOOR else FAILED
+                   for e in _eigvalsh(gram)[:, 0].tolist()]
     system = gram
-    if not all(exact):
-        ridge = np.array([1e-8 * t / 3.0 for t in traces])
+    if any(o != EXACT for o in outcome):
+        # a failed pair's Gram matrix, and so its trace, is not finite: a zero
+        # ridge keeps inf * 0 out
+        ridge = np.array([0.0 if o == FAILED else 1e-8 * t / 3.0
+                          for t, o in zip(traces, outcome)])
         system = gram + ridge[:, None, None] * _EYE3
-        if any(exact):
-            system = np.where(np.array(exact)[:, None, None], gram, system)
-    try:
-        h = _solve(system, rhs).ravel().tolist()
-    except np.linalg.LinAlgError:  # one singular system fails the stack: retry per pair
-        h = []
-        for j in range(n_pairs):
-            try:
-                h += _solve(system[j], rhs[j]).ravel().tolist()
-            except np.linalg.LinAlgError:
-                h += [math.nan] * 3
+        if EXACT in outcome:
+            system = np.where(np.array([o == EXACT for o in outcome])[:, None, None],
+                              gram, system)
+    h = _solve(system, rhs).ravel().tolist()
     rows = [h[i:i + 3] for i in range(0, len(h), 3)]
-    outcome = [EXACT if ex else RIDGE for ex in exact]
-    if not _all_finite(h):  # a non-finite solution fails its pair
+    if not _all_finite(h):  # a singular system's row is nan: a non-finite row fails
         outcome = [o if _all_finite(row) else FAILED for row, o in zip(rows, outcome)]
-    if bad_gram is not None:
-        outcome = [FAILED if b else o for o, b in zip(outcome, bad_gram)]
     return rows, outcome
 
 
@@ -617,27 +581,24 @@ def _require_fd_eps(eps: float) -> None:
 def _fd_rows(
     oracle: CountedOracle,
     x: np.ndarray,
-    idx: np.ndarray,
+    lift: np.ndarray,
     theta: np.ndarray,
     steps: np.ndarray,
     eps: float,
     f_x: float,
     f_probes,
-    lift: np.ndarray | None = None,
 ) -> list[tuple[float, float, float]]:
-    """:func:`fd_subspace_hessian` of every pair in ``idx`` as (a11, a12, a22) rows,
-    given ``theta = x[idx]``, ``steps = eps * _FD_STEPS`` and the gradient
-    probe values as (f1, f2) rows of Python floats; 3P queries.
+    """:func:`fd_subspace_hessian` of the P pairs ``idx`` as (a11, a12, a22) rows,
+    given ``lift = _lift_index(idx, x.size, 3, by_probe=True)``,
+    ``theta = x[idx]``, ``steps = eps * _FD_STEPS`` and the gradient probe
+    values as (f1, f2) rows of Python floats; 3P queries.
 
     The probes are queried probe by probe: every pair's 2 eps e1, then every
     pair's 2 eps e2, then every pair's eps e1 + eps e2. On the logistic
     objective each axis probe then moves one coordinate from x, the kept
     point, and takes the row path; a mixed probe moves two, is a full
     evaluation and becomes the kept point, so the mixed probes come last.
-    With one pair the order is the pair's own. ``lift`` is
-    ``_lift_index(idx, x.size, 3, by_probe=True)`` when the caller holds it."""
-    if lift is None:
-        lift = _lift_index(idx, x.size, 3, by_probe=True)
+    With one pair the order is the pair's own."""
     f = _probe(oracle, x, lift, theta[:, None, :] + steps, "curvature probe")
     p = len(f_probes)
     eps2 = eps * eps
@@ -672,6 +633,7 @@ def fd_subspace_hessian(
     _require_fd_eps(eps)
     x = np.asarray(x, dtype=float)
     idx = np.array([p.pair])
+    lift = _lift_index(idx, x.size, 3)  # one pair: the by-probe order is its own
     f_probes = [(float(f_probe1), float(f_probe2))]
-    ((a, b, d),) = _fd_rows(oracle, x, idx, x[idx], eps * _FD_STEPS, eps, f_x, f_probes)
+    ((a, b, d),) = _fd_rows(oracle, x, lift, x[idx], eps * _FD_STEPS, eps, f_x, f_probes)
     return np.array([[a, b], [b, d]])

@@ -57,7 +57,9 @@ class UsageError(ValueError):
 class ExperimentConfig:
     """Everything needed to reproduce one experiment byte-for-byte.
 
-    The hyperparameter defaults are the optimizer configs' own.
+    The hyperparameter defaults are the optimizer configs' own, and the
+    selected algorithm's config is built once here, so a bad hyperparameter
+    fails before any data loads.
     """
 
     alg: str
@@ -92,6 +94,7 @@ class ExperimentConfig:
             raise UsageError("max_evals must be positive")
         if self.jobs < 1:
             raise UsageError("jobs must be >= 1")
+        _algorithm_config(self, self.seeds[0])
 
 
 def resolve_objective(obj_id: str) -> Objective:
@@ -145,11 +148,10 @@ def _resolve_x0(cfg: ExperimentConfig, dim: int) -> np.ndarray:
     return initial_point(policy, dim)
 
 
-def run_single(objective: Objective, cfg: ExperimentConfig, seed: int) -> list[TraceRow]:
-    """One seed's run; owns its oracle and random generator."""
-    x0 = _resolve_x0(cfg, objective.dim)
+def _algorithm_config(cfg: ExperimentConfig, seed: int) -> ZosahConfig | BaselineConfig:
+    """The selected algorithm's config for one seed; raises ValueError naming a bad field."""
     if cfg.alg in _ZOSAH_MODES:
-        zcfg = ZosahConfig(
+        return ZosahConfig(
             max_evals=cfg.max_evals,
             seed=seed,
             m=cfg.m,
@@ -159,9 +161,16 @@ def run_single(objective: Objective, cfg: ExperimentConfig, seed: int) -> list[T
             hess_radius=cfg.hess_radius,
             hessian_mode=_ZOSAH_MODES[cfg.alg],
         )
-        return run_zosah(objective, x0, zcfg)
-    bcfg = BaselineConfig(max_evals=cfg.max_evals, seed=seed, q=cfg.q, eps=cfg.eps)
-    return run_baseline(objective, x0, bcfg, cfg.alg)
+    return BaselineConfig(max_evals=cfg.max_evals, seed=seed, q=cfg.q, eps=cfg.eps)
+
+
+def run_single(objective: Objective, cfg: ExperimentConfig, seed: int) -> list[TraceRow]:
+    """One seed's run; owns its oracle and random generator."""
+    x0 = _resolve_x0(cfg, objective.dim)
+    alg_cfg = _algorithm_config(cfg, seed)
+    if cfg.alg in _ZOSAH_MODES:
+        return run_zosah(objective, x0, alg_cfg)
+    return run_baseline(objective, x0, alg_cfg, cfg.alg)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> list[Path]:

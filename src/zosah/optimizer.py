@@ -20,11 +20,11 @@ gradients, and the fit's samples and values or the fd rows), concatenated as
 one byte string, repeat the previous step's bit for bit, as at a point the
 line search cannot leave, reuses that step's direction and skips those
 stages; it still pays every query. A plan switch drops the stored direction,
-so none outlives its plan. A plan switch also builds the plan's probe-lift positions
-(``_lift_index``) once, for the gradient probes and for the fd probes, so each
-of their lifts is one ``np.repeat`` of x and one ``ndarray.put``. The fresh
-samples are drawn only at a plan switch, so ``probe_values`` builds their
-positions itself.
+so none outlives its plan. A plan switch also builds the plan's probe-lift
+positions (``_lift_index``) once, for the gradient probes and for the fd
+probes, so each of their lifts is one ``np.repeat`` of x and one
+``ndarray.put``. The fresh samples are drawn only at a plan switch, so the
+step builds their positions where it queries them.
 The per-pair functions
 (``estimate_gradient``, ``fd_subspace_hessian``, ``make_pd``,
 ``newton_direction``) are one-pair views of the same pass, and the fit's
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import EvalCache
+from .cache import MAX_HESS_RADIUS, EvalCache
 from .estimator import (
     _FD_STEPS,
     _GRAD_STEPS,
@@ -54,8 +54,8 @@ from .estimator import (
     _gradients,
     _lift_index,
     _newton_rows,
+    _probe,
     _require_fd_eps,
-    probe_values,
 )
 # Per-pair estimators the step does not call; bench/tracer.py looks them up
 # in this module.
@@ -91,12 +91,6 @@ INIT_STEP = 1.0
 C1 = 1e-4
 SHRINK = 0.5
 MIN_STEP = 1e-6
-
-# Largest hess_radius whose fresh samples' Gram matrix cannot overflow: at
-# radius r each monomial is at most r^2 / 2 in magnitude, so each entry of
-# the Gram over three points is at most 0.75 r^4, which stays below the
-# largest double (about 1.8e308) up to r = 1.24e77 less rounding.
-MAX_HESS_RADIUS = 1.2e77
 
 # f(x) as the 8 bytes of a double: the first field of a step's direction key
 _F64 = struct.Struct("<d")
@@ -336,7 +330,7 @@ class ZosahOptimizer(BudgetedOptimizer):
         n_pairs = len(idx)
         theta = x[idx]
         g, probe_points, probe_f = _gradients(
-            oracle, x, idx, theta, self._grad_steps, cfg.eps, f_x, self._grad_lift
+            oracle, x, self._grad_lift, theta, self._grad_steps, cfg.eps, f_x
         )
         grad_evals = 2 * n_pairs
         fresh_paid = 0  # per pair
@@ -344,8 +338,7 @@ class ZosahOptimizer(BudgetedOptimizer):
 
         if cfg.hessian_mode == "fd":
             rows = _fd_rows(
-                oracle, x, idx, theta, self._fd_steps, cfg.eps, f_x, probe_f.tolist(),
-                self._fd_lift,
+                oracle, x, self._fd_lift, theta, self._fd_steps, cfg.eps, f_x, probe_f.tolist()
             )
             fresh_paid = 3
             key = _F64.pack(f_x) + g.tobytes() + np.array(rows).tobytes()
@@ -355,9 +348,10 @@ class ZosahOptimizer(BudgetedOptimizer):
                 points, flags = self.cache.draw_fresh(theta, self.rng, cfg.hess_radius)
                 theta_bar = points - theta[:, None, :]
                 # lifted as x[i] + (point - theta), the per-pair path's floats
-                values = probe_values(
-                    oracle, x, idx, theta[:, None, :] + theta_bar, "curvature sample"
-                )
+                values = np.array(_probe(
+                    oracle, x, _lift_index(idx, x.size, 3), theta[:, None, :] + theta_bar,
+                    "curvature sample",
+                )).reshape(n_pairs, 3)
                 self.cache.store_fresh(k, points, values)
                 fresh_paid = 3
                 degraded = int(flags.sum())

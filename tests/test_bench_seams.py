@@ -4,15 +4,36 @@
 from each workload's settings and replaces package functions with timed
 wrappers by name. A checked pass of every workload, shrunk to one seed and a
 few hundred queries, runs here untraced and traced, so a change that drops
-or re-signs a name the benchmark uses fails in the test suite.
+or re-signs a name the benchmark uses fails in the test suite. On the build
+the passes were pinned on, each pass must also write the pinned trace bytes,
+so a change meant to keep the traces bit for bit is checked here.
 """
 
 import dataclasses
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# SHA-256 of each workload's shrunk pass (every algorithm's trace CSVs, 300
+# queries, seed 0; ``PassResult.sha256``), traced or not, as written with
+# numpy, BLAS and machine as in PINNED_BUILD. Another build may round the
+# BLAS and LAPACK calls differently, so there the digests are not checked.
+PINNED_BUILD = ("2.4.6", "scipy-openblas", "0.3.31.188.0", "x86_64")
+PINNED_SHA256 = {
+    "rosenbrock": "c84d6c316128956d2e90de92f88a76c1f7ca90b746de181705e365efd508d6ec",
+    "quad20": "c592ebc6cbe9bf5a937396d9107a1855d8a7f1d009d19043bd767675e1745728",
+    "logistic123": "01caaea399948760d08719c20c4ac878ed75adae57ae2c6a477adcfc23051cc3",
+}
+
+
+def build():
+    """(numpy version, BLAS name, BLAS version, machine) of this process."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return np.__version__, blas.get("name"), blas.get("version"), platform.machine()
 
 
 @pytest.fixture
@@ -56,6 +77,8 @@ def test_shrunk_pass_is_correct(bench, workload, tmp_path, traced):
     assert z.harness.run_single is original_run_single
     assert res.problems == [] and not res.failed
     assert len(res.run_sha) == len(z.harness.ALGORITHMS)
+    if build() == PINNED_BUILD:
+        assert res.sha256 == PINNED_SHA256[small.name]
     if traced:
         metrics = tracer.layer_metrics()
         assert metrics["oracle.queries"] == res.queries

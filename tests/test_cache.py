@@ -1,10 +1,12 @@
 """Tests for the evaluation window and its reuse schedule."""
 
+import math
+
 import numpy as np
 import pytest
 
 import zosah.cache as cache_mod
-from zosah.cache import EvalCache, PlanMismatchError
+from zosah.cache import MAX_HESS_RADIUS, EvalCache, PlanMismatchError
 from zosah.estimator import GAMMA_FLOOR, quad_monomials
 from zosah.subspace import PairProjection
 
@@ -435,7 +437,13 @@ class TestBatchedWindow:
         assert multi_block > 0
 
     def test_draw_fresh_rejects_bad_radius(self):
+        # nan, inf and a radius whose Gram matrices overflow would give nan
+        # eigenvalues, and points silently flagged degraded
         cache = EvalCache()
         cache.reset(two_pair_plan())
-        with pytest.raises(ValueError, match="radius"):
-            cache.draw_fresh(np.zeros((2, 2)), np.random.default_rng(0), 0.0)
+        for radius in (0.0, -1.0, math.nan, math.inf, np.nextafter(MAX_HESS_RADIUS, math.inf)):
+            with pytest.raises(ValueError, match="radius"):
+                cache.draw_fresh(np.zeros((2, 2)), np.random.default_rng(0), radius)
+        points, degraded = cache.draw_fresh(np.zeros((2, 2)), np.random.default_rng(0),
+                                            MAX_HESS_RADIUS)
+        assert np.isfinite(points).all() and not degraded.any()

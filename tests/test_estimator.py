@@ -1,6 +1,7 @@
 """Gradient estimation, quadratic-model fitting, eigen math, PD repair."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from zosah.estimator import (
     _gradients,
     _lift_index,
     _newton_rows,
+    _probe,
     _rows,
     _solve,
     build_fit_system,
@@ -32,7 +34,6 @@ from zosah.estimator import (
     fd_subspace_hessian,
     make_pd,
     newton_direction,
-    probe_values,
     quad_monomials,
     solve_hessian,
 )
@@ -255,7 +256,9 @@ class TestLapackSeam:
                 # eigvalsh reads the lower triangle only
                 assert _eigvalsh(M).tobytes() == np.linalg.eigvalsh(M).tobytes()
 
-    def test_singular_and_non_finite_stacks_raise_like_np_linalg(self):
+    def test_failed_matrices_come_back_as_nan(self):
+        # nan exactly on the matrices np.linalg raises on, taken alone, and
+        # np.linalg's bytes on every other matrix of the stack; no warning
         rng = np.random.default_rng(12)
         stacks = {}
         stacks["singular"] = rng.standard_normal((3, 3, 3))
@@ -268,24 +271,34 @@ class TestLapackSeam:
             one = np.eye(3)[None].repeat(2, axis=0)
             one[1, 0, 0] = bad
             stacks[name + " entry"] = one
-        raised = set()
-        for name, a in stacks.items():
-            b = np.ones((len(a), 3, 1))
-            solved = self.outcome(_solve, a, b)
-            assert solved == self.outcome(np.linalg.solve, a, b), name
-            eigs = self.outcome(_eigvalsh, a)
-            assert eigs == self.outcome(np.linalg.eigvalsh, a), name
-            raised |= {("solve", name)} if solved is np.linalg.LinAlgError else set()
-            raised |= {("eigvalsh", name)} if eigs is np.linalg.LinAlgError else set()
-        # np.linalg.solve returns nan on a non-finite stack, it does not raise
-        assert raised >= {("solve", "singular"), ("solve", "rank_one"),
+        failed = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, a in stacks.items():
+                b = np.ones((len(a), 3, 1))
+                for fn, got, reference, args in (
+                    ("solve", _solve(a, b), np.linalg.solve, lambda j: (a[j], b[j])),
+                    ("eigvalsh", _eigvalsh(a), np.linalg.eigvalsh, lambda j: (a[j],)),
+                ):
+                    for j in range(len(a)):
+                        want = self.outcome(reference, *args(j))
+                        if want is np.linalg.LinAlgError:
+                            assert np.isnan(got[j]).all(), (fn, name, j)
+                            failed.add((fn, name))
+                        else:
+                            assert got[j].tobytes() == want, (fn, name, j)
+        # np.linalg.solve returns nan on a non-finite matrix, it does not raise
+        assert failed >= {("solve", "singular"), ("solve", "rank_one"),
                           ("eigvalsh", "nan"), ("eigvalsh", "inf"), ("eigvalsh", "-inf")}
 
     def test_floating_point_settings_are_restored(self):
-        before = np.geterr()
-        with pytest.raises(np.linalg.LinAlgError):
-            _solve(np.zeros((3, 3)), np.ones((3, 1)))
-        assert np.geterr() == before
+        # the seams ignore every flag, whatever the caller's settings, and
+        # leave those settings as they were
+        with np.errstate(all="raise"):
+            before = np.geterr(), np.geterrcall()
+            assert np.isnan(_solve(np.zeros((3, 3)), np.ones((3, 1)))).all()
+            assert np.isnan(_eigvalsh(np.full((1, 3, 3), math.nan))).all()
+            assert (np.geterr(), np.geterrcall()) == before
 
 
 class TestBatchedFit:
@@ -365,6 +378,38 @@ class TestBatchedFit:
         for j in (0, 1):
             assert tuple(rows[j]) == per_pair_fit(theta_bar[j], values[j], g[j], 0.5)[1]
 
+    @pytest.mark.parametrize("kind, want_outcome, want_warnings", [
+        ("overflow", [EXACT, EXACT, FAILED],
+         {"invalid value encountered in matmul", "overflow encountered in multiply"}),
+        ("inf point", [EXACT, FAILED, EXACT],
+         {"invalid value encountered in matmul", "invalid value encountered in multiply"}),
+        ("singular", [EXACT, FAILED, EXACT], set()),
+    ])
+    def test_failed_pairs_warn_only_in_the_fit_arithmetic(self, kind, want_outcome,
+                                                          want_warnings):
+        # numpy's default settings warn on the monomials and the Gram matmul
+        # of a non-finite point; the LAPACK calls and the ridge of a failed
+        # pair add no warning
+        rng = np.random.default_rng(7 if kind == "singular" else 8)
+        theta_bar = rng.standard_normal((3, 4, 2))
+        values = rng.standard_normal((3, 4))
+        g = rng.standard_normal((3, 2))
+        if kind == "overflow":
+            theta_bar[2, 1] = [1e200, 0.0]
+        elif kind == "inf point":
+            theta_bar[1, 1] = [math.inf, 0.0]
+        else:
+            theta_bar[1] = 0.0
+        with warnings.catch_warnings(record=True) as caught, np.errstate(
+                divide="warn", over="warn", under="ignore", invalid="warn"):
+            warnings.simplefilter("always")
+            rows, outcome = _fit_rows(theta_bar, values, g, 0.5)
+        assert {str(w.message) for w in caught} == want_warnings
+        assert outcome == want_outcome
+        for j in range(3):
+            if outcome[j] != FAILED:
+                assert tuple(rows[j]) == per_pair_fit(theta_bar[j], values[j], g[j], 0.5)[1]
+
     def test_fewer_than_three_samples_fail_every_pair(self):
         rows, outcome = _fit_rows(np.ones((4, 2, 2)), np.ones((4, 2)), np.zeros((4, 2)), 0.0)
         assert len(rows) == 4
@@ -430,7 +475,8 @@ class TestBatchedProbes:
         eps = 1e-3
         oracle = CountedOracle(obj)
         f_x = obj(x)
-        g, points, values = _gradients(oracle, x, idx, x[idx], eps * _GRAD_STEPS, eps, f_x)
+        lift = _lift_index(idx, x.size, 2)
+        g, points, values = _gradients(oracle, x, lift, x[idx], eps * _GRAD_STEPS, eps, f_x)
         assert oracle.count == 2 * len(idx)
         for j, (i1, i2) in enumerate(idx):
             p = PairProjection(int(i1), int(i2))
@@ -445,9 +491,11 @@ class TestBatchedProbes:
         eps = 1e-2
         oracle = CountedOracle(obj)
         f_x = obj(x)
-        _, _, f_probes = _gradients(oracle, x, idx, x[idx], eps * _GRAD_STEPS, eps, f_x)
+        _, _, f_probes = _gradients(
+            oracle, x, _lift_index(idx, x.size, 2), x[idx], eps * _GRAD_STEPS, eps, f_x)
         before = oracle.count
-        rows = _fd_rows(oracle, x, idx, x[idx], eps * _FD_STEPS, eps, f_x, f_probes.tolist())
+        lift = _lift_index(idx, x.size, 3, by_probe=True)
+        rows = _fd_rows(oracle, x, lift, x[idx], eps * _FD_STEPS, eps, f_x, f_probes.tolist())
         assert oracle.count - before == 3 * len(idx)
         for j, (i1, i2) in enumerate(idx):
             p = PairProjection(int(i1), int(i2))
@@ -468,7 +516,8 @@ class TestBatchedProbes:
         oracle = CountedOracle(Objective(lambda z: queried.append(z.copy()) or obj(z), obj.dim))
         f_x = obj(x)
         f_probes = [(obj(x), obj(x))] * len(idx)  # only the order is checked
-        _fd_rows(oracle, x, idx, x[idx], eps * _FD_STEPS, eps, f_x, f_probes)
+        lift = _lift_index(idx, x.size, 3, by_probe=True)
+        _fd_rows(oracle, x, lift, x[idx], eps * _FD_STEPS, eps, f_x, f_probes)
         want = [_lift(PairProjection(int(i1), int(i2)), delta, x)
                 for delta in ((2 * eps, 0.0), (0.0, 2 * eps), (eps, eps)) for i1, i2 in idx]
         assert [z.tobytes() for z in queried] == [z.tobytes() for z in want]
@@ -488,29 +537,32 @@ class TestBatchedProbes:
         idx = make_plan(synth123_data.dim, 20, rng)
         eps = 1e-4
         f_x = oracle(x)
-        _, _, f_probes = _gradients(oracle, x, idx, x[idx], eps * _GRAD_STEPS, eps, f_x)
+        lift = _lift_index(idx, x.size, 2)
+        _, _, f_probes = _gradients(oracle, x, lift, x[idx], eps * _GRAD_STEPS, eps, f_x)
         assert len(full) == 1  # f(x); the gradient probes took the row path
         full.clear()
-        rows = _fd_rows(oracle, x, idx, x[idx], eps * _FD_STEPS, eps, f_x, f_probes.tolist())
+        lift = _lift_index(idx, x.size, 3, by_probe=True)
+        rows = _fd_rows(oracle, x, lift, x[idx], eps * _FD_STEPS, eps, f_x, f_probes.tolist())
         # every axis probe took the row path; each mixed probe is a full evaluation
         assert [np.flatnonzero(z != x).tolist() for z in full] == np.sort(idx).tolist()
         assert rows == _fd_rows(CountedOracle(Objective(
             lambda z: logistic_loss(synth123_data, z), synth123_data.dim)),
-            x, idx, x[idx], eps * _FD_STEPS, eps, f_x, f_probes.tolist())
+            x, lift, x[idx], eps * _FD_STEPS, eps, f_x, f_probes.tolist())
 
     def test_non_finite_curvature_probe_is_named(self):
         oracle = CountedOracle(Objective(lambda x: np.nan if x[0] > 1.5e-3 else 0.0, 3))
         x = np.zeros(3)
         idx = np.array([[1, 2], [0, 1]])
         with pytest.raises(FloatingPointError, match="at a curvature probe$"):
-            _fd_rows(oracle, x, idx, x[idx], 1e-3 * _FD_STEPS, 1e-3, 0.0, [(0.0, 0.0)] * 2)
+            _fd_rows(oracle, x, _lift_index(idx, 3, 3, by_probe=True), x[idx],
+                     1e-3 * _FD_STEPS, 1e-3, 0.0, [(0.0, 0.0)] * 2)
 
     def test_non_finite_probe_names_the_probe(self):
         oracle = CountedOracle(Objective(lambda x: np.inf if x[1] > 0 else 0.0, 3))
         x = np.zeros(3)
         idx = np.array([[0, 2], [1, 0]])
         with pytest.raises(FloatingPointError, match="gradient probe"):
-            _gradients(oracle, x, idx, x[idx], 1e-3 * _GRAD_STEPS, 1e-3, 0.0)
+            _gradients(oracle, x, _lift_index(idx, 3, 2), x[idx], 1e-3 * _GRAD_STEPS, 1e-3, 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_every_non_finite_kind_rejected(self, bad):
@@ -521,20 +573,21 @@ class TestBatchedProbes:
 
         oracle = CountedOracle(Objective(f, 3))
         points = np.array([[[0.0, 0.0], [0.0, 1.0]], [[0.0, 2.0], [0.0, 3.0]]])
+        lift = _lift_index(np.array([[0, 2], [1, 2]]), 3, 2)
         first = -np.inf if bad != -np.inf else np.inf
         with pytest.raises(FloatingPointError,
                            match=f"^objective returned non-finite value {first} at a probe$"):
-            probe_values(oracle, np.zeros(3), np.array([[0, 2], [1, 2]]), points)
+            _probe(oracle, np.zeros(3), lift, points, "probe")
         oracle = CountedOracle(Objective(lambda x: bad if x[2] > 0 else 1e308, 3))
         with pytest.raises(FloatingPointError,
                            match=f"^objective returned non-finite value {bad} at a probe$"):
-            probe_values(oracle, np.zeros(3), np.array([[0, 2], [1, 2]]), points)
+            _probe(oracle, np.zeros(3), lift, points, "probe")
 
     def test_finite_values_whose_sum_overflows_pass(self):
         oracle = CountedOracle(Objective(lambda x: 1e308, 3))
-        points = np.zeros((2, 2, 2))
-        values = probe_values(oracle, np.zeros(3), np.array([[0, 2], [1, 2]]), points)
-        assert np.array_equal(values, np.full((2, 2), 1e308))
+        lift = _lift_index(np.array([[0, 2], [1, 2]]), 3, 2)
+        values = _probe(oracle, np.zeros(3), lift, np.zeros((2, 2, 2)), "probe")
+        assert values == [1e308] * 4
 
 
 def naive_lifts(x, idx, points, by_probe=False):
@@ -554,8 +607,9 @@ def naive_lifts(x, idx, points, by_probe=False):
 
 
 class TestLiftReference:
-    """The lifted query points against naive per-probe copies, bit for bit,
-    with and without the plan's lift index."""
+    """The lifted query points against naive per-probe copies, bit for bit:
+    planned, the rows pass with the plan's lift index, as the step calls it;
+    not planned, the per-pair views, pair after pair, each building its own."""
 
     SHAPES = [(2, 1), (20, 1), (20, 10), (123, 1), (123, 10)]
 
@@ -585,9 +639,13 @@ class TestLiftReference:
         x, idx, oracle, queried = self.problem(d, n_pairs)
         eps = 1e-3
         steps = eps * _GRAD_STEPS
-        lift = _lift_index(idx, d, 2) if planned else None
         theta = x[idx]
-        _, points, _ = _gradients(oracle, x, idx, theta, steps, eps, 1.0, lift)
+        if planned:
+            _, points, _ = _gradients(oracle, x, _lift_index(idx, d, 2), theta, steps, eps, 1.0)
+        else:
+            points = np.array([[point for point, _ in estimate_gradient(
+                oracle, x, PairProjection(int(i1), int(i2)), eps, 1.0).probes]
+                for i1, i2 in idx])
         want = [[[theta[j, c] + steps[r, c] for c in range(2)] for r in range(2)]
                 for j in range(n_pairs)]
         assert np.array(want).tobytes() == points.tobytes()
@@ -599,24 +657,29 @@ class TestLiftReference:
         x, idx, oracle, queried = self.problem(d, n_pairs)
         eps = 1e-3
         steps = eps * _FD_STEPS
-        lift = _lift_index(idx, d, 3, by_probe=True) if planned else None
         theta = x[idx]
-        _fd_rows(oracle, x, idx, theta, steps, eps, 1.0, [(1.0, 1.0)] * n_pairs, lift)
+        if planned:
+            lift = _lift_index(idx, d, 3, by_probe=True)
+            _fd_rows(oracle, x, lift, theta, steps, eps, 1.0, [(1.0, 1.0)] * n_pairs)
+        else:
+            for i1, i2 in idx:
+                fd_subspace_hessian(oracle, x, PairProjection(int(i1), int(i2)), eps, 1.0, 1.0, 1.0)
         want = np.array([[[theta[j, c] + steps[r, c] for c in range(2)] for r in range(3)]
                          for j in range(n_pairs)])
-        self.same_bits(queried, naive_lifts(x, idx, want, by_probe=True))
+        self.same_bits(queried, naive_lifts(x, idx, want, by_probe=planned))
 
     @pytest.mark.parametrize("d, n_pairs", SHAPES)
     def test_probe_values(self, d, n_pairs):
+        # the step's fresh samples: 3 points per pair, queried pair by pair
         x, idx, oracle, queried = self.problem(d, n_pairs)
         rng = np.random.default_rng(7)
         points = rng.standard_normal((n_pairs, 3, 2))
         points[0, 1] = (-0.0, 2.5e-320)
         points[-1, 2, 0] = -0.0
-        values = probe_values(oracle, x, idx, points, "probe")
+        values = _probe(oracle, x, _lift_index(idx, d, 3), points, "curvature sample")
         want = naive_lifts(x, idx, points)
         self.same_bits(queried, want)
-        assert values.tobytes() == np.array([float(np.sum(np.abs(z))) for z in want]).tobytes()
+        assert values == [float(np.sum(np.abs(z))) for z in want]
 
 
 def eig2x2(A):

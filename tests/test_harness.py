@@ -545,6 +545,39 @@ class TestCliNonFiniteSettings:
                      "--eps", "1e-200", "--out", str(tmp_path)]) == 0
 
 
+class TestCliSettingsBeforeData:
+    """The selected algorithm's settings are checked when the experiment is
+    configured: a bad one is a usage error (exit 2) before the objective
+    loads. With good settings a missing dataset is still a data error
+    (TestCliRun::test_missing_dataset_is_a_data_error)."""
+
+    @pytest.mark.parametrize("args,message", [
+        (["--alg", "zosah", "--T", "0"], "T must be >= 1, got 0"),
+        (["--alg", "rspg", "--q", "0"], "q must be >= 1, got 0"),
+        (["--alg", "zosah", "--m", "3"], "m must be an even integer >= 2, got 3"),
+        (["--alg", "zosah-fd", "--hess-radius", "-1"],
+         "hess_radius must be finite and positive, got -1.0"),
+    ])
+    def test_exit_2_before_any_read(self, monkeypatch, tmp_path, capsys, args, message):
+        reads = []
+        real = zosah.harness.resolve_objective
+        monkeypatch.setattr("zosah.harness.resolve_objective",
+                            lambda obj_id: reads.append(obj_id) or real(obj_id))
+        out = tmp_path / "out"
+        code = main(["run", "--obj", "logistic:/nonexistent/never.txt", "--evals", "10",
+                     "--out", str(out), *args])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert reads == [] and not out.exists()
+
+    def test_only_the_selected_algorithm_is_checked(self):
+        # T and hess_radius are zosah settings, q a baseline one
+        ExperimentConfig(alg="rspg", obj="rosenbrock", max_evals=10, T=0, hess_radius=-1.0)
+        ExperimentConfig(alg="zosah", obj="rosenbrock", max_evals=10, q=0)
+        with pytest.raises(ValueError, match="^T must be >= 1, got 0$"):
+            ExperimentConfig(alg="zosah-diag", obj="rosenbrock", max_evals=10, T=0)
+
+
 class TestCliNonFiniteObjective:
     """A non-finite value is a data error (exit 3), whichever probe or start hit it."""
 
