@@ -175,10 +175,10 @@ def run_single(objective: Objective, cfg: ExperimentConfig, seed: int) -> list[T
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> list[Path]:
     """Run every seed, write per-seed CSVs plus combined.csv; return the paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     objective = resolve_objective(cfg.obj)
     _resolve_x0(cfg, objective.dim)  # fail fast on a bad policy before running
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)  # after the checks: a bad objective or x0 leaves none
 
     if cfg.jobs > 1:  # a serial run does not load multiprocessing
         import multiprocessing

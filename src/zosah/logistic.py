@@ -6,15 +6,19 @@ objectives never pay for ``scipy.sparse``.
 
 The logistic objective keeps the point and the per-row losses of its last
 full evaluation. A query that moves one coordinate away from the kept point
-(a gradient probe does) recomputes only the rows holding that column, when
-they are at most half of the rows. A repeat of the kept point only sums
-the kept losses. Every other query (the first one, moves of two or more
-coordinates, line-search trials, the baselines' random directions) is a full
-evaluation and becomes the kept point. The value has the bits of
-:func:`logistic_loss` whichever path runs: a recomputed row's margin is
-summed by the same kernel in the same index order, each loss is the same
-elementwise ``logaddexp``, and the whole loss vector is reduced by the same
-``np.add.reduce``. The kernel is ``csr_matvec`` (what ``signed @ x`` runs),
+(a gradient probe does) recomputes only the rows holding that column, however
+many they are. A repeat of the kept point only sums the kept losses. Every
+other query (the first one, moves of two or more coordinates, line-search
+trials, the baselines' random directions) is a full evaluation and becomes
+the kept point. Against a full evaluation, a one-column move costs about
+0.6-0.9 when half of the rows hold its column and 1.1-1.3 when every row
+does (synthetic 400 x 123 and 32,561 x 123 sets, 2-core x86_64 VM); the
+benchmark set's columns are held by 78-123 of its 400 rows. The value has
+the bits of :func:`logistic_loss` whichever path runs: a recomputed row's
+margin is summed by the same kernel in the same index order, each loss is
+the same elementwise ``logaddexp``, and the whole loss vector is reduced by
+the same ``np.add.reduce``.
+The kernel is ``csr_matvec`` (what ``signed @ x`` runs),
 private to ``scipy.sparse._sparsetools``. It is called directly because
 scipy's public dispatch costs more than the kernel does on about a hundred
 rows. A one-column move hands it the (start, end) pointers of the column's
@@ -301,16 +305,6 @@ def _check_line(path, lineno: int, line: str) -> None:
         seen.add(idx)
 
 
-# A one-column move takes the row path when the rows holding that column are
-# at most 1/_ROW_PATH_SHARE of all rows. On a 400 x 123 set with 30 entries
-# per row (2-core x86_64 VM) the row path costs about 6 us plus 0.04 us per
-# row (sum, loss, copy and scatter) and a full evaluation 18-29 us (the host's
-# speed varied), so they break even at 300 rows or more (near 200 while the
-# row path gathered its rows first): every column held by up to half the rows
-# gains, and every one-column move on the benchmark set (78-123 rows) does.
-_ROW_PATH_SHARE = 2
-
-
 class _LogisticLoss:
     """``logistic_loss(data, x)`` that recomputes only the rows a one-column
     move touches.
@@ -339,9 +333,7 @@ class _LogisticLoss:
             if cols.size == 0:
                 return float(np.add.reduce(losses) / self._n)
             if cols.size == 1:
-                value = self._patched(x, losses, int(cols[0]))
-                if value is not None:
-                    return value
+                return self._patched(x, losses, int(cols[0]))
         losses = _row_losses(self.data.signed, x)
         self._kept = (x.copy(), losses)
         return float(np.add.reduce(losses) / self._n)
@@ -367,14 +359,11 @@ class _LogisticLoss:
             index = self._index = ((csc.nnz - csc.indptr).tolist(), rows, ptr.ravel())
         return index
 
-    def _patched(self, x: np.ndarray, losses: np.ndarray, j: int) -> float | None:
+    def _patched(self, x: np.ndarray, losses: np.ndarray, j: int) -> float:
         """The mean loss with the rows holding column ``j`` recomputed at
-        ``x`` and the other rows' losses kept; None when those rows are more
-        than 1/_ROW_PATH_SHARE of all rows."""
-        ends, col_rows, ptr = self._index or self._column_index()
+        ``x`` and the other rows' losses kept."""
+        ends, col_rows, ptr = self._column_index()
         a, b = ends[j + 1], ends[j]
-        if _ROW_PATH_SHARE * (b - a) > self._n:
-            return None
         if a == b:  # no row holds column j (and 2k - 1 rows would be -1)
             return float(np.add.reduce(losses) / self._n)
         signed = self.data.signed
@@ -390,12 +379,11 @@ def logistic_objective(data: Dataset) -> Objective:
 
     Gives the bits of :func:`logistic_loss` at every point. It keeps the
     point and the per-row losses of its last full evaluation. A query that
-    moves one coordinate away from the kept point (a gradient probe) and
-    whose column is held by at most half of the rows (every column of the
-    benchmark set) recomputes only those rows; a repeat of the kept point
+    moves one coordinate away from the kept point (a gradient probe)
+    recomputes only the rows holding that column; a repeat of the kept point
     only sums the kept losses; any other query (the first, moves of two or
     more coordinates, line-search trials, the baselines' random directions)
     is a full evaluation and becomes the kept point. The module docstring
-    says why the bits match.
+    gives the measured costs and says why the bits match.
     """
     return Objective(_LogisticLoss(data), data.dim, "logistic")

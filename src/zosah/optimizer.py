@@ -165,7 +165,7 @@ class StepStats:
     value f(x), and the test passes once C1 * rho * ||v||^2 is below half an
     ulp of f(x). On the Rosenbrock benchmark workload 4,968 of ``zosah-fd``'s
     5,221 steps are such accepted steps that leave x bit-unchanged. ROADMAP
-    item 3's ``stalled`` is the record that would tell them apart.
+    item 7's ``stalled`` is the record that would tell them apart.
     """
 
     step: int
@@ -313,7 +313,7 @@ class ZosahOptimizer(BudgetedOptimizer):
     def step(self) -> TraceRow:
         cfg = self.cfg
         k = self.k
-        if self._idx is None or k % cfg.T == 0:
+        if k % cfg.T == 0:  # k starts at 0, so the first step draws a plan
             d = self.oracle.dim
             self._idx = idx = make_plan(d, self.m, self.rng)
             self.cache.reset(idx)

@@ -486,6 +486,18 @@ class TestCliRun:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("args,code,message", [
+        (["--obj", "logistic:/nonexistent/never.txt"], 3,
+         "error: [Errno 2] No such file or directory: '/nonexistent/never.txt'\n"),
+        (["--obj", "rosenbrock", "--x0", "1,2,3"], 2,
+         "error: explicit x0 has 3 entries but the objective has dimension 2\n"),
+    ], ids=["missing_dataset", "x0_of_wrong_size"])
+    def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys, args, code, message):
+        out = tmp_path / "out"
+        assert main(["run", "--alg", "zosah", "--evals", "10", "--out", str(out), *args]) == code
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     def test_malformed_dataset_is_a_data_error(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("+1 bogus\n")

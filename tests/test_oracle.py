@@ -426,7 +426,6 @@ class TestLogisticObjectiveRows:
         assert n_rows == [data.n]
         holding = np.diff(data.features.tocsc().indptr)
         for j in (0, 17, data.dim - 1):
-            assert 0 < zosah.logistic._ROW_PATH_SHARE * holding[j] <= data.n
             probe = x.copy()
             probe[j] += 1e-4
             n_rows.clear()
@@ -441,6 +440,32 @@ class TestLogisticObjectiveRows:
         n_rows.clear()
         assert objective(probe) == logistic_loss(data, probe)
         assert n_rows == [data.n, data.n]  # a two-column move is a full evaluation
+
+    def test_a_column_in_every_row_takes_the_row_path(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        n, d = 40, 6
+        held = rng.random((n, d)) < 0.3
+        held[:, 2] = True  # column 2 is in every row
+        rows, cols = held.nonzero()
+        data = Dataset(sp.csr_matrix((rng.standard_normal(rows.size), (rows, cols)), shape=(n, d)),
+                       rng.choice([-1.0, 1.0], n))
+        calls = []  # per kernel call: (pointer rows, rows it sums)
+        kernel = zosah.logistic._csr_matvec
+
+        def spy(n_row, n_col, Ap, *args):
+            calls.append((n_row, int(np.count_nonzero(np.diff(Ap[:n_row + 1]) > 0))))
+            return kernel(n_row, n_col, Ap, *args)
+
+        monkeypatch.setattr(zosah.logistic, "_csr_matvec", spy)
+        objective = logistic_objective(data)
+        x = rng.standard_normal(d)
+        objective(x)
+        probe = x.copy()
+        probe[2] += 1e-4
+        calls.clear()
+        got = objective(probe)
+        assert calls == [(2 * n - 1, n)]
+        assert loss_bits(got) == loss_bits(logistic_loss(data, probe))
 
     def test_keeps_a_copy_of_the_point(self, synth123_data):
         objective = logistic_objective(synth123_data)
