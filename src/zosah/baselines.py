@@ -99,7 +99,7 @@ def rge_gradient(
     diffs = [(value - f_x) / eps for value in values]
     terms = np.array(diffs)[:, None] * u
     terms[0] += 0.0
-    return np.cumsum(terms, axis=0)[-1] / q
+    return terms.cumsum(axis=0)[-1] / q
 
 
 class _RgeDescent(BudgetedOptimizer):

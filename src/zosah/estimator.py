@@ -213,7 +213,7 @@ def _probe(
     at the positions ``lift`` (see :func:`_lift_index`), in the block's row
     order, as a flat list; raises FloatingPointError naming ``what`` if any
     value is non-finite."""
-    queried = np.repeat(x[None], lift.shape[0] * lift.shape[1], axis=0)
+    queried = x[None].repeat(lift.shape[0] * lift.shape[1], axis=0)
     queried.put(lift, points)
     values = list(map(oracle, queried))
     _require_finite(values, what)

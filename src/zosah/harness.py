@@ -11,11 +11,13 @@ accepted value at or before it; no lookahead).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,25 +180,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[Path]:
     objective = resolve_objective(cfg.obj)
     _resolve_x0(cfg, objective.dim)  # fail fast on a bad policy before running
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)  # after the checks: a bad objective or x0 leaves none
-
-    if cfg.jobs > 1:  # a serial run does not load multiprocessing
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-    if cfg.jobs > 1 and "fork" in multiprocessing.get_all_start_methods():
-        # One worker process per seed at most: each works on its own copy of
-        # the objective, and the pool starts all its workers at once. Only
-        # forked workers beat a serial run; spawn and forkserver workers
-        # re-import the package and lose, so without fork the seeds run
-        # serially.
-        with ProcessPoolExecutor(
-            max_workers=min(cfg.jobs, len(cfg.seeds)),
-            mp_context=multiprocessing.get_context("fork"),
-        ) as pool:
-            traces = list(pool.map(functools.partial(run_single, objective, cfg), cfg.seeds))
-    else:
-        traces = [run_single(objective, cfg, seed) for seed in cfg.seeds]
+    # made after the checks, so a bad objective or x0 leaves none, and before
+    # the runs, so an unwritable one fails before any run
+    made = [path for path in (out, *out.parents) if not path.exists()]  # deepest first
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        traces = _run_seeds(objective, cfg)
+    except BaseException:
+        for path in made:  # a failed run leaves no empty directory of its own making
+            with contextlib.suppress(OSError):
+                path.rmdir()  # only while still empty
+        raise
 
     paths = []
     for seed, rows in zip(cfg.seeds, traces):
@@ -209,19 +203,34 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[Path]:
     return paths
 
 
-def _format_float(value: float) -> str:
-    return format(value, ".17g")
+def _run_seeds(objective: Objective, cfg: ExperimentConfig) -> list[list[TraceRow]]:
+    """Every seed's trace, in ``cfg.seeds`` order."""
+    if cfg.jobs > 1:  # a serial run does not load multiprocessing
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # One worker process per seed at most: each works on its own copy
+            # of the objective, and the pool starts all its workers at once.
+            # Only forked workers beat a serial run; spawn and forkserver
+            # workers re-import the package and lose, so without fork the
+            # seeds run serially.
+            with ProcessPoolExecutor(
+                max_workers=min(cfg.jobs, len(cfg.seeds)),
+                mp_context=multiprocessing.get_context("fork"),
+            ) as pool:
+                return list(pool.map(functools.partial(run_single, objective, cfg), cfg.seeds))
+    return [run_single(objective, cfg, seed) for seed in cfg.seeds]
 
 
 def write_trace_csv(path, rows_by_seed: dict[int, list[TraceRow]]) -> None:
     """Write traces with a fixed header, 17-significant-digit values, LF ends."""
-    lines = [TRACE_HEADER]
-    for seed in rows_by_seed:
-        for row in rows_by_seed[seed]:
-            lines.append(
-                f"{seed},{row.step},{row.cum_evals},{_format_float(row.f_value)}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    lines = [TRACE_HEADER + "\n"]
+    for seed, rows in rows_by_seed.items():
+        # one template per seed; "%d" and "%.17g" format as str and
+        # format(value, ".17g") do
+        lines.extend(map(f"{seed},%d,%d,%.17g\n".__mod__, rows))
+    Path(path).write_text("".join(lines), encoding="ascii", newline="\n")
 
 
 def read_trace_csv(path) -> dict[int, list[TraceRow]]:
@@ -280,8 +289,9 @@ def _row_problem(fields: list[str]) -> str:
     return f"malformed row {','.join(fields)!r}"
 
 
-@dataclass(frozen=True, slots=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
+    """Statistics over seeds at one checkpoint (an immutable NamedTuple)."""
+
     cum_evals: int
     mean: float
     std: float
@@ -319,22 +329,14 @@ def summarize(
         have &= at >= 0
         if rows:
             values[:, s] = np.array([r.f_value for r in rows])[np.maximum(at, 0)]
-    out: list[SummaryRow] = []
-    for checkpoint, arr in zip(checkpoints[have].tolist(), values[have]):
-        std = float(np.std(arr, ddof=1)) if len(arr) > 1 else 0.0
-        out.append(
-            SummaryRow(checkpoint, float(arr.mean()), std, float(arr.min()), float(arr.max()))
-        )
-    return out
+    # every checkpoint at once: each row reduces as the 1-d call on it would
+    values = values[have]
+    std = values.std(axis=1, ddof=1) if values.shape[1] > 1 else np.zeros(len(values))
+    stats = (values.mean(axis=1), std, values.min(axis=1), values.max(axis=1))
+    return list(map(SummaryRow, checkpoints[have].tolist(), *(a.tolist() for a in stats)))
 
 
 def write_summary_csv(path, rows: list[SummaryRow]) -> None:
-    lines = [SUMMARY_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [str(r.cum_evals)]
-                + [_format_float(v) for v in (r.mean, r.std, r.min, r.max)]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    lines = [SUMMARY_HEADER + "\n"]
+    lines.extend(map("%d,%.17g,%.17g,%.17g,%.17g\n".__mod__, rows))
+    Path(path).write_text("".join(lines), encoding="ascii", newline="\n")

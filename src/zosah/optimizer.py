@@ -22,7 +22,7 @@ line search cannot leave, reuses that step's direction and skips those
 stages; it still pays every query. A plan switch drops the stored direction,
 so none outlives its plan. A plan switch also builds the plan's probe-lift
 positions (``_lift_index``) once, for the gradient probes and for the fd
-probes, so each of their lifts is one ``np.repeat`` of x and one
+probes, so each of their lifts is one ``ndarray.repeat`` of x and one
 ``ndarray.put``. The fresh samples are drawn only at a plan switch, so the
 step builds their positions where it queries them.
 The per-pair functions
@@ -41,6 +41,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,18 +148,25 @@ class ZosahConfig:
             _require_fd_eps(self.eps)
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRow:
-    """One convergence record: completed steps, queries paid, accepted value."""
+class TraceRow(NamedTuple):
+    """One convergence record: completed steps, queries paid, accepted value.
+
+    An immutable NamedTuple: it compares equal to the plain tuple of its
+    fields, and ``row._replace(...)`` takes the place of
+    ``dataclasses.replace``.
+    """
 
     step: int
     cum_evals: int
     f_value: float
 
 
-@dataclass(frozen=True, slots=True)
-class StepStats:
+class StepStats(NamedTuple):
     """Per-step query accounting (1 base query + the categories below).
+
+    An immutable NamedTuple, like :class:`TraceRow`: it compares equal to
+    the plain tuple of its fields, and ``._replace`` takes the place of
+    ``dataclasses.replace``.
 
     ``accepted`` means the line search's Armijo test passed, not that x
     moved: when rho * v rounds away against x, the trial is x itself, its
@@ -390,19 +398,10 @@ class ZosahOptimizer(BudgetedOptimizer):
         self.k += 1
         row = TraceRow(self.k, self.oracle.count, f_new)
         self.trace.append(row)
-        self.stats.append(
-            StepStats(
-                step=k,
-                grad_evals=grad_evals,
-                hess_evals=hess_evals,
-                search_evals=search_evals,
-                pair_hess_evals=(fresh_paid,) * n_pairs,
-                accepted=accepted,
-                rho=rho,
-                degraded_pairs=degraded,
-                repeated=repeated,
-            )
-        )
+        self.stats.append(StepStats(
+            k, grad_evals, hess_evals, search_evals, (fresh_paid,) * n_pairs,
+            accepted, rho, degraded, repeated,
+        ))
         return row
 
 

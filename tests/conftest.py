@@ -7,10 +7,14 @@ contributing separable structure. The remaining 63 columns are unit-scale
 and carry the labels through a planted weight vector; 5% of labels are
 flipped. The file is written in LIBSVM text format and read back through
 the package's own loader so every consumer exercises the ingestion path.
+
+It also registers and loads the one Hypothesis profile of the property
+tests: the same examples on every run, no example database, no deadline.
 """
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from zosah import load_libsvm
 
@@ -18,6 +22,9 @@ SYNTH_SEED = 1234
 SYNTH_N = 400
 SYNTH_DIM = 123
 SYNTH_STIFF = 60
+
+settings.register_profile("zosah", derandomize=True, database=None, deadline=None)
+settings.load_profile("zosah")
 
 
 def synth123_lines(seed=SYNTH_SEED, n=SYNTH_N, d=SYNTH_DIM, n_stiff=SYNTH_STIFF,

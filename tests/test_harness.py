@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import multiprocessing
 import os
@@ -12,12 +13,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from summarize_reference import summarize as reference_summarize
 
 import zosah
 from zosah.cli import main
 from zosah.harness import (
     ALGORITHMS,
     DATA_DIR_ENV,
+    SUMMARY_HEADER,
     TRACE_HEADER,
     ExperimentConfig,
     SummaryRow,
@@ -32,7 +37,7 @@ from zosah.harness import (
     write_trace_csv,
 )
 from zosah.oracle import DatasetFormatError, Objective, logistic_objective
-from zosah.optimizer import TraceRow, ZosahConfig, run_zosah
+from zosah.optimizer import StepStats, TraceRow, ZosahConfig, run_zosah
 
 
 @pytest.fixture
@@ -279,6 +284,64 @@ class TestRunExperiment:
             assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
+@st.composite
+def traces(draw):
+    """Traces by seed as every optimizer writes them: cum_evals in
+    non-decreasing order (ties included) from a first row that may come
+    after the first checkpoint, and finite values of any magnitude."""
+    out = {}
+    for seed in range(draw(st.sampled_from([1, 2, 3, 10]))):
+        start = draw(st.integers(1, 60))
+        evals = itertools.accumulate(draw(st.lists(st.integers(0, 25), max_size=12)),
+                                     initial=start)
+        values = st.floats(allow_nan=False, allow_infinity=False)
+        out[seed] = [TraceRow(i, c, draw(values)) for i, c in enumerate(evals)]
+    return out
+
+
+class TestRecords:
+    """TraceRow, StepStats and SummaryRow are immutable NamedTuples."""
+
+    def test_fields(self):
+        assert TraceRow._fields == tuple(TRACE_HEADER.split(",")[1:])
+        assert SummaryRow._fields == tuple(SUMMARY_HEADER.split(","))
+        assert StepStats._fields == (
+            "step", "grad_evals", "hess_evals", "search_evals", "pair_hess_evals",
+            "accepted", "rho", "degraded_pairs", "repeated",
+        )
+        assert StepStats._field_defaults == {"repeated": False}
+
+    def test_records_are_their_tuples(self):
+        assert TraceRow(3, 40, 0.5) == (3, 40, 0.5)
+        stats = StepStats(0, 2, 3, 4, (3,), True, 0.5, 1)
+        assert stats == (0, 2, 3, 4, (3,), True, 0.5, 1, False)
+        assert stats.total_evals == 10
+        assert stats._replace(repeated=True) == (*stats[:-1], True)
+
+    @pytest.mark.parametrize("record", [
+        TraceRow(0, 1, 2.0),
+        StepStats(0, 2, 0, 1, (0,), True, 1.0, 0),
+        SummaryRow(100, 2.0, 1.5, 1.0, 3.0),
+    ], ids=["TraceRow", "StepStats", "SummaryRow"])
+    def test_immutable(self, record):
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+
+    @settings(max_examples=200)
+    @given(rows=traces())
+    def test_write_read_round_trip(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("trace") / "t.csv"
+        write_trace_csv(path, rows)
+        back = read_trace_csv(path)
+        assert back == rows
+        assert [(type(r), r.f_value.hex()) for rs in back.values() for r in rs] == [
+            (TraceRow, r.f_value.hex()) for rs in rows.values() for r in rs
+        ]
+
+
 class TestTraceCsv:
     def test_round_trip_is_exact(self, tmp_path):
         rows = {
@@ -416,12 +479,28 @@ class TestSummarize:
         with pytest.raises(ValueError, match="no traces"):
             summarize({}, grid=100)
 
+    @settings(max_examples=400)
+    @given(rows=traces(), grid=st.integers(1, 40))
+    def test_bits_of_the_per_checkpoint_loop(self, rows, grid):
+        # values near the float limits overflow the sums and squares to inf
+        # and nan, in both, with the same bits
+        with np.errstate(all="ignore"):
+            got, want = summarize(rows, grid), reference_summarize(rows, grid)
+        assert [r.cum_evals for r in got] == [r.cum_evals for r in want]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert all(type(v) is float for r in got for v in r[1:])
+
     def test_summary_csv_format(self, tmp_path):
         path = tmp_path / "s.csv"
         write_summary_csv(path, [SummaryRow(100, 2.0, 1.5, 1.0, 3.0)])
         lines = path.read_text().splitlines()
         assert lines[0] == "cum_evals,mean,std,min,max"
         assert lines[1].startswith("100,2,")
+
+
+OVERFLOW_AT_X0 = (
+    "error: objective returned non-finite value inf at the start point x0 = [1e+200, 0.0]\n"
+)
 
 
 class TestCliRun:
@@ -491,12 +570,47 @@ class TestCliRun:
          "error: [Errno 2] No such file or directory: '/nonexistent/never.txt'\n"),
         (["--obj", "rosenbrock", "--x0", "1,2,3"], 2,
          "error: explicit x0 has 3 entries but the objective has dimension 2\n"),
-    ], ids=["missing_dataset", "x0_of_wrong_size"])
+        (["--obj", "rosenbrock", "--x0", "1e200,0"], 3, OVERFLOW_AT_X0),
+        (["--obj", "rosenbrock", "--x0", "1e200,0", "--seeds", "0,1", "--jobs", "2"], 3,
+         OVERFLOW_AT_X0),
+    ], ids=["missing_dataset", "x0_of_wrong_size", "failed_run", "failed_run_in_workers"])
     def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys, args, code, message):
         out = tmp_path / "out"
         assert main(["run", "--alg", "zosah", "--evals", "10", "--out", str(out), *args]) == code
         assert capsys.readouterr().err == message
         assert not out.exists()
+
+    def test_failed_run_removes_the_parents_it_made(self, tmp_path, capsys):
+        (tmp_path / "a").mkdir()
+        out = tmp_path / "a" / "b" / "c"
+        assert main(["run", "--alg", "zosah", "--obj", "rosenbrock", "--x0", "1e200,0",
+                     "--evals", "10", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == OVERFLOW_AT_X0
+        assert list(tmp_path.iterdir()) == [tmp_path / "a"]
+        assert not any((tmp_path / "a").iterdir())
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_run_keeps_an_existing_directory(self, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([
+            "run", "--alg", "zosah", "--obj", "rosenbrock", "--x0", "1e200,0", "--evals", "10",
+            "--seeds", "0,1", "--jobs", jobs, "--out", str(out),
+        ]) == 3
+        assert capsys.readouterr().err == OVERFLOW_AT_X0
+        assert out.is_dir() and not any(out.iterdir())
+
+    def test_unwritable_output_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("zosah.harness.run_single", no_run)
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["run", "--alg", "zosah", "--obj", "rosenbrock", "--evals", "10",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{out}'\n"
+        assert out.read_text() == ""
 
     def test_malformed_dataset_is_a_data_error(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -1,6 +1,5 @@
 """Tests for the line search, step accounting, and the optimizer driver."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -642,7 +641,7 @@ class TestRepeatedDirection:
                 runs.append((
                     [(r.step, r.cum_evals, r.f_value.hex()) for r in trace],
                     opt.oracle.count,
-                    [dataclasses.replace(s, repeated=False) for s in opt.stats],
+                    [s._replace(repeated=False) for s in opt.stats],
                     [v.tobytes() for v in directions],
                 ))
                 opts.append(opt)
