@@ -192,14 +192,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[Path]:
                 path.rmdir()  # only while still empty
         raise
 
-    paths = []
-    for seed, rows in zip(cfg.seeds, traces):
-        path = out / f"seed_{seed}.csv"
-        write_trace_csv(path, {seed: rows})
-        paths.append(path)
-    combined = out / "combined.csv"
-    write_trace_csv(combined, dict(zip(cfg.seeds, traces)))
-    paths.append(combined)
+    # each seed's rows are formatted once: combined.csv is the header plus
+    # the per-seed bodies, the bytes write_trace_csv gives for all seeds
+    bodies = list(map(_trace_body, cfg.seeds, traces))
+    paths = [out / f"seed_{seed}.csv" for seed in cfg.seeds]
+    for path, body in zip(paths, bodies):
+        _write_trace(path, [body])
+    paths.append(out / "combined.csv")
+    _write_trace(paths[-1], bodies)
     return paths
 
 
@@ -225,12 +225,19 @@ def _run_seeds(objective: Objective, cfg: ExperimentConfig) -> list[list[TraceRo
 
 def write_trace_csv(path, rows_by_seed: dict[int, list[TraceRow]]) -> None:
     """Write traces with a fixed header, 17-significant-digit values, LF ends."""
-    lines = [TRACE_HEADER + "\n"]
-    for seed, rows in rows_by_seed.items():
-        # one template per seed; "%d" and "%.17g" format as str and
-        # format(value, ".17g") do
-        lines.extend(map(f"{seed},%d,%d,%.17g\n".__mod__, rows))
-    Path(path).write_text("".join(lines), encoding="ascii", newline="\n")
+    _write_trace(path, map(_trace_body, rows_by_seed, rows_by_seed.values()))
+
+
+def _trace_body(seed: int, rows: list[TraceRow]) -> str:
+    """One seed's trace rows as CSV text, one LF-ended line per row."""
+    # one template per seed; "%d" and "%.17g" format as str and
+    # format(value, ".17g") do
+    return "".join(map(f"{seed},%d,%d,%.17g\n".__mod__, rows))
+
+
+def _write_trace(path, bodies) -> None:
+    """Write the trace header followed by the given seed bodies."""
+    Path(path).write_text("".join((TRACE_HEADER + "\n", *bodies)), encoding="ascii", newline="\n")
 
 
 def read_trace_csv(path) -> dict[int, list[TraceRow]]:

@@ -198,28 +198,21 @@ def default_subspace_size(d: int) -> int:
 
 
 @functools.lru_cache(maxsize=4)
-def _step_lengths(init_step: float, shrink: float, min_step: float) -> tuple[tuple, np.ndarray]:
+def _step_lengths(init_step: float, shrink: float, min_step: float) -> tuple[float, tuple, np.ndarray]:
     """A search's trial step lengths, init_step, init_step * shrink, ... down
-    to the first one below min_step; also all but the first as a read-only
-    (n-1, 1) column."""
+    to the first one below min_step: the first, then the rest as a tuple and
+    as a read-only (n-1, 1) column."""
     rhos = [init_step]
     while rhos[-1] >= min_step:
         rhos.append(rhos[-1] * shrink)
     rest = np.array(rhos[1:])[:, None]
     rest.flags.writeable = False
-    return tuple(rhos), rest
+    return init_step, tuple(rhos[1:]), rest
 
 
 def _moved(x: np.ndarray, rho: float, v: np.ndarray) -> np.ndarray:
     """x - rho v, as one subtraction at rho = 1 (1.0 * v is v bit for bit)."""
     return x - v if rho == 1.0 else x - rho * v
-
-
-def _trial_points(x: np.ndarray, v: np.ndarray, rhos: tuple, rest: np.ndarray):
-    """x - rho v for every rho: the first on its own, the rest, needed only
-    after a rejection, as one (n-1, d) block (the same roundings row by row)."""
-    yield _moved(x, rhos[0], v)
-    yield from x - rest * v
 
 
 def armijo_search(
@@ -231,24 +224,31 @@ def armijo_search(
     """Backtracking line search along -v.
 
     Tries rho = INIT_STEP, then shrinks it by SHRINK, accepting the first
-    rho with f(x - rho v) <= f_x - C1 rho ||v||^2. The floor test runs after
-    each trial, so a search that never succeeds pays one trial per rho down
-    to the first value below MIN_STEP. Returns (rho, accepted, f_new) with
-    f_new == f_x when nothing was accepted; a zero direction returns
-    immediately without spending queries.
+    rho with f(x - rho v) <= f_x - C1 rho ||v||^2 and f(x - rho v) finite.
+    The floor test runs after each trial, so a search that never succeeds
+    pays one trial per rho down to the first value below MIN_STEP. Returns
+    (rho, accepted, f_new) with f_new == f_x when nothing was accepted; a
+    zero direction returns immediately without spending queries.
 
-    The trial points do not depend on the values queried, so after a
-    rejected first trial the remaining ones are formed together; the queries
-    stay one at a time and stop at the first accepted trial.
+    The first trial is formed and queried on its own. The trial points do
+    not depend on the values queried, so after a rejected first trial the
+    remaining ones are formed together as one (n-1, d) block, the same
+    roundings row by row, and the loop queries its rows one at a time,
+    stopping at the first accepted trial. A trial's value is tested against
+    the bound before ``math.isfinite``, which then rejects an infinite value
+    that passed it (-inf, or +inf against f_x = +inf); nan fails the bound.
     """
     v = np.asarray(v, dtype=float)
     vv = float(v.dot(v))  # ndarray.dot: the ddot of v @ v, with less call overhead
     if vv == 0.0:
         return 0.0, False, f_x
-    rhos, rest = _step_lengths(INIT_STEP, SHRINK, MIN_STEP)
-    for rho, x_try in zip(rhos, _trial_points(x, v, rhos, rest)):
+    rho, rest_rhos, rest = _step_lengths(INIT_STEP, SHRINK, MIN_STEP)
+    f_try = oracle(_moved(x, rho, v))
+    if f_try <= f_x - C1 * rho * vv and math.isfinite(f_try):
+        return rho, True, f_try
+    for rho, x_try in zip(rest_rhos, x - rest * v):
         f_try = oracle(x_try)
-        if math.isfinite(f_try) and f_try <= f_x - C1 * rho * vv:
+        if f_try <= f_x - C1 * rho * vv and math.isfinite(f_try):
             return rho, True, f_try
     return rho, False, f_x
 

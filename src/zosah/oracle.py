@@ -132,9 +132,19 @@ def rosenbrock(x: np.ndarray) -> float:
     Beyond |x| of about 1e154 a square overflows: the value is then inf (nan
     if the other term is nan), as in IEEE arithmetic, where Python's float
     ``**`` would raise OverflowError.
+
+    A point reads as ``float(x[0])`` and ``float(x[1])``. A point whose
+    ``tolist()`` gives two Python floats, as a float64 or float32 array of
+    shape (2,) does, strided or not, is read from that list in one call: the
+    same values. Every other input, lists included, takes the two reads.
     """
-    x0 = float(x[0])
-    x1 = float(x[1])
+    try:
+        x0, x1 = x.tolist()
+    except (AttributeError, TypeError, ValueError):  # no tolist, or not two values
+        x0 = x1 = None
+    if type(x0) is not float or type(x1) is not float:
+        x0 = float(x[0])
+        x1 = float(x[1])
     try:
         return (x0 - 1.0) ** 2 + 100.0 * (x1 - x0 * x0) ** 2
     except OverflowError:

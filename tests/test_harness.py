@@ -221,14 +221,22 @@ class TestRunSingle:
 
 class TestRunExperiment:
     def test_writes_per_seed_and_combined(self, tmp_path):
-        cfg = ExperimentConfig(alg="zosah", obj="rosenbrock", max_evals=150, seeds=(0, 1))
+        # each file holds the bytes write_trace_csv gives for its seeds, in
+        # cfg.seeds order, though run_experiment formats each row only once
+        seeds = (2, 0, 1)
+        cfg = ExperimentConfig(alg="zosah", obj="rosenbrock", max_evals=150, seeds=seeds)
         paths = run_experiment(cfg, tmp_path / "nested" / "out")
         names = [p.name for p in paths]
-        assert names == ["seed_0.csv", "seed_1.csv", "combined.csv"]
-        assert all(p.exists() for p in paths)
+        assert names == ["seed_2.csv", "seed_0.csv", "seed_1.csv", "combined.csv"]
+        traces = [run_single(resolve_objective("rosenbrock"), cfg, seed) for seed in seeds]
+        for seed, rows, path in zip(seeds, traces, paths):
+            write_trace_csv(tmp_path / "want.csv", {seed: rows})
+            assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        write_trace_csv(tmp_path / "want.csv", dict(zip(seeds, traces)))
+        assert paths[-1].read_bytes() == (tmp_path / "want.csv").read_bytes()
         combined = read_trace_csv(paths[-1])
-        assert sorted(combined) == [0, 1]
-        assert combined[0] == read_trace_csv(paths[0])[0]
+        assert list(combined) == list(seeds)
+        assert combined[0] == read_trace_csv(paths[1])[0]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = ExperimentConfig(alg="rspg", obj="rosenbrock", max_evals=200, seeds=(0, 2))

@@ -148,10 +148,12 @@ class TestArmijoSearch:
         assert rho == pytest.approx(0.5**20)
         assert rho < 1e-6
 
-    def test_non_finite_trial_is_rejected_then_recovers(self):
+    # -inf passes the Armijo comparison, so only the finiteness test rejects it
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_trial_is_rejected_then_recovers(self, bad):
         def f(x):
             y = float(x[0])
-            return float("nan") if y < 0 else 0.5 * y * y
+            return bad if y < 0 else 0.5 * y * y
 
         oracle = CountedOracle(Objective(f, 1))
         rho, accepted, f_new = armijo_search(oracle, np.array([1.0]), np.array([2.0]), 0.5)

@@ -65,6 +65,76 @@ class TestRosenbrock:
         assert obj(np.array([1.0, 1.0])) == 0.0
 
 
+def two_reads(x):
+    """The Rosenbrock value of float(x[0]) and float(x[1]), the reads
+    rosenbrock keeps the bits of."""
+    x0 = float(x[0])
+    x1 = float(x[1])
+    try:
+        return (x0 - 1.0) ** 2 + 100.0 * (x1 - x0 * x0) ** 2
+    except OverflowError:
+        a = x0 - 1.0
+        t = x1 - x0 * x0
+        return a * a + 100.0 * (t * t)
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# finite floats, +-0 and subnormals, +-1e200 (whose square overflows), +-inf, nan
+ROSENBROCK_COORDINATE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.sampled_from([0.0, -0.0, 1e200, -1e200, math.inf, -math.inf, math.nan]),
+)
+
+
+class TestRosenbrockPointRead:
+    """A float64 pair is read with one tolist(); every query keeps the bits
+    of float(x[0]) and float(x[1])."""
+
+    @settings(max_examples=300)
+    @given(x0=ROSENBROCK_COORDINATE, x1=ROSENBROCK_COORDINATE,
+           layout=st.sampled_from(["plain", "strided", "row"]))
+    def test_objective_has_the_bits_of_rosenbrock(self, x0, x1, layout):
+        want = rosenbrock([x0, x1])  # a list takes the two reads
+        assert same_bits(want, two_reads([x0, x1]))
+        x = {
+            "plain": np.array([x0, x1]),
+            "strided": np.array([x0, 0.5, x1, -0.5])[::2],
+            "row": np.array([[3.0, -4.0], [x0, x1], [5.0, 6.0]])[1],
+        }[layout]
+        oracle = CountedOracle(rosenbrock_objective())
+        for f in (rosenbrock, rosenbrock_objective(), oracle):
+            got = f(x)
+            assert type(got) is float
+            assert same_bits(got, want)
+        assert oracle.count == 1
+
+    @pytest.mark.parametrize("x", [
+        [0.5, -2.0], (0.5, -2.0), [1, 3],
+        np.array([0.1, 0.7], dtype=np.float32),
+        np.array([0.1, 0.7], dtype=">f8"),
+        np.array([10**10, 3]),  # int products are exact, float ones round
+        np.array([True, False]),
+        np.array([0.25, 1.5, 9.0]),  # the first two entries
+        np.array([[0.25], [1.5]]),
+        np.array([np.float64(0.3), 0.6], dtype=object),
+        np.array([0.1, 0.7], dtype=np.longdouble),
+    ], ids=lambda x: type(x).__name__ + (f"-{x.dtype}-{x.shape}" if hasattr(x, "dtype") else ""))
+    def test_public_function_keeps_what_it_accepts(self, x):
+        try:
+            want = two_reads(x)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                rosenbrock(x)
+            return
+        got = rosenbrock(x)
+        assert type(got) is type(want)
+        assert same_bits(got, want)
+
+
 class TestQuadraticModel:
     def test_identity(self):
         assert quadratic_model(np.eye(2), np.zeros(2), 0.0, np.ones(2)) == 1.0
