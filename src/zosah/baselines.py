@@ -15,13 +15,12 @@ call at a time:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimator import _require_finite
-from .oracle import CountedOracle, Objective, _require_integer
+from .oracle import CountedOracle, Objective, _require_integer, _require_positive
 from .optimizer import (
     BudgetedOptimizer,
     TraceRow,
@@ -56,16 +55,10 @@ class BaselineConfig:
     eps: float = ZosahConfig.eps
 
     def __post_init__(self):
-        for name in ("max_evals", "seed", "q"):
-            _require_integer(name, getattr(self, name))
-        if self.max_evals < 0:
-            raise ValueError("max_evals must be non-negative")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.q < 1:
-            raise ValueError(f"q must be >= 1, got {self.q}")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be finite and positive, got {self.eps}")
+        _require_integer("max_evals", self.max_evals, 0)
+        _require_integer("seed", self.seed, 0)
+        _require_integer("q", self.q, 1)
+        _require_positive("eps", self.eps)
 
 
 def rge_gradient(

@@ -41,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--evals", type=int, help="function-evaluation budget per seed")
     run.add_argument("--seeds", help="comma-separated distinct seeds "
                      f"(default {','.join(map(str, ExperimentConfig.seeds))})")
-    run.add_argument("--x0", help="zeros | standard-rosenbrock | comma-separated floats")
+    run.add_argument("--x0", help="auto | zeros | standard-rosenbrock | comma-separated floats "
+                     "(default auto: standard-rosenbrock for rosenbrock, zeros otherwise)")
     run.add_argument("--m", type=int, help="coordinates per period (even; default min(d,20))")
     run.add_argument("--T", type=int,
                      help=f"steps per subspace period (default {ExperimentConfig.T})")
@@ -105,7 +106,8 @@ def _parse_x0(text: str):
         return tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise UsageError(
-            f"x0 must be zeros, standard-rosenbrock, or comma-separated floats, got {text!r}"
+            "x0 must be auto (standard-rosenbrock for rosenbrock, zeros otherwise), "
+            f"zeros, standard-rosenbrock, or comma-separated floats, got {text!r}"
         ) from None
 
 

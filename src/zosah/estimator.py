@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .oracle import CountedOracle
+from .oracle import CountedOracle, _require_positive
 from .subspace import PairProjection
 
 __all__ = [
@@ -249,8 +249,7 @@ def estimate_gradient(
 
     ``f_x`` is the already-paid value at x, so this costs exactly 2 queries.
     """
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be finite and positive, got {eps}")
+    _require_positive("eps", eps)
     x = np.asarray(x, dtype=float)
     idx = np.array([p.pair])
     lift = _lift_index(idx, x.size, 2)
@@ -515,8 +514,7 @@ def make_pd(A: np.ndarray, kappa: float) -> np.ndarray:
     floors everything at kappa, so the result is symmetric with both
     eigenvalues >= kappa.
     """
-    if not 0 < kappa < math.inf:
-        raise ValueError(f"kappa must be finite and positive, got {kappa}")
+    _require_positive("kappa", kappa)
     return np.array(_repair(_rows(A), kappa)[0][0]).reshape(2, 2)
 
 
@@ -628,8 +626,7 @@ def fd_subspace_hessian(
     pays exactly 3 new queries: f(theta + 2 eps e1), f(theta + 2 eps e2), and
     f(theta + eps e1 + eps e2).
     """
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be finite and positive, got {eps}")
+    _require_positive("eps", eps)
     _require_fd_eps(eps)
     x = np.asarray(x, dtype=float)
     idx = np.array([p.pair])

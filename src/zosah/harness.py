@@ -15,7 +15,7 @@ import contextlib
 import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -78,10 +78,10 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        _require_integer("max_evals", self.max_evals)
-        _require_integer("jobs", self.jobs)
+        _require_integer("max_evals", self.max_evals, 1, error=UsageError)
+        _require_integer("jobs", self.jobs, 1, error=UsageError)
         for i, seed in enumerate(self.seeds):
-            _require_integer(f"seeds[{i}]", seed)
+            _require_integer(f"seeds[{i}]", seed, error=UsageError)
         if self.alg not in ALGORITHMS:
             raise UsageError(
                 f"unknown algorithm {self.alg!r}; expected one of {ALGORITHMS}"
@@ -92,11 +92,10 @@ class ExperimentConfig:
             raise UsageError(f"seeds must be distinct, got {self.seeds}")
         if min(self.seeds) < 0:
             raise UsageError(f"seeds must be non-negative, got {self.seeds}")
-        if self.max_evals <= 0:
-            raise UsageError("max_evals must be positive")
-        if self.jobs < 1:
-            raise UsageError("jobs must be >= 1")
         _algorithm_config(self, self.seeds[0])
+
+
+_EXPERIMENT_FIELDS = frozenset(field.name for field in fields(ExperimentConfig))
 
 
 def resolve_objective(obj_id: str) -> Objective:
@@ -152,18 +151,12 @@ def _resolve_x0(cfg: ExperimentConfig, dim: int) -> np.ndarray:
 
 def _algorithm_config(cfg: ExperimentConfig, seed: int) -> ZosahConfig | BaselineConfig:
     """The selected algorithm's config for one seed; raises ValueError naming a bad field."""
-    if cfg.alg in _ZOSAH_MODES:
-        return ZosahConfig(
-            max_evals=cfg.max_evals,
-            seed=seed,
-            m=cfg.m,
-            T=cfg.T,
-            eps=cfg.eps,
-            kappa=cfg.kappa,
-            hess_radius=cfg.hess_radius,
-            hessian_mode=_ZOSAH_MODES[cfg.alg],
-        )
-    return BaselineConfig(max_evals=cfg.max_evals, seed=seed, q=cfg.q, eps=cfg.eps)
+    cls = ZosahConfig if cfg.alg in _ZOSAH_MODES else BaselineConfig
+    # every hyperparameter the config shares with ExperimentConfig passes by name
+    given = {f.name: getattr(cfg, f.name) for f in fields(cls) if f.name in _EXPERIMENT_FIELDS}
+    if cls is ZosahConfig:
+        given["hessian_mode"] = _ZOSAH_MODES[cfg.alg]
+    return cls(seed=seed, **given)
 
 
 def run_single(objective: Objective, cfg: ExperimentConfig, seed: int) -> list[TraceRow]:
@@ -224,7 +217,12 @@ def _run_seeds(objective: Objective, cfg: ExperimentConfig) -> list[list[TraceRo
 
 
 def write_trace_csv(path, rows_by_seed: dict[int, list[TraceRow]]) -> None:
-    """Write traces with a fixed header, 17-significant-digit values, LF ends."""
+    """Write traces with a fixed header, 17-significant-digit values, LF ends.
+
+    A seed key that is not a non-negative integer raises ValueError unwritten.
+    """
+    for seed in rows_by_seed:
+        _require_integer("seed", seed, 0)
     _write_trace(path, map(_trace_body, rows_by_seed, rows_by_seed.values()))
 
 
@@ -317,9 +315,7 @@ def summarize(
     single seed). Each seed's rows must be in non-decreasing cum_evals
     order, as every optimizer writes them.
     """
-    _require_integer("grid", grid)
-    if grid < 1:
-        raise ValueError(f"grid must be >= 1, got {grid}")
+    _require_integer("grid", grid, 1)
     if not any(rows_by_seed.values()):
         raise ValueError("no traces to summarize")
     last = max(rows[-1].cum_evals for rows in rows_by_seed.values() if rows)

@@ -68,7 +68,13 @@ from .estimator import (  # noqa: F401
     newton_direction,
     solve_hessian,
 )
-from .oracle import CountedOracle, DimensionMismatchError, Objective, _require_integer
+from .oracle import (
+    CountedOracle,
+    DimensionMismatchError,
+    Objective,
+    _require_integer,
+    _require_positive,
+)
 from .subspace import make_plan
 
 __all__ = [
@@ -119,20 +125,13 @@ class ZosahConfig:
     hessian_mode: str = "fit"
 
     def __post_init__(self):
-        for name in ("max_evals", "seed", "T"):
-            _require_integer(name, getattr(self, name))
-        if self.max_evals < 0:
-            raise ValueError("max_evals must be non-negative")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        _require_integer("max_evals", self.max_evals, 0)
+        _require_integer("seed", self.seed, 0)
         if self.m is not None:
             _require_integer("m", self.m)
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
+        _require_integer("T", self.T, 1)
         for name in ("eps", "kappa", "hess_radius"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            _require_positive(name, getattr(self, name))
         if self.hess_radius > MAX_HESS_RADIUS:
             raise ValueError(
                 f"hess_radius must be at most {MAX_HESS_RADIUS:g}, beyond which the "

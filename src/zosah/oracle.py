@@ -59,12 +59,24 @@ def __getattr__(name: str):
 _FLOAT64 = np.dtype(np.float64)
 
 
-def _require_integer(name: str, value) -> None:
-    """Reject a non-integral count field (numpy integers pass), naming it."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+def _require_integer(name: str, value, low: int | None = None, error=ValueError) -> None:
+    """Reject a count that is a bool or not integral (numpy integers pass), then
+    one below ``low``; ``error`` is raised, naming the field."""
+    if type(value) is not int:  # a plain int passes at once; a bool (an int subclass) does not
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            operator.index(value)
+        except TypeError:
+            raise error(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+
+
+def _require_positive(name: str, value) -> None:
+    """Reject a setting that is not a finite positive real, naming it."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 class DimensionMismatchError(ValueError):
@@ -83,9 +95,7 @@ class Objective:
     """
 
     def __init__(self, fn: Callable[[np.ndarray], float], dim: int, name: str = ""):
-        _require_integer("dim", dim)
-        if dim < 1:
-            raise ValueError(f"objective dimension must be positive, got {dim}")
+        _require_integer("dim", dim, 1)
         self._fn = fn
         self.dim = int(dim)
         self.name = name or getattr(fn, "__name__", "objective")

@@ -39,6 +39,9 @@ class TestBaselineConfig:
             {"max_evals": -1},
             {"seed": 1.5},
             {"seed": -1},
+            {"q": True},
+            {"max_evals": False},
+            {"seed": True},
         ],
     )
     def test_invalid_fields(self, kwargs):

@@ -1,10 +1,12 @@
 """Every exported name resolves, so no deletion leaves a stale export behind."""
 
+import ast
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,53 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(zosah.__path__) if m.name 
 def test_module_all_resolves(name):
     module = importlib.import_module(f"zosah.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    """``file:line: name`` for each imported name the module never uses.
+
+    A name in the module's ``__all__`` is exported, so it counts as used, and
+    an import statement whose first line carries ``# noqa: F401`` is skipped.
+    """
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]  # import a.b binds a
+            if name not in used:
+                unused.append(f"{path.name}:{node.lineno}: {name}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = sorted(Path(zosah.__file__).parent.glob("*.py"))
+    assert [line for path in paths for line in unused_imports(path)] == []
+
+
+def test_unused_import_check_flags_an_unused_name(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "from json import dumps, loads  # noqa: F401\n"
+        "from re import compile as rx, escape\n"
+        "__all__ = ['escape']\n"
+        "os.path.join(rx)\n"
+    )
+    assert unused_imports(path) == ["mod.py:2: math"]
 
 
 def test_package_all_resolves():

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from summarize_reference import summarize as reference_summarize
 
 import zosah
+from zosah.baselines import BaselineConfig
 from zosah.cli import main
 from zosah.harness import (
     ALGORITHMS,
@@ -27,6 +28,7 @@ from zosah.harness import (
     ExperimentConfig,
     SummaryRow,
     UsageError,
+    _algorithm_config,
     initial_point,
     read_trace_csv,
     resolve_objective,
@@ -94,6 +96,10 @@ class TestExperimentConfig:
         ({"max_evals": 50.0}, "max_evals must be an integer, got 50.0"),
         ({"seeds": (0, 1.5)}, "seeds[1] must be an integer, got 1.5"),
         ({"seeds": ("0",)}, "seeds[0] must be an integer, got '0'"),
+        ({"jobs": True}, "jobs must be an integer, got True"),
+        ({"max_evals": True}, "max_evals must be an integer, got True"),
+        ({"seeds": (True,)}, "seeds[0] must be an integer, got True"),
+        ({"seeds": (2, False)}, "seeds[1] must be an integer, got False"),
     ])
     def test_non_integral_count_names_its_field(self, kwargs, message):
         # a ValueError, which the CLI reports as a usage error (exit 2)
@@ -102,6 +108,22 @@ class TestExperimentConfig:
         with pytest.raises(ValueError) as info:
             ExperimentConfig(**base)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_shared_fields_reach_the_algorithm_config(self, alg):
+        # non-default values for every hyperparameter ExperimentConfig has
+        settings = {"max_evals": 77, "m": 4, "T": 5, "eps": 2e-3, "kappa": 0.2,
+                    "hess_radius": 0.07, "q": 3, "jobs": 2}
+        built = _algorithm_config(
+            ExperimentConfig(alg=alg, obj="rosenbrock", seeds=(4,), **settings), 7
+        )
+        cls = ZosahConfig if alg.startswith("zosah") else BaselineConfig
+        shared = {f.name for f in dataclasses.fields(cls)} & {
+            f.name for f in dataclasses.fields(ExperimentConfig)
+        }
+        assert type(built) is cls and built.seed == 7 and shared <= set(settings)
+        for name in shared:
+            assert getattr(built, name) == settings[name] != getattr(cls, name, None), name
 
 
 class TestDefaultPeriod:
@@ -238,6 +260,15 @@ class TestRunExperiment:
         assert list(combined) == list(seeds)
         assert combined[0] == read_trace_csv(paths[1])[0]
 
+    def test_bool_seed_fails_before_the_output_directory(self, tmp_path):
+        # its trace would be seed_True.csv, whose rows read_trace_csv rejects
+        out = tmp_path / "out"
+        with pytest.raises(UsageError, match=r"^seeds\[0\] must be an integer, got True$"):
+            run_experiment(
+                ExperimentConfig(alg="zosah", obj="rosenbrock", max_evals=20, seeds=(True,)), out
+            )
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = ExperimentConfig(alg="rspg", obj="rosenbrock", max_evals=200, seeds=(0, 2))
         first = run_experiment(cfg, tmp_path / "a")
@@ -365,6 +396,23 @@ class TestTraceCsv:
         write_trace_csv(path, {0: [TraceRow(0, 1, 2.0)]})
         assert path.read_text().splitlines()[0] == TRACE_HEADER
 
+    @pytest.mark.parametrize("seed,message", [
+        (True, "seed must be an integer, got True"),
+        ("a", "seed must be an integer, got 'a'"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (-1, "seed must be >= 0, got -1"),
+    ])
+    def test_seed_key_that_is_not_a_count_rejected(self, tmp_path, seed, message):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError) as info:
+            write_trace_csv(path, {0: [TraceRow(0, 1, 2.0)], seed: [TraceRow(0, 1, 3.0)]})
+        assert str(info.value) == message and not path.exists()
+
+    def test_numpy_integer_seed_key_reads_back(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_trace_csv(path, {np.int64(3): [TraceRow(0, 1, 2.0)]})
+        assert read_trace_csv(path) == {3: [TraceRow(0, 1, 2.0)]}
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("step,f\n0,1\n")
@@ -484,6 +532,8 @@ class TestSummarize:
             summarize({0: [TraceRow(0, 1, 1.0)]}, grid=0)
         with pytest.raises(ValueError, match="^grid must be an integer, got 2.5$"):
             summarize({0: [TraceRow(0, 1, 1.0), TraceRow(1, 5, 0.5)]}, grid=2.5)
+        with pytest.raises(ValueError, match="^grid must be an integer, got True$"):
+            summarize({0: [TraceRow(0, 1, 1.0), TraceRow(1, 5, 0.5)]}, grid=True)
         with pytest.raises(ValueError, match="no traces"):
             summarize({}, grid=100)
 

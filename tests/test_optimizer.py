@@ -99,7 +99,8 @@ class TestZosahConfig:
             ZosahConfig(**kwargs)
 
     @pytest.mark.parametrize("field,value", [("m", 2.0), ("T", 2.5), ("max_evals", 50.5),
-                                             ("seed", 1.5)])
+                                             ("seed", 1.5), ("m", False), ("T", True),
+                                             ("max_evals", False), ("seed", True)])
     def test_non_integral_count_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
             ZosahConfig(**{"max_evals": 100, field: value})

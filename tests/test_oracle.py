@@ -332,6 +332,8 @@ class TestCountedOracle:
             Objective(lambda x: 0.0, 0)
         with pytest.raises(ValueError, match="^dim must be an integer, got 2.5$"):
             Objective(lambda x: 0.0, 2.5)
+        with pytest.raises(ValueError, match="^dim must be an integer, got True$"):
+            Objective(lambda x: 0.0, True)
         assert Objective(lambda x: 0.0, np.int64(3)).dim == 3
 
     def test_shadow_counter_over_full_run(self):
