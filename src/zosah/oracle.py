@@ -27,7 +27,6 @@ so only a run that builds a logistic objective pays for ``scipy.sparse``.
 from __future__ import annotations
 
 import math
-import operator
 from typing import Callable
 
 import numpy as np
@@ -62,13 +61,8 @@ _FLOAT64 = np.dtype(np.float64)
 def _require_integer(name: str, value, low: int | None = None, error=ValueError) -> None:
     """Reject a count that is a bool or not integral (numpy integers pass), then
     one below ``low``; ``error`` is raised, naming the field."""
-    if type(value) is not int:  # a plain int passes at once; a bool (an int subclass) does not
-        try:
-            if isinstance(value, bool):
-                raise TypeError
-            operator.index(value)
-        except TypeError:
-            raise error(f"{name} must be an integer, got {value!r}") from None
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise error(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise error(f"{name} must be >= {low}, got {value}")
 

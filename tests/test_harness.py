@@ -260,15 +260,6 @@ class TestRunExperiment:
         assert list(combined) == list(seeds)
         assert combined[0] == read_trace_csv(paths[1])[0]
 
-    def test_bool_seed_fails_before_the_output_directory(self, tmp_path):
-        # its trace would be seed_True.csv, whose rows read_trace_csv rejects
-        out = tmp_path / "out"
-        with pytest.raises(UsageError, match=r"^seeds\[0\] must be an integer, got True$"):
-            run_experiment(
-                ExperimentConfig(alg="zosah", obj="rosenbrock", max_evals=20, seeds=(True,)), out
-            )
-        assert not out.exists()
-
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = ExperimentConfig(alg="rspg", obj="rosenbrock", max_evals=200, seeds=(0, 2))
         first = run_experiment(cfg, tmp_path / "a")
