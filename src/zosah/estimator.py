@@ -14,12 +14,14 @@ for all P pairs of a plan, from probes to Newton directions.
 Every probe query goes through ``_probe``, which lifts every pair's probe
 points into one (P * n, d) block of query points (copies of x, then one
 ``ndarray.put`` at the flat positions ``_lift_index`` gives, which the caller
-passes in) and queries its rows in one ``map``: the step's fresh samples and
-``_gradients`` pair by pair, ``_fd_rows`` probe by probe (every pair's
-2 eps e1, then every pair's 2 eps e2, then every pair's eps e1 + eps e2), so
-that on the logistic objective every axis probe moves one coordinate from
-the kept point and takes the row path before the mixed probes, each a full
-evaluation, replace that point.
+passes in: the row offsets, which depend only on the block's shape, are built
+once, and a plan's positions add its coordinates to them) and queries its
+rows in one ``map``: the step's fresh samples and ``_gradients`` pair by
+pair, ``_fd_rows`` probe by probe (every pair's 2 eps e1, then every pair's
+2 eps e2, then every pair's eps e1 + eps e2), so that on the logistic
+objective every axis probe moves one coordinate from the kept point and
+takes the row path before the mixed probes, each a full evaluation, replace
+that point.
 ``_fit_rows`` fits every pair's model in one stacked computation (monomial
 design, pinned targets, Gram matrix, eigenvalue floor test, ridge, one
 stacked solve) and hands each pair's coefficients (h0, h1, h2), the matrix
@@ -53,6 +55,7 @@ views build their own lift positions.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -185,6 +188,18 @@ def _require_finite(values: list[float], what: str) -> None:
         raise FloatingPointError(f"objective returned non-finite value {bad} at a {what}")
 
 
+@functools.lru_cache(maxsize=8)
+def _lift_offsets(n_pairs: int, n: int, d: int, by_probe: bool) -> np.ndarray:
+    """The (P, n, 1) flat offsets of the rows of a (P * n, d) block that
+    :func:`_lift_index` adds the pairs' coordinates to, read-only."""
+    pairs = np.arange(n_pairs)[:, None]
+    probes = np.arange(n)
+    rows = probes * n_pairs + pairs if by_probe else pairs * n + probes
+    offsets = rows[:, :, None] * d
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _lift_index(idx: np.ndarray, d: int, n: int, by_probe: bool = False) -> np.ndarray:
     """Flat positions, in a (P * n, d) block of query points, of the pairs'
     coordinates: entry [j, r, c] is where pair j's probe r sets coordinate
@@ -192,14 +207,12 @@ def _lift_index(idx: np.ndarray, d: int, n: int, by_probe: bool = False) -> np.n
 
     The block's rows run pair by pair (pair j's n probes, then pair j + 1's),
     or with ``by_probe`` probe by probe (every pair's probe 0, then every
-    pair's probe 1, ...). The positions depend only on the plan, so the
-    optimizer builds them once per plan.
+    pair's probe 1, ...). The row offsets depend only on (P, n, d,
+    ``by_probe``), which a run keeps, so they are built once
+    (:func:`_lift_offsets`) and each call is one addition of the plan's
+    coordinates; the optimizer calls it once per plan.
     """
-    n_pairs = len(idx)
-    pairs = np.arange(n_pairs)[:, None]
-    probes = np.arange(n)
-    rows = probes * n_pairs + pairs if by_probe else pairs * n + probes
-    return rows[:, :, None] * d + idx[:, None, :]
+    return _lift_offsets(len(idx), n, d, by_probe) + idx[:, None, :]
 
 
 def _probe(

@@ -243,7 +243,8 @@ def read_trace_csv(path) -> dict[int, list[TraceRow]]:
 
     Raises :class:`DatasetFormatError` naming ``path:line`` when the header is
     missing, a row does not have exactly four fields, a field does not parse
-    (one with a digit separator, as in "1_0", does not), an f_value is not
+    (one with a digit separator, as in "1_0", does not), a seed, step or
+    cum_evals is negative (no run writes one), an f_value is not
     finite (no optimizer writes one: f(x0) must be finite and a trial is
     accepted only when finite) or a row's cum_evals is below the previous row
     of its seed.
@@ -267,6 +268,9 @@ def read_trace_csv(path) -> dict[int, list[TraceRow]]:
             seed = int(seed_s)
         except ValueError:
             raise DatasetFormatError(f"{path}:{lineno}: {_row_problem(fields)}") from None
+        if seed < 0 or row.step < 0 or row.cum_evals < 0:
+            name, text = next(nt for nt in zip(TRACE_HEADER.split(","), fields) if int(nt[1]) < 0)
+            raise DatasetFormatError(f"{path}:{lineno}: negative {name} {text!r}")
         if not math.isfinite(row.f_value):
             raise DatasetFormatError(f"{path}:{lineno}: non-finite f_value {f_s!r}")
         seed_rows = out.setdefault(seed, [])

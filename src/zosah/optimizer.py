@@ -23,8 +23,10 @@ stages; it still pays every query. A plan switch drops the stored direction,
 so none outlives its plan. A plan switch also builds the plan's probe-lift
 positions (``_lift_index``) once, for the gradient probes and for the fd
 probes, so each of their lifts is one ``ndarray.repeat`` of x and one
-``ndarray.put``. The fresh samples are drawn only at a plan switch, so the
-step builds their positions where it queries them.
+``ndarray.put``; the positions are the plan's coordinates added to row
+offsets built once per shape (P, n, d), so a switch pays one addition. The
+fresh samples are drawn only at a plan switch, so the step builds their
+positions where it queries them.
 The per-pair functions
 (``estimate_gradient``, ``fd_subspace_hessian``, ``make_pd``,
 ``newton_direction``) are one-pair views of the same pass, and the fit's
@@ -383,8 +385,12 @@ class ZosahOptimizer(BudgetedOptimizer):
                 ]
             self.cache.store_probes(k, probe_points, probe_f)
         if not repeated:
+            # 0.0 + w, the bits of adding w onto zeros (-0.0 becomes +0.0, a
+            # nan keeps its payload); the plan's coordinates are distinct, so
+            # one put writes each once
+            w_rows = _newton_rows(rows, g.tolist(), cfg.kappa)
             self._v = np.zeros(x.size)
-            self._v[idx] += _newton_rows(rows, g.tolist(), cfg.kappa)
+            self._v.put(idx, [c + 0.0 for w in w_rows for c in w])
             self._memo = key
         v = self._v
 

@@ -681,6 +681,31 @@ class TestLiftReference:
         self.same_bits(queried, want)
         assert values == [float(np.sum(np.abs(z))) for z in want]
 
+    @pytest.mark.parametrize("d", [2, 20, 123])
+    @pytest.mark.parametrize("n_pairs", [1, 10])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("by_probe", [False, True])
+    def test_lift_index_matches_uncached_formula(self, d, n_pairs, n, by_probe):
+        # two plans of one shape share the memoized offsets; each gets its own
+        # positions, the ones built without the memo
+        rng = np.random.default_rng(d + n_pairs + n)
+        for _ in range(2):
+            idx = rng.integers(d, size=(n_pairs, 2))
+            pairs = np.arange(n_pairs)[:, None]
+            probes = np.arange(n)
+            rows = probes * n_pairs + pairs if by_probe else pairs * n + probes
+            want = rows[:, :, None] * d + idx[:, None, :]
+            got = _lift_index(idx, d, n, by_probe)
+            assert got.dtype == want.dtype and got.shape == (n_pairs, n, 2)
+            assert np.array_equal(got, want)
+
+    def test_memoized_offsets_are_read_only(self):
+        offsets = estimator_mod._lift_offsets(10, 3, 20, True)
+        assert offsets is estimator_mod._lift_offsets(10, 3, 20, True)
+        assert not offsets.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            offsets[0, 0, 0] = 1
+
 
 def eig2x2(A):
     """_eigs of one symmetric 2x2: (lam, V) with the eigenvectors as V's columns."""

@@ -432,6 +432,10 @@ MALFORMED_TRACES = {
     "nan_value": (f"{TRACE_HEADER}\n0,0,1,1.0\n0,1,5,nan\n0,2,9,inf\n", 3,
                   "non-finite f_value 'nan'"),
     "inf_value": (f"{TRACE_HEADER}\n0,0,1,1.0\n0,1,5,inf\n", 3, "non-finite f_value 'inf'"),
+    # no run writes a negative count
+    "negative_seed": (f"{TRACE_HEADER}\n-1,0,1,2.5\n", 2, "negative seed '-1'$"),
+    "negative_step": (f"{TRACE_HEADER}\n0,-3,5,2.5\n", 2, "negative step '-3'$"),
+    "negative_evals": (f"{TRACE_HEADER}\n0,0,-5,2.5\n", 2, "negative cum_evals '-5'$"),
 }
 
 

@@ -244,6 +244,24 @@ class TestUnitStepBits:
             want[i1], want[i2] = 0.0 + w1, 0.0 + w2
         assert directions[-1].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("mode", ["fit", "fd"])
+    def test_direction_has_the_bits_of_zero_plus_w(self, mode, monkeypatch):
+        # quiet nans with payloads and either sign, -0.0, a subnormal and finite
+        # components; the step stores 0.0 + w, the bits of += onto zeros
+        payload_nans = np.array([0x7FF8000000000123, 0xFFF80000000ABCDE], dtype=np.uint64)
+        nan1, nan2 = payload_nans.view(float).tolist()
+        w = [(-0.0, nan1), (1.5, -0.0), (nan2, -5e-324), (-2.25, 0.0)]
+        monkeypatch.setattr(optimizer_mod, "_newton_rows", lambda rows, g, kappa: w)
+        cfg = ZosahConfig(max_evals=100, m=8, hessian_mode=mode)
+        opt = ZosahOptimizer(CountedOracle(Objective(lambda z: 1.0, 8)), np.ones(8), cfg)
+        opt.step()
+        want = np.zeros(8)
+        want[opt._idx] += np.array(w)
+        assert opt._v.tobytes() == want.tobytes()
+        bits = opt._v.view(np.uint64)
+        assert bits[opt._idx[[0, 1], [0, 1]]].tolist() == [0, 0]  # -0.0 became +0.0
+        assert bits[opt._idx[[0, 2], [1, 0]]].tolist() == payload_nans.tolist()
+
 
 class TestStepAccounting:
     """Per-step query formulas on a quadratic where the full step is accepted."""
