@@ -33,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimator import GAMMA_FLOOR, _eigvalsh, _require_finite, quad_monomials
+from .oracle import _require_positive
 from .subspace import PairProjection
 
 __all__ = ["EvalCache", "GatherResult", "PlanMismatchError"]
@@ -52,6 +53,14 @@ MAX_ATTEMPTS = 10
 # the Gram over three points is at most 0.75 r^4, which stays below the
 # largest double (about 1.8e308) up to r = 1.24e77 less rounding.
 MAX_HESS_RADIUS = 1.2e77
+
+
+def _require_radius(name: str, radius: float) -> None:
+    """Reject a fresh-sample radius that is not finite and positive or is above MAX_HESS_RADIUS."""
+    _require_positive(name, radius)
+    if radius > MAX_HESS_RADIUS:
+        raise ValueError(f"{name} must be at most {MAX_HESS_RADIUS:g}, beyond which the "
+                         f"fresh samples' Gram matrix can overflow, got {radius:g}")
 
 
 class PlanMismatchError(ValueError):
@@ -165,11 +174,7 @@ class EvalCache:
         none is spare, the generator is never rewound, and it ends where
         drawing the scanned sets one at a time leaves it.
         """
-        if not 0 < radius <= MAX_HESS_RADIUS:
-            raise ValueError(
-                f"radius must be positive and at most {MAX_HESS_RADIUS:g}, beyond which "
-                f"the Gram matrix can overflow, got {radius:g}"
-            )
+        _require_radius("radius", radius)
         n_pairs = len(theta)
         blocks = []
         eigs: list[float] = []  # smallest Gram eigenvalue of each set drawn

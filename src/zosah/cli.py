@@ -36,27 +36,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one experiment over a list of seeds")
-    run.add_argument("--alg", choices=ALGORITHMS, help="algorithm id")
-    run.add_argument("--obj", help="objective id: rosenbrock or logistic:<path>")
-    run.add_argument("--evals", type=int, help="function-evaluation budget per seed")
-    run.add_argument("--seeds", help="comma-separated distinct seeds "
-                     f"(default {','.join(map(str, ExperimentConfig.seeds))})")
-    run.add_argument("--x0", help="auto | zeros | standard-rosenbrock | comma-separated floats "
-                     "(default auto: standard-rosenbrock for rosenbrock, zeros otherwise)")
-    run.add_argument("--m", type=int, help="coordinates per period (even; default min(d,20))")
-    run.add_argument("--T", type=int,
-                     help=f"steps per subspace period (default {ExperimentConfig.T})")
-    run.add_argument("--eps", type=float,
-                     help=f"finite-difference spacing (default {ExperimentConfig.eps})")
-    run.add_argument("--kappa", type=float,
-                     help=f"curvature floor for the PD repair (default {ExperimentConfig.kappa})")
-    run.add_argument("--hess-radius", dest="hess_radius", type=float,
-                     help=f"fresh-sample circle radius (default {ExperimentConfig.hess_radius})")
-    run.add_argument("--q", type=int, help="directions per baseline gradient estimate "
-                     f"(default {ExperimentConfig.q})")
-    run.add_argument("--out", help="output directory for trace CSVs")
-    run.add_argument("--jobs", type=int,
-                     help=f"worker processes over seeds (default {ExperimentConfig.jobs})")
+    for key, (_, help_text) in _RUN_OPTIONS.items():
+        # argparse only collects the text; _cmd_run parses it
+        run.add_argument("--" + key.replace("_", "-"), help=help_text,
+                         choices=ALGORITHMS if key == "alg" else None)
     run.add_argument("--config", help="flat key=value config file; flags override it")
     run.set_defaults(func=_cmd_run)
 
@@ -111,36 +94,40 @@ def _parse_x0(text: str):
         ) from None
 
 
-# run-subcommand options, which may also appear in a config file, and the
-# parser of their text
+# Every `zosah run` option: the parser of its text and its help. The key is
+# both the config-file key and the flag (--key, with '_' written as '-').
 _RUN_OPTIONS = {
-    "alg": str, "obj": str, "evals": int, "seeds": _parse_seeds, "x0": _parse_x0,
-    "m": int, "T": int, "eps": float, "kappa": float, "hess_radius": float,
-    "q": int, "out": str, "jobs": int,
+    "alg": (str, "algorithm id"),
+    "obj": (str, "objective id: rosenbrock or logistic:<path>"),
+    "evals": (int, "function-evaluation budget per seed"),
+    "seeds": (_parse_seeds, "comma-separated distinct seeds "
+              f"(default {','.join(map(str, ExperimentConfig.seeds))})"),
+    "x0": (_parse_x0, "auto | zeros | standard-rosenbrock | comma-separated floats "
+           "(default auto: standard-rosenbrock for rosenbrock, zeros otherwise)"),
+    "m": (int, "coordinates per period (even; default min(d,20))"),
+    "T": (int, f"steps per subspace period (default {ExperimentConfig.T})"),
+    "eps": (float, f"finite-difference spacing (default {ExperimentConfig.eps})"),
+    "kappa": (float, f"curvature floor for the PD repair (default {ExperimentConfig.kappa})"),
+    "hess_radius": (float, f"fresh-sample circle radius (default {ExperimentConfig.hess_radius})"),
+    "q": (int, f"directions per baseline gradient estimate (default {ExperimentConfig.q})"),
+    "out": (str, "output directory for trace CSVs"),
+    "jobs": (int, f"worker processes over seeds (default {ExperimentConfig.jobs})"),
 }
-
-
-def _merge_option(args, file_cfg: dict[str, str], key: str):
-    """The option's flag value, else its config-file entry, else None."""
-    parse = _RUN_OPTIONS[key]
-    value = getattr(args, key)
-    if value is not None:
-        return parse(value) if isinstance(value, str) else value
-    if key not in file_cfg:
-        return None
-    try:
-        return parse(file_cfg[key])
-    except ValueError as exc:
-        raise UsageError(f"config key {key!r}: {exc}") from None
 
 
 def _cmd_run(args) -> int:
     file_cfg = _read_config_file(args.config) if args.config else {}
     given = {}
-    for key in _RUN_OPTIONS:
-        value = _merge_option(args, file_cfg, key)
-        if value is not None:
-            given[key] = value
+    for key, (parse, _) in _RUN_OPTIONS.items():
+        flag = getattr(args, key)  # the flag's text overrides the config file's
+        text = file_cfg.get(key) if flag is None else flag
+        try:
+            if text is not None:
+                given[key] = parse(text)
+        except UsageError:  # the parser's own message names the option
+            raise
+        except ValueError as exc:
+            raise UsageError(f"option {key!r}: {exc}") from None
     for key in ("alg", "obj", "evals", "out"):
         if key not in given:
             raise UsageError(f"--{key} is required (flag or config file)")

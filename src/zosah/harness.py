@@ -59,9 +59,10 @@ class UsageError(ValueError):
 class ExperimentConfig:
     """Everything needed to reproduce one experiment byte-for-byte.
 
-    The hyperparameter defaults are the optimizer configs' own, and the
-    selected algorithm's config is built once here, so a bad hyperparameter
-    fails before any data loads.
+    The hyperparameter defaults are the optimizer configs' own. Every setting,
+    x0 included, is checked here and the selected algorithm's config is built
+    once, so a bad setting fails before the objective loads (only x0's size
+    waits for it); ``zosah run`` reports it as a one-line usage error.
     """
 
     alg: str
@@ -92,6 +93,7 @@ class ExperimentConfig:
             raise UsageError(f"seeds must be distinct, got {self.seeds}")
         if min(self.seeds) < 0:
             raise UsageError(f"seeds must be non-negative, got {self.seeds}")
+        _check_x0(_x0_policy(self))
         _algorithm_config(self, self.seeds[0])
 
 
@@ -122,31 +124,37 @@ def resolve_objective(obj_id: str) -> Objective:
     )
 
 
+def _check_x0(policy: str | tuple[float, ...]) -> None:
+    """Reject an unknown x0 policy name or an explicit start with a non-finite entry."""
+    if isinstance(policy, tuple):
+        x0 = list(map(float, policy))
+        if not all(map(math.isfinite, x0)):
+            raise UsageError(f"explicit x0 must be finite, got {x0}")
+    elif policy not in ("zeros", "standard-rosenbrock"):
+        raise UsageError(f"unknown x0 policy {policy!r}")
+
+
 def initial_point(policy: str | tuple[float, ...], dim: int) -> np.ndarray:
     """Resolve an x0 policy: zeros, the standard Rosenbrock start, or explicit."""
+    _check_x0(policy)
     if isinstance(policy, tuple):
         if len(policy) != dim:
             raise UsageError(
                 f"explicit x0 has {len(policy)} entries but the objective has dimension {dim}"
             )
-        x0 = np.asarray(policy, dtype=float)
-        if not np.isfinite(x0).all():
-            raise UsageError(f"explicit x0 must be finite, got {x0.tolist()}")
-        return x0
+        return np.asarray(policy, dtype=float)
     if policy == "zeros":
         return np.zeros(dim)
-    if policy == "standard-rosenbrock":
-        if dim != 2:
-            raise UsageError("standard-rosenbrock start requires a 2-d objective")
-        return np.array([-1.2, 1.0])
-    raise UsageError(f"unknown x0 policy {policy!r}")
+    if dim != 2:  # the standard-rosenbrock start
+        raise UsageError("standard-rosenbrock start requires a 2-d objective")
+    return np.array([-1.2, 1.0])
 
 
-def _resolve_x0(cfg: ExperimentConfig, dim: int) -> np.ndarray:
-    policy = cfg.x0
-    if policy == "auto":
-        policy = "standard-rosenbrock" if cfg.obj == "rosenbrock" else "zeros"
-    return initial_point(policy, dim)
+def _x0_policy(cfg: ExperimentConfig) -> str | tuple[float, ...]:
+    """cfg.x0 with auto resolved: standard-rosenbrock for rosenbrock, zeros otherwise."""
+    if cfg.x0 == "auto":
+        return "standard-rosenbrock" if cfg.obj == "rosenbrock" else "zeros"
+    return cfg.x0
 
 
 def _algorithm_config(cfg: ExperimentConfig, seed: int) -> ZosahConfig | BaselineConfig:
@@ -161,7 +169,7 @@ def _algorithm_config(cfg: ExperimentConfig, seed: int) -> ZosahConfig | Baselin
 
 def run_single(objective: Objective, cfg: ExperimentConfig, seed: int) -> list[TraceRow]:
     """One seed's run; owns its oracle and random generator."""
-    x0 = _resolve_x0(cfg, objective.dim)
+    x0 = initial_point(_x0_policy(cfg), objective.dim)
     alg_cfg = _algorithm_config(cfg, seed)
     if cfg.alg in _ZOSAH_MODES:
         return run_zosah(objective, x0, alg_cfg)
@@ -171,7 +179,7 @@ def run_single(objective: Objective, cfg: ExperimentConfig, seed: int) -> list[T
 def run_experiment(cfg: ExperimentConfig, out_dir) -> list[Path]:
     """Run every seed, write per-seed CSVs plus combined.csv; return the paths."""
     objective = resolve_objective(cfg.obj)
-    _resolve_x0(cfg, objective.dim)  # fail fast on a bad policy before running
+    initial_point(_x0_policy(cfg), objective.dim)  # fail fast on an x0 of the wrong size
     out = Path(out_dir)
     # made after the checks, so a bad objective or x0 leaves none, and before
     # the runs, so an unwritable one fails before any run

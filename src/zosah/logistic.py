@@ -52,7 +52,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
-from .oracle import DatasetFormatError, DimensionMismatchError, Objective
+from .oracle import DatasetFormatError, DimensionMismatchError, Objective, _require_integer
 
 __all__ = ["Dataset", "logistic_loss", "load_libsvm", "logistic_objective"]
 
@@ -139,7 +139,8 @@ def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
     the label, then each feature token left to right (malformed,
     non-numeric, index < 1, index > 2^63 - 1, duplicate). "No examples",
     "no features" and a non-finite value are reported only when no line has
-    a syntax error.
+    a syntax error. An ``expected_dim`` other than None that is not an
+    integer >= 0 (a bool is not one) raises ValueError before any read.
 
     The file is read once in text mode, so that CRLF and lone CR end lines
     as they do for ``readlines()``, and split at line feeds in blocks of
@@ -150,6 +151,8 @@ def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
     a bulk check is read again line by line (``_check_line``) to find the
     first error.
     """
+    if expected_dim is not None:
+        _require_integer("expected_dim", expected_dim, 0)
     with open(path, "r", encoding="ascii") as fh:
         try:
             text = fh.read()

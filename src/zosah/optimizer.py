@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cache import MAX_HESS_RADIUS, EvalCache
+from .cache import EvalCache, _require_radius
 from .estimator import (
     _FD_STEPS,
     _GRAD_STEPS,
@@ -132,13 +132,9 @@ class ZosahConfig:
         if self.m is not None:
             _require_integer("m", self.m)
         _require_integer("T", self.T, 1)
-        for name in ("eps", "kappa", "hess_radius"):
+        for name in ("eps", "kappa"):
             _require_positive(name, getattr(self, name))
-        if self.hess_radius > MAX_HESS_RADIUS:
-            raise ValueError(
-                f"hess_radius must be at most {MAX_HESS_RADIUS:g}, beyond which the "
-                f"fresh samples' Gram matrix can overflow, got {self.hess_radius:g}"
-            )
+        _require_radius("hess_radius", self.hess_radius)
         if self.m is not None and (self.m < 2 or self.m % 2 != 0):
             raise ValueError(f"m must be an even integer >= 2, got {self.m}")
         if self.hessian_mode not in HESSIAN_MODES:

@@ -1,5 +1,6 @@
 """Tests for the experiment harness, trace persistence, and the CLI."""
 
+import argparse
 import dataclasses
 import hashlib
 import itertools
@@ -19,7 +20,7 @@ from summarize_reference import summarize as reference_summarize
 
 import zosah
 from zosah.baselines import BaselineConfig
-from zosah.cli import main
+from zosah.cli import _RUN_OPTIONS, build_parser, main
 from zosah.harness import (
     ALGORITHMS,
     DATA_DIR_ENV,
@@ -83,6 +84,8 @@ class TestExperimentConfig:
             {"jobs": 0},
             {"seeds": (0, 0, 1)},
             {"seeds": (3, -1)},
+            {"x0": "origin"},
+            {"x0": (math.nan, 1.0)},
         ],
     )
     def test_invalid_config(self, kwargs):
@@ -736,6 +739,8 @@ class TestCliSettingsBeforeData:
         (["--alg", "zosah", "--m", "3"], "m must be an even integer >= 2, got 3"),
         (["--alg", "zosah-fd", "--hess-radius", "-1"],
          "hess_radius must be finite and positive, got -1.0"),
+        (["--alg", "zosah", "--x0", "nan,1"], "explicit x0 must be finite, got [nan, 1.0]"),
+        (["--alg", "zosah", "--x0", "1e400,1"], "explicit x0 must be finite, got [inf, 1.0]"),
     ])
     def test_exit_2_before_any_read(self, monkeypatch, tmp_path, capsys, args, message):
         reads = []
@@ -755,6 +760,54 @@ class TestCliSettingsBeforeData:
         ExperimentConfig(alg="zosah", obj="rosenbrock", max_evals=10, q=0)
         with pytest.raises(ValueError, match="^T must be >= 1, got 0$"):
             ExperimentConfig(alg="zosah-diag", obj="rosenbrock", max_evals=10, T=0)
+
+
+class TestCliBadOptionText:
+    """A run option's text is parsed by one parser whether it comes from a
+    flag or the config file, so a bad value gives the same one-line usage
+    error (exit 2) from either, and argparse prints no usage block."""
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key,text,message", [
+        ("evals", "abc", "option 'evals': invalid literal for int() with base 10: 'abc'"),
+        ("eps", "x", "option 'eps': could not convert string to float: 'x'"),
+        ("m", "2.5", "option 'm': invalid literal for int() with base 10: '2.5'"),
+        ("seeds", "a,b", "seeds must be comma-separated integers, got 'a,b'"),
+    ], ids=["evals", "eps", "m", "seeds"])
+    def test_same_error_from_flag_and_config(self, tmp_path, capsys, source, key, text,
+                                             message):
+        options = {"alg": "zosah", "obj": "rosenbrock", "evals": "10",
+                   "out": str(tmp_path / "out"), key: text}
+        if source == "flag":
+            argv = [arg for k, v in options.items() for arg in (f"--{k}", v)]
+        else:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in options.items()))
+            argv = ["--config", str(cfg)]
+        assert main(["run", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+
+class TestCliRunOptions:
+    """Every ExperimentConfig setting is a run option (max_evals is evals),
+    so a setting added without a flag fails here."""
+
+    @staticmethod
+    def run_help() -> dict[str, str]:
+        """The help text of each ``zosah run`` option, keyed by its dest."""
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        return {action.dest: action.help for action in sub.choices["run"]._actions}
+
+    @pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig),
+                             ids=lambda field: field.name)
+    def test_every_setting_is_a_run_option(self, field):
+        key = "evals" if field.name == "max_evals" else field.name
+        assert key in _RUN_OPTIONS
+        if field.default is not dataclasses.MISSING:
+            assert "default" in self.run_help()[key]
 
 
 class TestCliNonFiniteObjective:

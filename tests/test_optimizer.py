@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import zosah.optimizer as optimizer_mod
-from zosah.cache import EvalCache
+from zosah.cache import MAX_HESS_RADIUS, EvalCache
 from zosah.estimator import (
     EXACT,
     FAILED,
@@ -31,7 +31,6 @@ from zosah.oracle import (
     rosenbrock_objective,
 )
 from zosah.optimizer import (
-    MAX_HESS_RADIUS,
     TraceRow,
     ZosahConfig,
     ZosahOptimizer,

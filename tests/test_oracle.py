@@ -664,6 +664,16 @@ class TestLoadLibsvm:
         data = load_libsvm(self.write(tmp_path, "+1 5:1.0\n"), expected_dim=2)
         assert data.dim == 5
 
+    @pytest.mark.parametrize("expected_dim,message", [
+        (5.5, "expected_dim must be an integer, got 5.5"),
+        (True, "expected_dim must be an integer, got True"),
+        (-3, "expected_dim must be >= 0, got -3"),
+    ], ids=["float", "bool", "negative"])
+    def test_bad_expected_dim_names_it(self, tmp_path, expected_dim, message):
+        path = self.write(tmp_path, "+1 3:1.5\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_libsvm(path, expected_dim=expected_dim)
+
     def test_feature_free_line_needs_expected_dim(self, tmp_path):
         path = self.write(tmp_path, "+1\n")
         with pytest.raises(DatasetFormatError):
