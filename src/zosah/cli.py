@@ -37,15 +37,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one experiment over a list of seeds")
     for key, (_, help_text) in _RUN_OPTIONS.items():
-        # argparse only collects the text; _cmd_run parses it
+        # argparse only collects the text; _cmd_run parses it (--alg shows
+        # the algorithm list as argparse would print its choices)
         run.add_argument("--" + key.replace("_", "-"), help=help_text,
-                         choices=ALGORITHMS if key == "alg" else None)
+                         metavar="{" + ",".join(ALGORITHMS) + "}" if key == "alg" else None)
     run.add_argument("--config", help="flat key=value config file; flags override it")
     run.set_defaults(func=_cmd_run)
 
     summ = sub.add_parser("summarize", help="summarize trace CSVs on an eval grid")
     summ.add_argument("--in", dest="in_dir", required=True, help="directory of trace CSVs")
-    summ.add_argument("--grid", type=int, default=100, help="checkpoint spacing in evals")
+    summ.add_argument("--grid", default="100", help="checkpoint spacing in evals")
     summ.add_argument("--out", required=True, help="output summary CSV path")
     summ.set_defaults(func=_cmd_summarize)
     return parser
@@ -115,19 +116,25 @@ _RUN_OPTIONS = {
 }
 
 
+def _parse_option(key: str, parse, text: str):
+    """``parse(text)`` of option ``key``, where any ValueError but the
+    parser's own UsageError becomes one UsageError naming the option."""
+    try:
+        return parse(text)
+    except UsageError:  # the parser's own message names the option
+        raise
+    except ValueError as exc:
+        raise UsageError(f"option {key!r}: {exc}") from None
+
+
 def _cmd_run(args) -> int:
     file_cfg = _read_config_file(args.config) if args.config else {}
     given = {}
     for key, (parse, _) in _RUN_OPTIONS.items():
         flag = getattr(args, key)  # the flag's text overrides the config file's
         text = file_cfg.get(key) if flag is None else flag
-        try:
-            if text is not None:
-                given[key] = parse(text)
-        except UsageError:  # the parser's own message names the option
-            raise
-        except ValueError as exc:
-            raise UsageError(f"option {key!r}: {exc}") from None
+        if text is not None:
+            given[key] = _parse_option(key, parse, text)
     for key in ("alg", "obj", "evals", "out"):
         if key not in given:
             raise UsageError(f"--{key} is required (flag or config file)")
@@ -141,6 +148,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
+    grid = _parse_option("grid", int, args.grid)
     in_dir = Path(args.in_dir)
     trace_files = sorted(in_dir.glob("seed_*.csv"))
     if not trace_files:
@@ -159,7 +167,7 @@ def _cmd_summarize(args) -> int:
             rows_by_seed[seed] = rows
     if not rows_by_seed:
         raise DatasetFormatError(f"{in_dir}: the trace CSVs hold no rows")
-    rows = summarize(rows_by_seed, args.grid)
+    rows = summarize(rows_by_seed, grid)
     write_summary_csv(args.out, rows)
     print(args.out)
     return 0

@@ -40,10 +40,20 @@ floating-point flag ignored: a matrix LAPACK fails on (a singular system,
 or a non-finite one the eigensolver fails on) comes back as nan and fails
 its own pair, where np.linalg would raise for the whole stack. No (P, 2, 2)
 matrix stack is built on the way. So the fit's cost grows little with P,
-but the repair and solve loop over the pairs in Python. In one timeit run
-(2-core x86_64 VM, 4 samples per pair), ``_fit_rows`` took 16 us at P = 1
-and 24 us at P = 10, and ``_newton_rows`` on non-diagonal rows 12 us and
-36 us (2.4 us and 11 us on diagonal rows).
+but the repair and solve loop over the pairs in Python.
+
+A plan of one pair (m = 2, as on Rosenbrock) takes a one-pair path through
+both, chosen by the pair count alone: ``_fit_one`` forms the monomials,
+pinned targets, trace and ridge on Python floats and calls the 2-d
+``phi.T.dot`` for the Gram syrk and rhs gemv, and ``_repair_one`` makes one
+scalar ``np.hypot``, two 1-d ddots and one 2-d gemm (``ndarray.dot``): the
+stack's routines on the same operands, so a pair's bits do not depend on the
+path. In interleaved timeit runs (2-core x86_64 VM, one BLAS thread;
+``BENCH_29.json``), ``_fit_rows`` on one pair took 12.5 us on the ridge path
+(4 samples) and 15.6 us on the exact path (5 samples), against 17.0 and
+18.3 us stacked, and 34 us at P = 10 either way; ``_newton_rows`` took
+8.9 us on one non-diagonal row against 12.9 us stacked, 36 us on ten either
+way, and 2.5 us on one diagonal row.
 
 The second layer is per pair: ``estimate_gradient``, ``fd_subspace_hessian``,
 ``make_pd`` and ``newton_direction`` are one-pair views of the rows pass.
@@ -338,6 +348,41 @@ def _traces(gram: np.ndarray) -> list[float]:
     return [(a + b) + c for a, b, c in gram.reshape(-1, 9)[:, ::4].tolist()]
 
 
+def _fit_one(
+    theta_bar: np.ndarray,
+    values: np.ndarray,
+    lin: np.ndarray,
+    f_theta: float,
+) -> tuple[list, list[int]]:
+    """:func:`_fit_rows` of one pair, given its samples' ddots ``lin``.
+
+    The monomials, pinned targets, trace and ridge are Python floats, the
+    roundings of numpy's elementwise ops; the Gram syrk and rhs gemv are the
+    2-d ``phi.T.dot``, the BLAS calls of the stacked matmul. ``eigvalsh``
+    runs only when the trace clears half the floor, and ``solve`` as in the
+    stack.
+    """
+    t = theta_bar.ravel().tolist()
+    s = len(t) // 2
+    pq = [m for a, b in zip(t[::2], t[1::2]) for m in ((0.5 * a) * a, a * b, (0.5 * b) * b)]
+    pq += [(v - lv) - f_theta for v, lv in zip(values.ravel().tolist(), lin.ravel().tolist())]
+    pq = np.array(pq)
+    phi = pq[:3 * s].reshape(s, 3)
+    gram = phi.T.dot(phi)
+    rhs = phi.T.dot(pq[3 * s:])
+    (g0, _, _), (_, g1, _), (_, _, g2) = gram.tolist()
+    trace = (g0 + g1) + g2  # np.trace's order, as _traces
+    if trace < 0.5 * GAMMA_FLOOR:
+        outcome = RIDGE
+    else:
+        e = _eigvalsh(gram)[0]
+        outcome = EXACT if e >= GAMMA_FLOOR else RIDGE if e < GAMMA_FLOOR else FAILED
+    if outcome != EXACT:
+        gram = gram + (0.0 if outcome == FAILED else 1e-8 * trace / 3.0) * _EYE3
+    h = _solve(gram, rhs[:, None]).ravel().tolist()
+    return [h], [outcome if _all_finite(h) else FAILED]
+
+
 def _fit_rows(
     theta_bar: np.ndarray,
     values: np.ndarray,
@@ -367,12 +412,19 @@ def _fit_rows(
     eigenvalue is nan, which fails the pair, and a singular system's solution
     row is nan, which fails it through the finiteness check. So one stacked
     ``eigvalsh`` and one stacked ``solve`` serve every pair.
+
+    One pair (P == 1) takes :func:`_fit_one` after the stacked ddot: the
+    same roundings with fewer numpy calls (12.5 us against 17.0 us per
+    ridge fit of 4 samples), so its row and outcome are those it has in
+    any stack.
     """
     n_pairs, s, _ = theta_bar.shape
     if s < 3:
         return [(0.0, 0.0, 0.0)] * n_pairs, [FAILED] * n_pairs
-    phi = quad_monomials(theta_bar)
     lin = g_hat[:, None, None, :] @ theta_bar[..., None]
+    if n_pairs == 1:
+        return _fit_one(theta_bar, values, lin, f_theta)
+    phi = quad_monomials(theta_bar)
     q = values - lin[..., 0, 0] - f_theta
     phi_t = phi.transpose(0, 2, 1)
     gram = phi_t @ phi
@@ -419,6 +471,20 @@ def _larger_rescaled(v_a: tuple, v_b: tuple) -> tuple[tuple, float]:
     vv_a = v_a[0] * v_a[0] + v_a[1] * v_a[1]
     vv_b = v_b[0] * v_b[0] + v_b[1] * v_b[1]
     return (v_a, vv_a) if vv_a >= vv_b else (v_b, vv_b)
+
+
+def _set_unit_eigvecs(V: list, pending: list, dots: list) -> None:
+    """Set V[j] for every (j, v_a, v_b) in ``pending`` from the candidates
+    and their squared norms (vv_a, vv_b) in ``dots``: row-major, the longer
+    candidate normalised and its perpendicular as V's columns."""
+    for (j, v_a, v_b), (vv_a, vv_b) in zip(pending, dots):
+        v, vv = (v_a, vv_a) if vv_a >= vv_b else (v_b, vv_b)
+        if not _TINY <= vv < math.inf:
+            v, vv = _larger_rescaled(v_a, v_b)
+        norm = math.sqrt(vv)
+        e0 = v[0] / norm
+        e1 = v[1] / norm
+        V[j] = (e0, -e1, e1, e0)  # columns: e and its perpendicular
 
 
 def _eigs(rows) -> tuple[list, list]:
@@ -472,15 +538,33 @@ def _eigs(rows) -> tuple[list, list]:
         quiet = max(disc) < _BIG
         with contextlib.nullcontext() if quiet else np.errstate(over="ignore", invalid="ignore"):
             dots = (cand @ cand.transpose(0, 2, 1)).reshape(-1, 2).tolist()
-        for (j, v_a, v_b), (vv_a, vv_b) in zip(pending, dots):
-            v, vv = (v_a, vv_a) if vv_a >= vv_b else (v_b, vv_b)
-            if not _TINY <= vv < math.inf:
-                v, vv = _larger_rescaled(v_a, v_b)
-            norm = math.sqrt(vv)
-            e0 = v[0] / norm
-            e1 = v[1] / norm
-            V[j] = (e0, -e1, e1, e0)  # columns: e and its perpendicular
+        _set_unit_eigvecs(V, pending, dots)
     return lam, V
+
+
+def _repair_one(a: float, b: float, d: float, kappa: float) -> tuple[list, list, list]:
+    """:func:`_repair` of one non-diagonal row (b != 0), with the same
+    library routines called once each: a scalar ``np.hypot``, the
+    candidates' squared norms as two 1-d ``ndarray.dot`` ddots, and
+    ``(V * lam_bar) @ V.T`` as one 2-d ``ndarray.dot`` gemm."""
+    r = float(np.hypot(0.5 * (a - d), b))
+    half_tr = 0.5 * (a + d)
+    hi = half_tr + r
+    lo = half_tr - r
+    lam1, lam2 = (lo, hi) if abs(lo) > abs(hi) else (hi, lo)  # as in _eigs
+    v_a = (b, lam1 - a)
+    v_b = (lam1 - d, b)
+    c_a = np.array(v_a)
+    c_b = np.array(v_b)
+    with contextlib.nullcontext() if r < _BIG else np.errstate(over="ignore", invalid="ignore"):
+        dots = [(float(c_a.dot(c_a)), float(c_b.dot(c_b)))]
+    V = [None]
+    _set_unit_eigvecs(V, [(0, v_a, v_b)], dots)
+    v00, v01, v10, v11 = v = V[0]
+    l1 = max(abs(lam1), kappa)
+    l2 = max(abs(lam2), kappa)
+    VL, Vs = np.array((v00 * l1, v01 * l2, v10 * l1, v11 * l2) + v).reshape(2, 2, 2)
+    return [VL.dot(Vs.T).ravel().tolist()], [v], [(l1, l2)]
 
 
 def _repair(rows, kappa: float) -> tuple[list, list, list]:
@@ -492,9 +576,12 @@ def _repair(rows, kappa: float) -> tuple[list, list, list]:
     product has exact zeros and ones in V, so it is
     diag(max(|a|, kappa), max(|d|, kappa)) exactly and costs no gemm (an
     infinite eigenvalue, where the gemm would put nan off the diagonal, fails
-    the adjugate either way). ``kappa`` is taken as checked finite and
+    the adjugate either way). One non-diagonal row alone takes
+    :func:`_repair_one`. ``kappa`` is taken as checked finite and
     positive, by :func:`make_pd` or ``ZosahConfig``.
     """
+    if len(rows) == 1 and rows[0][1] != 0.0:
+        return _repair_one(*rows[0], kappa)
     lam, V = _eigs(rows)
     lam_bar = []
     A_bar = []
@@ -568,6 +655,10 @@ def _newton_rows(rows, g_rows, kappa: float) -> list[tuple[float, float]]:
 
     Where the adjugate fails (a repaired condition number above 1/machine
     epsilon) the direction is V diag(1/lam_bar) V^T g, finite if g / kappa is.
+    One non-diagonal row alone is repaired by :func:`_repair_one`, whose
+    scalar and 2-d library calls give its stacked bits in 8.9 us against
+    12.9 us per call; a diagonal row (b == +-0.0) costs no numpy call either
+    way.
     """
     A_bar, V, lam_bar = _repair(rows, kappa)
     w, failed = _adjugate(A_bar, g_rows)

@@ -954,6 +954,92 @@ class TestPdRepairProperty:
         assert np.isfinite(w).all()
 
 
+# A special entry put into one pair's finite draws: signed zeros, values whose
+# monomials underflow (1e-160) or overflow (1e150, squared and summed), and
+# non-finite values.
+_SPECIAL_DISPLACEMENTS = [0.0, -0.0, 1e-160, -1e-160, 1e150, -1e150, math.inf, math.nan]
+
+
+class TestOnePairPath:
+    """One pair takes its own path through _fit_rows and _newton_rows, with
+    the bits of the same pair inside a stack. The two paths call different
+    numpy functions, so only their floating-point warnings differ."""
+
+    @settings(max_examples=400)
+    @given(s=st.integers(3, 7),
+           kind=st.sampled_from(["any", "tiny", "near_axis", "singular", "duplicate", "special",
+                                 "bad_value"]),
+           data=st.data())
+    def test_fit_matches_row_zero_of_a_stack(self, s, kind, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        theta_bar = 10.0 ** -data.draw(st.integers(0, 6)) * rng.standard_normal((1, s, 2))
+        values = rng.standard_normal((1, s))
+        if kind == "tiny":  # every trace below half the floor: ridge, no eigvalsh
+            theta_bar *= 1e-4
+        elif kind == "near_axis":  # a ridge that dominates a Gram diagonal entry
+            theta_bar[..., 1] *= 1e-3
+        elif kind == "singular":  # zero Gram matrix, zero ridge
+            theta_bar[:] = 0.0
+        elif kind == "duplicate":  # rank-deficient Gram matrix
+            theta_bar[0, 1:] = theta_bar[0, 0]
+        elif kind == "special":
+            theta_bar.flat[data.draw(st.integers(0, 2 * s - 1))] = data.draw(
+                st.sampled_from(_SPECIAL_DISPLACEMENTS))
+        elif kind == "bad_value":
+            values[0, data.draw(st.integers(0, s - 1))] = data.draw(
+                st.sampled_from([math.nan, math.inf, -math.inf]))
+        g = rng.standard_normal(2)
+        f_theta = float(rng.standard_normal())
+        # the stack's second pair is the first with its samples reversed, at the same scale
+        stack = (np.concatenate([theta_bar, theta_bar[:, ::-1]]),
+                 np.concatenate([values, values[:, ::-1]]), np.stack([g, g[::-1]]))
+        with np.errstate(all="ignore"):
+            rows, outcome = _fit_rows(theta_bar, values, g[None], f_theta)
+            stack_rows, stack_outcome = _fit_rows(*stack, f_theta)
+        assert outcome == stack_outcome[:1]
+        assert np.array(rows[0]).tobytes() == np.array(stack_rows[0]).tobytes()
+
+    @settings(max_examples=400)
+    @given(a=scaled_floats(-300, 300), b=scaled_floats(-300, 300), d=scaled_floats(-300, 300),
+           kind=st.sampled_from(["any", "equal_diagonal", "tiny_off_diagonal", "rank_one",
+                                 "diagonal", "nan", "inf"]),
+           kappa=scaled_floats(-100, 100, st.floats(1.0, 10.0, exclude_max=True)),
+           g0=scaled_floats(-100, 100), g1=scaled_floats(-100, 100))
+    def test_newton_row_matches_the_same_row_in_a_stack(self, a, b, d, kind, kappa, g0, g1):
+        # a and d at any scale put half-gaps above _BIG (4e153) in many draws
+        if kind == "equal_diagonal":
+            d = a
+        elif kind == "tiny_off_diagonal":  # candidates' squared norms subnormal
+            d = a
+            b = math.copysign(1e-170, b)
+        elif kind == "rank_one":  # the adjugate fails where a * d overflows
+            b = d = a
+        elif kind == "diagonal":  # b = +-0.0 keeps the diagonal branch
+            b = math.copysign(0.0, b)
+        elif kind == "nan":
+            a = math.nan
+        elif kind == "inf":
+            b = math.copysign(math.inf, b)
+        with np.errstate(all="ignore"):
+            w = _newton_rows([(a, b, d)], [(g0, g1)], kappa)
+            stacked = _newton_rows([(a, b, d), (1.0, 0.5, 2.0)], [(g0, g1), (1.0, 1.0)], kappa)
+        assert np.array(w[0]).tobytes() == np.array(stacked[0]).tobytes()
+
+    def test_one_pair_fit_warns_only_in_the_gram_dot(self):
+        # the stacked path warns in the monomials' multiply and the Gram
+        # matmul; the one-pair path forms the monomials on Python floats
+        rng = np.random.default_rng(8)
+        theta_bar = rng.standard_normal((1, 4, 2))
+        theta_bar[0, 1] = [1e200, 0.0]
+        with warnings.catch_warnings(record=True) as caught, np.errstate(
+                divide="warn", over="warn", under="ignore", invalid="warn"):
+            warnings.simplefilter("always")
+            rows, outcome = _fit_rows(theta_bar, rng.standard_normal((1, 4)),
+                                      rng.standard_normal((1, 2)), 0.5)
+        assert {str(w.message) for w in caught} == {"invalid value encountered in dot"}
+        assert outcome == [FAILED]
+
+
 class TestFdSubspaceHessian:
     def run_fd(self, obj, x, pair, eps):
         oracle = CountedOracle(obj)

@@ -594,12 +594,6 @@ class TestCliRun:
         assert code == 2
         assert "required" in capsys.readouterr().err
 
-    def test_bad_algorithm_choice_exits_via_argparse(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--alg", "newton", "--obj", "rosenbrock",
-                  "--evals", "50", "--out", str(tmp_path)])
-        assert exc.value.code == 2
-
     def test_bad_seeds(self, tmp_path):
         code = main([
             "run", "--alg", "zosah", "--obj", "rosenbrock",
@@ -773,7 +767,9 @@ class TestCliBadOptionText:
         ("eps", "x", "option 'eps': could not convert string to float: 'x'"),
         ("m", "2.5", "option 'm': invalid literal for int() with base 10: '2.5'"),
         ("seeds", "a,b", "seeds must be comma-separated integers, got 'a,b'"),
-    ], ids=["evals", "eps", "m", "seeds"])
+        ("alg", "newton", "unknown algorithm 'newton'; expected one of ('zosah', "
+                          "'zosah-diag', 'zosah-fd', 'rspg', 'signsgd', 'adamm')"),
+    ], ids=["evals", "eps", "m", "seeds", "alg"])
     def test_same_error_from_flag_and_config(self, tmp_path, capsys, source, key, text,
                                              message):
         options = {"alg": "zosah", "obj": "rosenbrock", "evals": "10",
@@ -950,6 +946,19 @@ class TestCliSummarize:
             "summarize", "--in", str(tmp_path), "--out", str(tmp_path / "s.csv")
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("grid,message", [
+        ("abc", "option 'grid': invalid literal for int() with base 10: 'abc'"),
+        ("0", "grid must be >= 1, got 0"),
+    ])
+    def test_bad_grid_is_one_usage_line(self, tmp_path, capsys, grid, message):
+        write_trace_csv(tmp_path / "seed_0.csv", {0: [TraceRow(0, 1, 3.0), TraceRow(1, 120, 1.0)]})
+        summary = tmp_path / "s.csv"
+        code = main(["summarize", "--in", str(tmp_path), "--grid", grid, "--out", str(summary)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not summary.exists()
 
     def test_seed_in_two_files_is_a_data_error(self, tmp_path, capsys):
         for name in ("seed_0.csv", "seed_1.csv"):
