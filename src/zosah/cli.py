@@ -23,7 +23,7 @@ from .harness import (
     summarize,
     write_summary_csv,
 )
-from .oracle import DatasetFormatError
+from .oracle import DatasetFormatError, _require_integer
 
 __all__ = ["main", "main_exit", "build_parser"]
 
@@ -149,6 +149,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_summarize(args) -> int:
     grid = _parse_option("grid", int, args.grid)
+    _require_integer("grid", grid, 1)  # before any trace is read
     in_dir = Path(args.in_dir)
     trace_files = sorted(in_dir.glob("seed_*.csv"))
     if not trace_files:
@@ -181,7 +182,7 @@ def main(argv=None) -> int:
     except (DatasetFormatError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -62,7 +62,9 @@ class ExperimentConfig:
     The hyperparameter defaults are the optimizer configs' own. Every setting,
     x0 included, is checked here and the selected algorithm's config is built
     once, so a bad setting fails before the objective loads (only x0's size
-    waits for it); ``zosah run`` reports it as a one-line usage error.
+    waits for it). Every bad setting, the ones the algorithm's config rejects
+    included, raises :class:`UsageError` with the check's message, which
+    ``zosah run`` prints as a one-line usage error.
     """
 
     alg: str
@@ -79,22 +81,25 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        _require_integer("max_evals", self.max_evals, 1, error=UsageError)
-        _require_integer("jobs", self.jobs, 1, error=UsageError)
-        for i, seed in enumerate(self.seeds):
-            _require_integer(f"seeds[{i}]", seed, error=UsageError)
-        if self.alg not in ALGORITHMS:
-            raise UsageError(
-                f"unknown algorithm {self.alg!r}; expected one of {ALGORITHMS}"
-            )
-        if not self.seeds:
-            raise UsageError("seeds must be non-empty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise UsageError(f"seeds must be distinct, got {self.seeds}")
-        if min(self.seeds) < 0:
-            raise UsageError(f"seeds must be non-negative, got {self.seeds}")
-        _check_x0(_x0_policy(self))
-        _algorithm_config(self, self.seeds[0])
+        try:
+            _require_integer("max_evals", self.max_evals, 1)
+            _require_integer("jobs", self.jobs, 1)
+            for i, seed in enumerate(self.seeds):
+                _require_integer(f"seeds[{i}]", seed)
+            if self.alg not in ALGORITHMS:
+                raise ValueError(
+                    f"unknown algorithm {self.alg!r}; expected one of {ALGORITHMS}"
+                )
+            if not self.seeds:
+                raise ValueError("seeds must be non-empty")
+            if len(set(self.seeds)) != len(self.seeds):
+                raise ValueError(f"seeds must be distinct, got {self.seeds}")
+            if min(self.seeds) < 0:
+                raise ValueError(f"seeds must be non-negative, got {self.seeds}")
+            _check_x0(_x0_policy(self))
+            _algorithm_config(self, self.seeds[0])
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
 
 _EXPERIMENT_FIELDS = frozenset(field.name for field in fields(ExperimentConfig))

@@ -100,17 +100,13 @@ def logistic_loss(data: Dataset, x: np.ndarray) -> float:
     magnitude (raw exp overflows in double precision near t = 710).
     """
     n, dim = data.signed.shape
-    # np.mean's sum and division
-    return float(np.add.reduce(_row_losses(data.signed, _point(n, dim, x))) / n)
-
-
-def _point(n: int, dim: int, x) -> np.ndarray:
     if n == 0:
         raise ValueError("empty dataset")
     x = np.asarray(x, dtype=float)
     if x.shape != (dim,):
         raise DimensionMismatchError(f"expected point of shape ({dim},), got {x.shape}")
-    return x
+    # np.mean's sum and division
+    return float(np.add.reduce(_row_losses(data.signed, x)) / n)
 
 
 def _row_losses(signed: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
@@ -327,19 +323,18 @@ class _LogisticLoss:
         self._index: tuple | None = None
         self._kept: tuple[np.ndarray, np.ndarray] | None = None
 
-    def __call__(self, x) -> float:
-        x = _point(self._n, self._dim, x)
+    def __call__(self, x: np.ndarray) -> float:  # x as Objective checked it
         kept = self._kept
         if kept is not None:
             last, losses = kept
             cols = (x != last).nonzero()[0]
             if cols.size == 0:
-                return float(np.add.reduce(losses) / self._n)
+                return np.add.reduce(losses) / self._n
             if cols.size == 1:
                 return self._patched(x, losses, int(cols[0]))
         losses = _row_losses(self.data.signed, x)
         self._kept = (x.copy(), losses)
-        return float(np.add.reduce(losses) / self._n)
+        return np.add.reduce(losses) / self._n
 
     def _column_index(self) -> tuple:
         """(ends, rows, ptr): the rows holding column j, in descending order,
@@ -368,13 +363,13 @@ class _LogisticLoss:
         ends, col_rows, ptr = self._column_index()
         a, b = ends[j + 1], ends[j]
         if a == b:  # no row holds column j (and 2k - 1 rows would be -1)
-            return float(np.add.reduce(losses) / self._n)
+            return np.add.reduce(losses) / self._n
         signed = self.data.signed
         t = np.zeros(2 * (b - a) - 1)  # the held rows' margins in the even slots
         _csr_matvec(t.size, self._dim, ptr[2 * a:2 * b], signed.indices, signed.data, x, t)
         out = losses.copy()
         out[col_rows[a:b]] = np.logaddexp(0.0, t[::2])
-        return float(np.add.reduce(out) / self._n)
+        return np.add.reduce(out) / self._n
 
 
 def logistic_objective(data: Dataset) -> Objective:
@@ -387,6 +382,9 @@ def logistic_objective(data: Dataset) -> Objective:
     only sums the kept losses; any other query (the first, moves of two or
     more coordinates, line-search trials, the baselines' random directions)
     is a full evaluation and becomes the kept point. The module docstring
-    gives the measured costs and says why the bits match.
+    gives the measured costs and says why the bits match. A dataset with no
+    rows raises ValueError here.
     """
+    if data.n == 0:
+        raise ValueError("empty dataset")
     return Objective(_LogisticLoss(data), data.dim, "logistic")

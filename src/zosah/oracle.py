@@ -5,6 +5,9 @@ for each function value it requests.  ``CountedOracle`` is the single
 chokepoint where that cost is tallied: line-search trials, gradient probes,
 and curvature samples all flow through it, so convergence can be reported
 against the number of function queries rather than wall time or iterations.
+The meter only counts: ``Objective`` converts and checks every point, so a
+direct call gets the same check as a metered one and a rejected point is
+never counted.
 
 The benchmark objectives are the 2-d Rosenbrock function, arbitrary quadratic
 models (used heavily by the tests), and full-batch logistic regression over a
@@ -30,6 +33,7 @@ so only a run that builds a logistic objective pays for ``scipy.sparse``.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -57,21 +61,25 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# The dtype of a point the oracle passes on unconverted (native-order float64).
+# The dtype of a point an objective passes on unconverted (native-order float64).
 _FLOAT64 = np.dtype(np.float64)
 
 
-def _require_integer(name: str, value, low: int | None = None, error=ValueError) -> None:
+def _require_integer(name: str, value, low: int | None = None) -> None:
     """Reject a count that is a bool or not integral (numpy integers pass), then
-    one below ``low``; ``error`` is raised, naming the field."""
+    one below ``low``, with a ValueError naming the field."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
-        raise error(f"{name} must be >= {low}, got {value}")
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def _require_positive(name: str, value) -> None:
-    """Reject a setting that is not a finite positive real, naming it."""
+    """Reject a setting that is a bool or not a ``numbers.Real`` (numpy float
+    and integer scalars are; numpy bools, arrays and Decimals are not), then
+    one that is not finite and positive, with a ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
@@ -88,16 +96,26 @@ class Objective:
     """Deterministic scalar function of a fixed-dimension point.
 
     Thin wrapper pairing a callable with its dimension so drivers can size
-    their state without evaluating anything.
+    their state without evaluating anything. A call converts a point that is
+    not a native float64 ndarray, raises :class:`DimensionMismatchError` for
+    a shape other than ``(dim,)`` before ``fn`` runs, and returns ``fn``'s
+    value as a Python float.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], float], dim: int, name: str = ""):
         _require_integer("dim", dim, 1)
         self._fn = fn
         self.dim = int(dim)
+        self._shape = (self.dim,)
         self.name = name or getattr(fn, "__name__", "objective")
 
     def __call__(self, x: np.ndarray) -> float:
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+            x = np.asarray(x, dtype=float)
+        if x.shape != self._shape:
+            raise DimensionMismatchError(
+                f"expected point of shape {self._shape}, got {x.shape}"
+            )
         return float(self._fn(x))
 
     def __repr__(self) -> str:
@@ -107,28 +125,22 @@ class Objective:
 class CountedOracle:
     """Metering wrapper around an :class:`Objective`.
 
-    ``count`` goes up by exactly one per successful evaluation and is never
-    reset. A dimension mismatch is rejected before evaluating, leaving the
-    counter untouched.
+    It only counts: ``count`` goes up by exactly one per successful
+    evaluation and is never reset. The objective converts and checks the
+    point, so a point it rejects, a dimension mismatch included, raises
+    before the count moves.
     """
 
     def __init__(self, objective: Objective):
         self.objective = objective
         self.count = 0
-        self._shape = (objective.dim,)
 
     @property
     def dim(self) -> int:
         return self.objective.dim
 
     def __call__(self, x: np.ndarray) -> float:
-        if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
-            x = np.asarray(x, dtype=float)
-        if x.shape != self._shape:
-            raise DimensionMismatchError(
-                f"expected point of shape {self._shape}, got {x.shape}"
-            )
-        value = float(self.objective(x))
+        value = self.objective(x)
         self.count += 1
         return value
 
@@ -202,15 +214,13 @@ def quadratic_objective(A: np.ndarray, b: np.ndarray | None = None, c: float = 0
     half.flags.writeable = False
 
     def fn(x: np.ndarray) -> float:
-        if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
-            x = np.asarray(x, dtype=float)
         if blas and x.flags.c_contiguous:
             # quad stays a numpy float64 until c is added: a Python float plus
             # an np.float32 c would be computed in float32 (NEP 50).
             quad = (x * half).dot(A.dot(x))
             if zero_b and math.isfinite(quad):
-                return float(quad + 0.0 + c)
-            return float(quad + b_arr.dot(x) + c)
+                return quad + 0.0 + c
+            return quad + b_arr.dot(x) + c
         return quadratic_model(A, b_arr, c, x)
 
     return Objective(fn, d, "quadratic")

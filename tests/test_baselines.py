@@ -42,6 +42,8 @@ class TestBaselineConfig:
             {"q": True},
             {"max_evals": False},
             {"seed": True},
+            {"eps": 1j},  # not a real number
+            {"eps": True},
         ],
     )
     def test_invalid_fields(self, kwargs):

@@ -775,9 +775,10 @@ class TestMakePd:
         with pytest.raises(ValueError):
             make_pd(np.eye(2), 0.0)
 
-    @pytest.mark.parametrize("kappa", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, 0.0, -1.0, "0.1", None, True, 1j])
     def test_bad_kappa_rejected(self, kappa):
-        with pytest.raises(ValueError, match="kappa must be finite and positive"):
+        problem = "finite and positive" if isinstance(kappa, float) else "a real number"
+        with pytest.raises(ValueError, match=f"^kappa must be {problem}, got "):
             make_pd(np.eye(2), kappa)
 
 

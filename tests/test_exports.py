@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,84 @@ def test_unused_import_check_flags_an_unused_name(tmp_path):
         "os.path.join(rx)\n"
     )
     assert unused_imports(path) == ["mod.py:2: math"]
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_definitions(tree: ast.Module):
+    """(node, name) of each private top-level name and private method."""
+    methods = [item for node in tree.body if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, ast.FunctionDef)]
+    for node in tree.body + methods:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        yield from ((node, name) for name in names if is_private(name))
+
+
+def references(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``, as a name or an attribute."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+    )
+
+
+def unused_private_names(paths: list[Path]) -> list[str]:
+    """``file:line: name`` for each private top-level name or private method
+    that no module reads outside its own definition.
+
+    A read is a name or an attribute of that name anywhere in the modules, so
+    a method reached as ``obj._m`` and a helper imported by another module
+    both count; a function that only calls itself does not.
+    """
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    read = sum(map(references, trees.values()), Counter())
+    unused = []
+    for path, tree in trees.items():
+        for node, name in private_definitions(tree):
+            if read[name] == references(node)[name]:
+                unused.append(f"{path.name}:{node.lineno}: {name}")
+    return unused
+
+
+def test_every_private_name_is_used():
+    assert unused_private_names(sorted(Path(zosah.__file__).parent.glob("*.py"))) == []
+
+
+def test_unused_private_name_check_flags_an_unused_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_USED = 1\n"
+        "_unused: int = 2\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "def _loop(n):\n"
+        "    return _loop(n - 1)\n"
+        "def _imported():\n"
+        "    pass\n"
+        "class _Thing:\n"
+        "    def _m(self):\n"
+        "        return self._m2()\n"
+        "    def _m2(self):\n"
+        "        pass\n"
+        "    def __repr__(self):\n"
+        "        return ''\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from a import _Thing, _imported\n"
+        "_imported()\n"
+        "_Thing()._m()\n"
+    )
+    assert unused_private_names([tmp_path / "a.py", tmp_path / "b.py"]) == [
+        "a.py:2: _unused", "a.py:3: _helper", "a.py:5: _loop"]
 
 
 def test_package_all_resolves():

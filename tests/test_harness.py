@@ -112,6 +112,23 @@ class TestExperimentConfig:
             ExperimentConfig(**base)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"max_evals": 0}, "max_evals must be >= 1, got 0"),
+        ({"seeds": (-1,)}, "seeds must be non-negative, got (-1,)"),
+        ({"m": 3}, "m must be an even integer >= 2, got 3"),
+        ({"T": 0}, "T must be >= 1, got 0"),
+        ({"eps": 0.0}, "eps must be finite and positive, got 0.0"),
+        ({"kappa": math.nan}, "kappa must be finite and positive, got nan"),
+        ({"hess_radius": math.inf}, "hess_radius must be finite and positive, got inf"),
+        ({"alg": "rspg", "q": 0}, "q must be >= 1, got 0"),
+    ])
+    def test_every_bad_setting_is_a_usage_error(self, kwargs, message):
+        # the algorithm config's own checks included, with their messages
+        base = {"alg": "zosah", "obj": "rosenbrock", "max_evals": 100}
+        with pytest.raises(UsageError) as info:
+            ExperimentConfig(**{**base, **kwargs})
+        assert type(info.value) is UsageError and str(info.value) == message
+
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_shared_fields_reach_the_algorithm_config(self, alg):
         # non-default values for every hyperparameter ExperimentConfig has
@@ -954,11 +971,14 @@ class TestCliSummarize:
     def test_bad_grid_is_one_usage_line(self, tmp_path, capsys, grid, message):
         write_trace_csv(tmp_path / "seed_0.csv", {0: [TraceRow(0, 1, 3.0), TraceRow(1, 120, 1.0)]})
         summary = tmp_path / "s.csv"
-        code = main(["summarize", "--in", str(tmp_path), "--grid", grid, "--out", str(summary)])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {message}\n" and captured.out == ""
-        assert not summary.exists()
+        # the grid is checked before any trace is read, so a missing
+        # directory does not hide it
+        for in_dir in (tmp_path, tmp_path / "missing"):
+            code = main(["summarize", "--in", str(in_dir), "--grid", grid, "--out", str(summary)])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}\n" and captured.out == ""
+            assert not summary.exists()
 
     def test_seed_in_two_files_is_a_data_error(self, tmp_path, capsys):
         for name in ("seed_0.csv", "seed_1.csv"):

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zosah.optimizer as optimizer_mod
+from zosah.baselines import BASELINES, BaselineConfig
 from zosah.cache import MAX_HESS_RADIUS, EvalCache
 from zosah.estimator import (
     EXACT,
@@ -91,6 +94,14 @@ class TestZosahConfig:
             {"max_evals": 100, "seed": 1.5},
             {"max_evals": 100, "seed": -1},
             {"max_evals": 100, "hessian_mode": "fd", "eps": 1e-200},  # eps * eps is 0
+            # not real numbers, or bools
+            {"max_evals": 100, "eps": "1e-3"},
+            {"max_evals": 100, "kappa": None},
+            {"max_evals": 100, "hess_radius": 0.05j},
+            {"max_evals": 100, "eps": True},
+            {"max_evals": 100, "kappa": True},
+            {"max_evals": 100, "eps": np.True_},
+            {"max_evals": 100, "kappa": np.array(0.1)},
         ],
     )
     def test_invalid_fields(self, kwargs):
@@ -107,6 +118,11 @@ class TestZosahConfig:
     def test_numpy_integers_pass(self):
         cfg = ZosahConfig(max_evals=100, m=np.int64(4), T=np.int32(3))
         assert (cfg.m, cfg.T) == (4, 3)
+
+    def test_numpy_reals_pass(self):
+        cfg = ZosahConfig(max_evals=100, eps=np.float32(1e-3), kappa=np.int64(1),
+                          hess_radius=np.float64(0.05))
+        assert (cfg.eps, cfg.kappa, cfg.hess_radius) == (np.float32(1e-3), 1, 0.05)
 
     def test_zero_budget_is_legal(self):
         assert ZosahConfig(max_evals=0).max_evals == 0
@@ -784,3 +800,38 @@ class TestRepeatedDirection:
         opt.run()
         assert len(opt.stats) == 214
         assert not any(s.repeated for s in opt.stats)
+
+
+class TestTraceProperties:
+    """Every algorithm, on small random convex quadratics: the trace never
+    increases, it ends at the oracle's count, and a rerun repeats it."""
+
+    @staticmethod
+    def run(alg, objective, x0, budget, seed, m, T):
+        """(trace rows, the oracle's count) of one run."""
+        oracle = CountedOracle(objective)
+        if alg in BASELINES:
+            opt = BASELINES[alg](oracle, x0, BaselineConfig(max_evals=budget, seed=seed))
+        else:
+            cfg = ZosahConfig(max_evals=budget, seed=seed, m=m, T=T, hessian_mode=alg)
+            opt = ZosahOptimizer(oracle, x0, cfg)
+        return opt.run(), oracle.count
+
+    @settings(max_examples=200)
+    @given(alg=st.sampled_from(optimizer_mod.HESSIAN_MODES + tuple(BASELINES)),
+           d=st.integers(2, 8), T=st.integers(1, 5), budget=st.integers(50, 300),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_monotone_counted_and_repeatable(self, alg, d, T, budget, seed, data):
+        m = 2 * data.draw(st.integers(1, d // 2), label="m / 2")
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((d, d))
+        A = B @ B.T + 0.1 * np.eye(d)
+        objective = quadratic_objective(A, rng.standard_normal(d), float(rng.standard_normal()))
+        x0 = rng.standard_normal(d)
+        rows, count = self.run(alg, objective, x0, budget, seed, m, T)
+        f = [row.f_value for row in rows]
+        assert all(b <= a for a, b in zip(f, f[1:]))
+        assert rows[-1].cum_evals == count
+        again, _ = self.run(alg, objective, x0, budget, seed, m, T)
+        assert [(r.step, r.cum_evals, r.f_value.hex()) for r in again] == [
+            (r.step, r.cum_evals, r.f_value.hex()) for r in rows]

@@ -1,5 +1,6 @@
 """Objectives, metering, logistic loss, and the LIBSVM loader."""
 
+import functools
 import itertools
 import math
 import re
@@ -281,6 +282,57 @@ class TestQuadraticObjectiveBits:
                                 quadratic_model(A, b_ref, c, x)).tobytes()
 
 
+class TestObjectivePointContract:
+    """Every objective converts and checks its point, called directly or metered."""
+
+    @pytest.fixture(params=["rosenbrock", "quadratic", "logistic", "user"])
+    def spied(self, request):
+        """(objective, reference, seen): ``reference`` gives the value at a
+        native float64 point of the right shape, and ``seen`` collects each
+        point the objective's function receives."""
+        if request.param == "rosenbrock":
+            objective, reference = rosenbrock_objective(), rosenbrock
+        elif request.param == "quadratic":
+            B = np.random.default_rng(3).standard_normal((3, 3))
+            A = B @ B.T
+            objective = quadratic_objective(A)
+            reference = functools.partial(quadratic_model, A, np.zeros(3), 0.0)
+        elif request.param == "logistic":
+            data = request.getfixturevalue("synth123_data")
+            objective = logistic_objective(data)
+            reference = functools.partial(logistic_loss, data)
+        else:
+            def reference(x):
+                return float((0.1 * x).sum())
+
+            objective = Objective(reference, 4)
+        seen = []
+        fn = objective._fn
+        objective._fn = lambda x: seen.append(x) or fn(x)
+        return objective, reference, seen
+
+    @pytest.mark.parametrize("kind", ["list", "float32", "big-endian", "strided", "2-d",
+                                      "wrong-length"])
+    def test_a_direct_call_converts_and_checks_the_point(self, spied, kind):
+        objective, reference, seen = spied
+        base = np.random.default_rng(9).standard_normal(objective.dim) * 0.1
+        x = {"list": base.tolist(), "float32": base.astype(np.float32),
+             "big-endian": base.astype(">f8"), "strided": np.repeat(base, 2)[::2],
+             "2-d": base[None, :], "wrong-length": base[:-1]}[kind]
+        converted = np.asarray(x, dtype=float)
+        if converted.shape != (objective.dim,):
+            with pytest.raises(DimensionMismatchError, match=re.escape(
+                    f"expected point of shape ({objective.dim},), got {converted.shape}")):
+                objective(x)
+            assert seen == []  # rejected before the function runs
+            return
+        got = objective(x)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(reference(converted)).tobytes()
+        assert [(type(s), s.dtype, s.dtype.isnative) for s in seen] == [
+            (np.ndarray, np.float64, True)]
+
+
 class TestCountedOracle:
     def test_count_and_determinism(self):
         oracle = CountedOracle(rosenbrock_objective())
@@ -400,6 +452,11 @@ class TestLogisticLoss:
         data = Dataset(sp.csr_matrix((0, 3)), np.zeros(0))
         with pytest.raises(ValueError):
             logistic_loss(data, np.zeros(3))
+
+    def test_objective_of_an_empty_dataset_fails_at_build(self):
+        data = Dataset(sp.csr_matrix((0, 3)), np.zeros(0))
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            logistic_objective(data)
 
     def test_dimension_mismatch(self):
         data = make_dataset([[1.0, 0.0]], [1.0])
