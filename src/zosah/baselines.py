@@ -1,12 +1,13 @@
-"""Reference zeroth-order baselines sharing the package's metering and search.
+"""Reference zeroth-order baselines sharing the package's metering and step.
 
 All three descend along a direction derived from the randomized
 forward-difference gradient estimate (average of q Gaussian directional
-differences) and use the exact same Armijo backtracking implementation as
-the subspace optimizer, so query counts are comparable across algorithms.
-The estimate forms its directions, points and terms as (q, d) blocks, with
-the bits of the per-direction loop, and still pays its q queries one oracle
-call at a time:
+differences). They supply only that direction, ``_RgeDescent._direction``;
+the base query, Armijo search, move and trace row are the subspace
+optimizer's own ``BudgetedOptimizer.step``, so query counts are comparable
+across algorithms. The estimate forms its directions, points and terms as
+(q, d) blocks, with the bits of the per-direction loop, and still pays its q
+queries one oracle call at a time:
 
 - rspg:    the raw estimate;
 - signsgd: its componentwise sign;
@@ -21,13 +22,11 @@ import numpy as np
 
 from .estimator import _require_finite
 from .oracle import CountedOracle, Objective, _require_integer, _require_positive
-from .optimizer import (
-    BudgetedOptimizer,
-    TraceRow,
-    ZosahConfig,
-    _moved,
-    armijo_search,
-)
+from .optimizer import BudgetedOptimizer, TraceRow, ZosahConfig
+
+# Unused here: the shared step looks the search up in zosah.optimizer, and
+# bench/tracer.py still wraps it on this module.
+from .optimizer import armijo_search  # noqa: F401
 
 __all__ = [
     "BaselineConfig",
@@ -96,41 +95,24 @@ def rge_gradient(
 
 
 class _RgeDescent(BudgetedOptimizer):
-    """Shared step: estimate, pick a direction, backtrack, record."""
+    """Direction: the subclass's ``_rule`` applied to the q-direction estimate."""
 
-    def __init__(self, oracle: CountedOracle, x0: np.ndarray, cfg: BaselineConfig):
-        super().__init__(oracle, x0, cfg.max_evals)
-        self.cfg = cfg
-        self.rng = np.random.default_rng(cfg.seed)
-
-    def _direction(self, g: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def step(self) -> TraceRow:
+    def _direction(self, x: np.ndarray, f_x: float) -> tuple[np.ndarray, None]:
         cfg = self.cfg
-        f_x = self.oracle(self.x)
-        g = rge_gradient(self.oracle, self.x, cfg.q, cfg.eps, self.rng, f_x)
-        v = self._direction(g)
-        rho, accepted, f_new = armijo_search(self.oracle, self.x, v, f_x)
-        if accepted:
-            self.x = _moved(self.x, rho, v)
-        self.k += 1
-        row = TraceRow(self.k, self.oracle.count, f_new)
-        self.trace.append(row)
-        return row
+        return self._rule(rge_gradient(self.oracle, x, cfg.q, cfg.eps, self.rng, f_x)), None
 
 
 class RspgOptimizer(_RgeDescent):
     """Randomized stochastic projected gradient: descend along the estimate."""
 
-    def _direction(self, g: np.ndarray) -> np.ndarray:
+    def _rule(self, g: np.ndarray) -> np.ndarray:
         return g
 
 
 class SignSgdOptimizer(_RgeDescent):
     """Descend along the componentwise sign of the estimate (0 stays 0)."""
 
-    def _direction(self, g: np.ndarray) -> np.ndarray:
+    def _rule(self, g: np.ndarray) -> np.ndarray:
         return np.sign(g)
 
 
@@ -148,7 +130,7 @@ class AdammOptimizer(_RgeDescent):
         self.v_avg = np.zeros(d)
         self.v_hat = np.zeros(d)
 
-    def _direction(self, g: np.ndarray) -> np.ndarray:
+    def _rule(self, g: np.ndarray) -> np.ndarray:
         self.m_avg = BETA1 * self.m_avg + (1.0 - BETA1) * g
         self.v_avg = BETA2 * self.v_avg + (1.0 - BETA2) * g * g
         self.v_hat = np.maximum(self.v_hat, self.v_avg)

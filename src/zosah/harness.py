@@ -84,14 +84,16 @@ class ExperimentConfig:
         try:
             _require_integer("max_evals", self.max_evals, 1)
             _require_integer("jobs", self.jobs, 1)
+            if not isinstance(self.seeds, (tuple, list)) or not self.seeds:
+                raise ValueError(f"seeds must be a non-empty tuple, got {self.seeds!r}")
             for i, seed in enumerate(self.seeds):
                 _require_integer(f"seeds[{i}]", seed)
             if self.alg not in ALGORITHMS:
                 raise ValueError(
                     f"unknown algorithm {self.alg!r}; expected one of {ALGORITHMS}"
                 )
-            if not self.seeds:
-                raise ValueError("seeds must be non-empty")
+            if not isinstance(self.obj, str):
+                raise ValueError(f"obj must be an objective id string, got {self.obj!r}")
             if len(set(self.seeds)) != len(self.seeds):
                 raise ValueError(f"seeds must be distinct, got {self.seeds}")
             if min(self.seeds) < 0:
@@ -132,7 +134,10 @@ def resolve_objective(obj_id: str) -> Objective:
 def _check_x0(policy: str | tuple[float, ...]) -> None:
     """Reject an unknown x0 policy name or an explicit start with a non-finite entry."""
     if isinstance(policy, tuple):
-        x0 = list(map(float, policy))
+        try:
+            x0 = list(map(float, policy))
+        except (TypeError, ValueError):
+            raise UsageError(f"explicit x0 entries must be numbers, got {policy!r}") from None
         if not all(map(math.isfinite, x0)):
             raise UsageError(f"explicit x0 must be finite, got {x0}")
     elif policy not in ("zeros", "standard-rosenbrock"):

@@ -1,14 +1,14 @@
 """Driver for the subspace approximate-Hessian optimizer.
 
-One outer step: refresh the coordinate-pair plan if the period rolled over,
-pay one query for the current value, then measure every pair's 2-d slice
-gradient (2 probes per pair), obtain every pair's 2x2 curvature matrix (a
-stacked least-squares fit on cached evaluations by default, coordinate finite
-differences in the ablation mode), then repair every matrix to be positive
-definite and solve for every pair's Newton direction. The directions add up
-to one full-space update. A backtracking line search along the negated update
-either accepts a step length or leaves the iterate unchanged, so the accepted
-value sequence never increases.
+One outer step: pay one query for the current value, refresh the
+coordinate-pair plan if the period rolled over, then measure every pair's 2-d
+slice gradient (2 probes per pair), obtain every pair's 2x2 curvature matrix
+(a stacked least-squares fit on cached evaluations by default, coordinate
+finite differences in the ablation mode), then repair every matrix to be
+positive definite and solve for every pair's Newton direction. The directions
+add up to one full-space update. A backtracking line search along the negated
+update either accepts a step length or leaves the iterate unchanged, so the
+accepted value sequence never increases.
 
 The step runs all pairs through the estimator's rows pass: ``_gradients``,
 then ``_fit_rows`` (or ``_fd_rows``), then ``_newton_rows``. The curvature
@@ -32,9 +32,11 @@ The per-pair functions
 ``newton_direction``) are one-pair views of the same pass, and the fit's
 reference, ``build_fit_system`` + ``solve_hessian``, gives the same bits.
 
-The line search and the budgeted run loop live here and are shared verbatim
-by the baseline optimizers, keeping query accounting comparable across
-algorithms.
+All six optimizers run one step, ``BudgetedOptimizer.step``: pay f(x), take
+v (and, for zosah, its ``StepStats`` fields) from the subclass's
+``_direction``, which for zosah is the stages above, then search, move x on
+acceptance and append the trace row, so query accounting is comparable
+across algorithms.
 """
 
 from __future__ import annotations
@@ -251,27 +253,56 @@ def armijo_search(
 
 
 class BudgetedOptimizer:
-    """Shared run loop: one initial value row, then steps until the budget.
+    """Shared run loop and step: one initial value row, then steps until the budget.
 
     The budget is checked between steps only; a step begun under budget runs
     to completion, so the final count can overshoot by at most one step's
     worst-case cost. A non-finite value at the start point raises
-    ``FloatingPointError``: no step can descend from it.
+    ``FloatingPointError``: no step can descend from it. ``cfg`` gives the
+    budget (``max_evals``) and the seed of the run's one generator.
     """
 
-    def __init__(self, oracle: CountedOracle, x0: np.ndarray, max_evals: int):
+    def __init__(self, oracle: CountedOracle, x0: np.ndarray, cfg):
         self.oracle = oracle
         self.x = np.array(x0, dtype=float)
         if self.x.shape != (oracle.dim,):
             raise DimensionMismatchError(
                 f"x0 must have shape ({oracle.dim},), got {self.x.shape}"
             )
-        self.max_evals = int(max_evals)
+        self.cfg = cfg
+        self.max_evals = int(cfg.max_evals)
+        self.rng = np.random.default_rng(cfg.seed)
         self.k = 0  # completed steps
         self.trace: list[TraceRow] = []
 
-    def step(self) -> TraceRow:
+    def _direction(self, x: np.ndarray, f_x: float) -> tuple[np.ndarray, tuple | None]:
+        """v at x (f_x paid) and the ``StepStats`` fields known before the search,
+        (grad_evals, hess_evals, pair_hess_evals, degraded_pairs, repeated) or None."""
         raise NotImplementedError
+
+    def step(self) -> TraceRow:
+        """Pay f(x), search along -v from ``_direction``, move x on acceptance;
+        append the trace row, and the ``StepStats`` when fields came with v."""
+        oracle = self.oracle
+        x = self.x
+        k = self.k
+        count0 = oracle.count
+        f_x = oracle(x)
+        v, fields = self._direction(x, f_x)
+        rho, accepted, f_new = armijo_search(oracle, x, v, f_x)
+        if accepted:
+            self.x = _moved(x, rho, v)
+        self.k = k + 1
+        row = TraceRow(k + 1, oracle.count, f_new)
+        self.trace.append(row)
+        if fields is not None:
+            grad_evals, hess_evals, pair_hess_evals, degraded, repeated = fields
+            search_evals = oracle.count - count0 - 1 - grad_evals - hess_evals
+            self.stats.append(StepStats(
+                k, grad_evals, hess_evals, search_evals, pair_hess_evals,
+                accepted, rho, degraded, repeated,
+            ))
+        return row
 
     def run(self) -> list[TraceRow]:
         if not self.trace:
@@ -291,15 +322,13 @@ class ZosahOptimizer(BudgetedOptimizer):
     """Subspace approximate-Hessian optimizer with evaluation caching."""
 
     def __init__(self, oracle: CountedOracle, x0: np.ndarray, cfg: ZosahConfig):
-        super().__init__(oracle, x0, cfg.max_evals)
+        super().__init__(oracle, x0, cfg)
         d = oracle.dim
         if d < 2:
             raise ValueError(f"need dimension >= 2 to form coordinate pairs, got d={d}")
-        self.cfg = cfg
         self.m = cfg.m if cfg.m is not None else default_subspace_size(d)
         if self.m > d:  # ZosahConfig has checked that m is even and >= 2
             raise ValueError(f"m must be even with 2 <= m <= d={d}, got {self.m}")
-        self.rng = np.random.default_rng(cfg.seed)
         self._idx = None  # the plan: (P, 2) coordinates of its pairs
         # the plan's _lift_index positions of the gradient probes and, in
         # zosah-fd, of the curvature probes
@@ -315,11 +344,12 @@ class ZosahOptimizer(BudgetedOptimizer):
         # nothing may write to it.
         self._memo = self._v = None
 
-    def step(self) -> TraceRow:
+    def _direction(self, x: np.ndarray, f_x: float) -> tuple[np.ndarray, tuple]:
         cfg = self.cfg
         k = self.k
+        oracle = self.oracle
         if k % cfg.T == 0:  # k starts at 0, so the first step draws a plan
-            d = self.oracle.dim
+            d = oracle.dim
             self._idx = idx = make_plan(d, self.m, self.rng)
             self.cache.reset(idx)
             self._grad_lift = _lift_index(idx, d, 2)
@@ -327,17 +357,12 @@ class ZosahOptimizer(BudgetedOptimizer):
                 self._fd_lift = _lift_index(idx, d, 3, by_probe=True)
             self._memo = None
 
-        oracle = self.oracle
-        x = self.x
-        count0 = oracle.count
-        f_x = oracle(x)
         idx = self._idx
         n_pairs = len(idx)
         theta = x[idx]
         g, probe_points, probe_f = _gradients(
             oracle, x, self._grad_lift, theta, self._grad_steps, cfg.eps, f_x
         )
-        grad_evals = 2 * n_pairs
         fresh_paid = 0  # per pair
         degraded = 0
 
@@ -388,22 +413,8 @@ class ZosahOptimizer(BudgetedOptimizer):
             self._v = np.zeros(x.size)
             self._v.put(idx, [c + 0.0 for w in w_rows for c in w])
             self._memo = key
-        v = self._v
-
-        hess_evals = fresh_paid * n_pairs
-        rho, accepted, f_new = armijo_search(oracle, x, v, f_x)
-        search_evals = oracle.count - count0 - 1 - grad_evals - hess_evals
-        if accepted:
-            self.x = _moved(x, rho, v)
-
-        self.k += 1
-        row = TraceRow(self.k, self.oracle.count, f_new)
-        self.trace.append(row)
-        self.stats.append(StepStats(
-            k, grad_evals, hess_evals, search_evals, (fresh_paid,) * n_pairs,
-            accepted, rho, degraded, repeated,
-        ))
-        return row
+        pair_paid = (fresh_paid,) * n_pairs
+        return self._v, (2 * n_pairs, fresh_paid * n_pairs, pair_paid, degraded, repeated)
 
 
 def run_zosah(

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zosah.baselines as baselines_mod
+import zosah.optimizer as optimizer_mod
 from zosah.baselines import (
     BASELINES,
     AdammOptimizer,
@@ -175,7 +176,7 @@ class TestDirections:
             CountedOracle(affine([1.0, 1.0, 1.0])), np.zeros(3), BaselineConfig(max_evals=10)
         )
         np.testing.assert_array_equal(
-            opt._direction(np.array([2.5, -0.3, 0.0])), [1.0, -1.0, 0.0]
+            opt._rule(np.array([2.5, -0.3, 0.0])), [1.0, -1.0, 0.0]
         )
 
     def test_signsgd_scale_invariance(self):
@@ -183,14 +184,14 @@ class TestDirections:
             CountedOracle(affine([1.0, 1.0])), np.zeros(2), BaselineConfig(max_evals=10)
         )
         g = np.array([0.7, -4.0])
-        np.testing.assert_array_equal(opt._direction(g), opt._direction(30.0 * g))
+        np.testing.assert_array_equal(opt._rule(g), opt._rule(30.0 * g))
 
     def test_rspg_direction_is_the_estimate(self):
         opt = RspgOptimizer(
             CountedOracle(affine([1.0, 1.0])), np.zeros(2), BaselineConfig(max_evals=10)
         )
         g = np.array([0.7, -4.0])
-        np.testing.assert_array_equal(opt._direction(g), g)
+        np.testing.assert_array_equal(opt._rule(g), g)
 
     def test_signsgd_descends_on_l1_cone(self):
         obj = Objective(lambda x: float(np.sum(np.abs(x))), 3)
@@ -237,7 +238,7 @@ class TestAdamm:
 
     def test_moments_advance_even_when_search_rejects(self, monkeypatch):
         monkeypatch.setattr(
-            baselines_mod, "armijo_search", lambda oracle, x, v, f_x: (1.0, False, f_x)
+            optimizer_mod, "armijo_search", lambda oracle, x, v, f_x: (1.0, False, f_x)
         )
         oracle = CountedOracle(affine([1.0, 0.0]))
         x0 = np.array([1.0, 1.0])

@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -67,6 +68,48 @@ def test_unused_import_check_flags_an_unused_name(tmp_path):
         "os.path.join(rx)\n"
     )
     assert unused_imports(path) == ["mod.py:2: math"]
+
+
+def test_every_optimizer_runs_the_one_shared_step():
+    # the base query, search, move and trace row have one home, so a second
+    # step path cannot grow back in any algorithm the harness runs
+    from zosah.baselines import BASELINES
+    from zosah.harness import ALGORITHMS
+    from zosah.optimizer import BudgetedOptimizer, ZosahOptimizer
+
+    classes = {BASELINES.get(alg, ZosahOptimizer) for alg in ALGORITHMS}
+    assert ZosahOptimizer in classes and set(BASELINES.values()) <= classes
+    assert [cls for cls in classes if cls.step is not BudgetedOptimizer.step] == []
+
+
+def benchmark_only_imports(path: Path) -> set[str]:
+    """Names imported by a statement whose first line carries ``# noqa: F401``."""
+    text = path.read_text()
+    lines = text.splitlines()
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "# noqa: F401" in lines[node.lineno - 1]
+        for alias in node.names
+    }
+
+
+def test_every_unused_import_is_one_the_benchmark_tracer_replaces(monkeypatch):
+    # a name kept only for bench/tracer.py must be one it still wraps on that
+    # module, so it cannot outlive its one reader
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracer
+    import workloads
+
+    with tracer.Patcher() as patcher:
+        tracer.Tracer().install(patcher, workloads.zosah_modules())
+        replaced = {(owner.__name__, attr) for owner, attr, _ in patcher._saved
+                    if isinstance(owner, types.ModuleType)}
+    kept = {(f"zosah.{path.stem}", name)
+            for path in sorted(Path(zosah.__file__).parent.glob("*.py"))
+            for name in benchmark_only_imports(path)}
+    assert kept and kept - replaced == set()
 
 
 def is_private(name: str) -> bool:

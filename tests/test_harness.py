@@ -121,6 +121,9 @@ class TestExperimentConfig:
         ({"kappa": math.nan}, "kappa must be finite and positive, got nan"),
         ({"hess_radius": math.inf}, "hess_radius must be finite and positive, got inf"),
         ({"alg": "rspg", "q": 0}, "q must be >= 1, got 0"),
+        ({"seeds": 5}, "seeds must be a non-empty tuple, got 5"),
+        ({"obj": None}, "obj must be an objective id string, got None"),
+        ({"x0": (1.0, "a")}, "explicit x0 entries must be numbers, got (1.0, 'a')"),
     ])
     def test_every_bad_setting_is_a_usage_error(self, kwargs, message):
         # the algorithm config's own checks included, with their messages
