@@ -3,11 +3,11 @@
 All three descend along a direction derived from the randomized
 forward-difference gradient estimate (average of q Gaussian directional
 differences). They supply only that direction, ``_RgeDescent._direction``;
-the base query, Armijo search, move and trace row are the subspace
-optimizer's own ``BudgetedOptimizer.step``, so query counts are comparable
-across algorithms. The estimate forms its directions, points and terms as
-(q, d) blocks, with the bits of the per-direction loop, and still pays its q
-queries one oracle call at a time:
+the base query, Armijo search, move, trace row and ``StepStats`` record are
+the subspace optimizer's own ``BudgetedOptimizer.step``, so query counts
+are comparable across algorithms. The estimate forms its directions, points
+and terms as (q, d) blocks, with the bits of the per-direction loop, and
+still pays its q queries one oracle call at a time:
 
 - rspg:    the raw estimate;
 - signsgd: its componentwise sign;
@@ -97,9 +97,9 @@ def rge_gradient(
 class _RgeDescent(BudgetedOptimizer):
     """Direction: the subclass's ``_rule`` applied to the q-direction estimate."""
 
-    def _direction(self, x: np.ndarray, f_x: float) -> tuple[np.ndarray, None]:
-        cfg = self.cfg
-        return self._rule(rge_gradient(self.oracle, x, cfg.q, cfg.eps, self.rng, f_x)), None
+    def _direction(self, x: np.ndarray, f_x: float) -> tuple[np.ndarray, tuple]:
+        g = rge_gradient(self.oracle, x, self.cfg.q, self.cfg.eps, self.rng, f_x)
+        return self._rule(g), (0, (), 0, False)  # no curvature queries, no pairs
 
 
 class RspgOptimizer(_RgeDescent):

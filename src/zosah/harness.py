@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -86,19 +87,18 @@ class ExperimentConfig:
             _require_integer("jobs", self.jobs, 1)
             if not isinstance(self.seeds, (tuple, list)) or not self.seeds:
                 raise ValueError(f"seeds must be a non-empty tuple, got {self.seeds!r}")
+            object.__setattr__(self, "seeds", tuple(self.seeds))  # a list is stored hashable
             for i, seed in enumerate(self.seeds):
                 _require_integer(f"seeds[{i}]", seed)
             if self.alg not in ALGORITHMS:
-                raise ValueError(
-                    f"unknown algorithm {self.alg!r}; expected one of {ALGORITHMS}"
-                )
+                raise ValueError(f"unknown algorithm {self.alg!r}; expected one of {ALGORITHMS}")
             if not isinstance(self.obj, str):
                 raise ValueError(f"obj must be an objective id string, got {self.obj!r}")
             if len(set(self.seeds)) != len(self.seeds):
                 raise ValueError(f"seeds must be distinct, got {self.seeds}")
             if min(self.seeds) < 0:
                 raise ValueError(f"seeds must be non-negative, got {self.seeds}")
-            _check_x0(_x0_policy(self))
+            object.__setattr__(self, "x0", _check_x0(self.x0, ("auto",)))
             _algorithm_config(self, self.seeds[0])
         except ValueError as exc:
             raise UsageError(str(exc)) from None
@@ -131,22 +131,26 @@ def resolve_objective(obj_id: str) -> Objective:
     )
 
 
-def _check_x0(policy: str | tuple[float, ...]) -> None:
-    """Reject an unknown x0 policy name or an explicit start with a non-finite entry."""
-    if isinstance(policy, tuple):
-        try:
-            x0 = list(map(float, policy))
-        except (TypeError, ValueError):
-            raise UsageError(f"explicit x0 entries must be numbers, got {policy!r}") from None
-        if not all(map(math.isfinite, x0)):
-            raise UsageError(f"explicit x0 must be finite, got {x0}")
-    elif policy not in ("zeros", "standard-rosenbrock"):
-        raise UsageError(f"unknown x0 policy {policy!r}")
+def _check_x0(policy, names: tuple[str, ...] = ()) -> str | tuple[float, ...]:
+    """A known policy name (``names`` or a start's), or an explicit start as a tuple of floats."""
+    if isinstance(policy, str):
+        if policy not in (*names, "zeros", "standard-rosenbrock"):
+            raise UsageError(f"unknown x0 policy {policy!r}")
+        return policy
+    x0 = policy.tolist() if isinstance(policy, np.ndarray) else policy
+    if not isinstance(x0, (tuple, list)):
+        raise UsageError(f"x0 must be a policy name or a 1-d sequence of numbers, got {policy!r}")
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in x0):  # not "1.0"
+        raise UsageError(f"explicit x0 entries must be numbers, got {policy!r}")
+    x0 = tuple(map(float, x0))
+    if not all(map(math.isfinite, x0)):
+        raise UsageError(f"explicit x0 must be finite, got {list(x0)}")
+    return x0
 
 
-def initial_point(policy: str | tuple[float, ...], dim: int) -> np.ndarray:
+def initial_point(policy: str | tuple | list | np.ndarray, dim: int) -> np.ndarray:
     """Resolve an x0 policy: zeros, the standard Rosenbrock start, or explicit."""
-    _check_x0(policy)
+    policy = _check_x0(policy)
     if isinstance(policy, tuple):
         if len(policy) != dim:
             raise UsageError(

@@ -33,10 +33,10 @@ The per-pair functions
 reference, ``build_fit_system`` + ``solve_hessian``, gives the same bits.
 
 All six optimizers run one step, ``BudgetedOptimizer.step``: pay f(x), take
-v (and, for zosah, its ``StepStats`` fields) from the subclass's
-``_direction``, which for zosah is the stages above, then search, move x on
-acceptance and append the trace row, so query accounting is comparable
-across algorithms.
+v from the subclass's ``_direction`` (for zosah, the stages above), search,
+move x on acceptance, and append the trace row and a ``StepStats`` whose
+query split the step measures on the oracle (``_direction`` adds only what
+the direction knows), so query accounting is comparable across algorithms.
 """
 
 from __future__ import annotations
@@ -163,9 +163,9 @@ class TraceRow(NamedTuple):
 class StepStats(NamedTuple):
     """Per-step query accounting (1 base query + the categories below).
 
-    An immutable NamedTuple, like :class:`TraceRow`: it compares equal to
-    the plain tuple of its fields, and ``._replace`` takes the place of
-    ``dataclasses.replace``.
+    An immutable NamedTuple, like :class:`TraceRow`. Every optimizer's step
+    appends one to ``.stats``; a baseline's q random-direction probes are its
+    ``grad_evals``, and it pays no curvature queries and has no pairs.
 
     ``accepted`` means the line search's Armijo test passed, not that x
     moved: when rho * v rounds away against x, the trial is x itself, its
@@ -259,49 +259,47 @@ class BudgetedOptimizer:
     to completion, so the final count can overshoot by at most one step's
     worst-case cost. A non-finite value at the start point raises
     ``FloatingPointError``: no step can descend from it. ``cfg`` gives the
-    budget (``max_evals``) and the seed of the run's one generator.
+    budget (``max_evals``) and the seed of the run's one generator. ``stats``
+    holds one :class:`StepStats` per step, its query split measured on the oracle.
     """
 
     def __init__(self, oracle: CountedOracle, x0: np.ndarray, cfg):
         self.oracle = oracle
         self.x = np.array(x0, dtype=float)
         if self.x.shape != (oracle.dim,):
-            raise DimensionMismatchError(
-                f"x0 must have shape ({oracle.dim},), got {self.x.shape}"
-            )
+            raise DimensionMismatchError(f"x0 must have shape ({oracle.dim},), got {self.x.shape}")
         self.cfg = cfg
         self.max_evals = int(cfg.max_evals)
         self.rng = np.random.default_rng(cfg.seed)
         self.k = 0  # completed steps
         self.trace: list[TraceRow] = []
+        self.stats: list[StepStats] = []  # one per step, as trace[1:]
 
-    def _direction(self, x: np.ndarray, f_x: float) -> tuple[np.ndarray, tuple | None]:
-        """v at x (f_x paid) and the ``StepStats`` fields known before the search,
-        (grad_evals, hess_evals, pair_hess_evals, degraded_pairs, repeated) or None."""
+    def _direction(self, x: np.ndarray, f_x: float) -> tuple[np.ndarray, tuple]:
+        """v at x (f_x paid) and the ``StepStats`` fields only the direction
+        knows, (hess_evals, pair_hess_evals, degraded_pairs, repeated)."""
         raise NotImplementedError
 
     def step(self) -> TraceRow:
         """Pay f(x), search along -v from ``_direction``, move x on acceptance;
-        append the trace row, and the ``StepStats`` when fields came with v."""
+        append the trace row and the step's ``StepStats``."""
         oracle = self.oracle
         x = self.x
         k = self.k
         count0 = oracle.count
         f_x = oracle(x)
-        v, fields = self._direction(x, f_x)
+        v, (hess_evals, pair_hess_evals, degraded, repeated) = self._direction(x, f_x)
+        count1 = oracle.count
         rho, accepted, f_new = armijo_search(oracle, x, v, f_x)
         if accepted:
             self.x = _moved(x, rho, v)
         self.k = k + 1
         row = TraceRow(k + 1, oracle.count, f_new)
         self.trace.append(row)
-        if fields is not None:
-            grad_evals, hess_evals, pair_hess_evals, degraded, repeated = fields
-            search_evals = oracle.count - count0 - 1 - grad_evals - hess_evals
-            self.stats.append(StepStats(
-                k, grad_evals, hess_evals, search_evals, pair_hess_evals,
-                accepted, rho, degraded, repeated,
-            ))
+        self.stats.append(StepStats(
+            k, count1 - count0 - 1 - hess_evals, hess_evals, row.cum_evals - count1,
+            pair_hess_evals, accepted, rho, degraded, repeated,
+        ))
         return row
 
     def run(self) -> list[TraceRow]:
@@ -334,7 +332,6 @@ class ZosahOptimizer(BudgetedOptimizer):
         # zosah-fd, of the curvature probes
         self._grad_lift = self._fd_lift = None
         self.cache = EvalCache()
-        self.stats: list[StepStats] = []
         # probe displacements of every step of the run
         self._grad_steps = cfg.eps * _GRAD_STEPS
         self._fd_steps = cfg.eps * _FD_STEPS
@@ -413,8 +410,7 @@ class ZosahOptimizer(BudgetedOptimizer):
             self._v = np.zeros(x.size)
             self._v.put(idx, [c + 0.0 for w in w_rows for c in w])
             self._memo = key
-        pair_paid = (fresh_paid,) * n_pairs
-        return self._v, (2 * n_pairs, fresh_paid * n_pairs, pair_paid, degraded, repeated)
+        return self._v, (fresh_paid * n_pairs, (fresh_paid,) * n_pairs, degraded, repeated)
 
 
 def run_zosah(

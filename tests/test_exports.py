@@ -82,6 +82,53 @@ def test_every_optimizer_runs_the_one_shared_step():
     assert [cls for cls in classes if cls.step is not BudgetedOptimizer.step] == []
 
 
+def record_sites(path: Path) -> list[str]:
+    """``module:Class.method`` of each ``StepStats(...)`` call and of each
+    assignment to a ``stats`` attribute, tagged with which it is."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif (isinstance(child, ast.Call)
+                  and getattr(child.func, "id", getattr(child.func, "attr", None)) == "StepStats"):
+                sites.append(f"StepStats( in {path.stem}:{scope}")
+            elif (isinstance(child, ast.Attribute) and child.attr == "stats"
+                  and isinstance(child.ctx, ast.Store)):
+                sites.append(f".stats = in {path.stem}:{scope}")
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), "")
+    return sites
+
+
+def test_every_optimizer_builds_its_step_record_in_the_one_shared_step():
+    # one list and one record construction, both in BudgetedOptimizer, so a
+    # second record path cannot grow back in any algorithm
+    paths = sorted(Path(zosah.__file__).parent.glob("*.py"))
+    assert sorted(site for path in paths for site in record_sites(path)) == [
+        ".stats = in optimizer:BudgetedOptimizer.__init__",
+        "StepStats( in optimizer:BudgetedOptimizer.step",
+    ]
+
+
+def test_record_site_check_flags_a_second_record_path(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.stats, stats = [], 0\n"
+        "    def step(self):\n"
+        "        self.stats.append(StepStats(0))\n"
+        "def f(opt):\n"
+        "    return zosah.optimizer.StepStats(1)\n"
+    )
+    assert record_sites(path) == [
+        ".stats = in mod:A.__init__", "StepStats( in mod:A.step", "StepStats( in mod:f"]
+
+
 def benchmark_only_imports(path: Path) -> set[str]:
     """Names imported by a statement whose first line carries ``# noqa: F401``."""
     text = path.read_text()

@@ -124,6 +124,15 @@ class TestExperimentConfig:
         ({"seeds": 5}, "seeds must be a non-empty tuple, got 5"),
         ({"obj": None}, "obj must be an objective id string, got None"),
         ({"x0": (1.0, "a")}, "explicit x0 entries must be numbers, got (1.0, 'a')"),
+        ({"x0": ("1.0", "2.0")}, "explicit x0 entries must be numbers, got ('1.0', '2.0')"),
+        ({"x0": [True, 2.0]}, "explicit x0 entries must be numbers, got [True, 2.0]"),
+        ({"x0": np.array(["1", "2"])},
+         "explicit x0 entries must be numbers, got array(['1', '2'], dtype='<U1')"),
+        ({"x0": np.array([[1.0, 2.0]])},
+         "explicit x0 entries must be numbers, got array([[1., 2.]])"),
+        ({"x0": np.array(1.0)},
+         "x0 must be a policy name or a 1-d sequence of numbers, got array(1.)"),
+        ({"x0": None}, "x0 must be a policy name or a 1-d sequence of numbers, got None"),
     ])
     def test_every_bad_setting_is_a_usage_error(self, kwargs, message):
         # the algorithm config's own checks included, with their messages
@@ -131,6 +140,15 @@ class TestExperimentConfig:
         with pytest.raises(UsageError) as info:
             ExperimentConfig(**{**base, **kwargs})
         assert type(info.value) is UsageError and str(info.value) == message
+
+    @pytest.mark.parametrize("x0", [[1.0, 2], np.array([1.0, 2.0]), (1, 2.0)])
+    def test_a_list_or_array_is_stored_as_the_tuple_form(self, x0):
+        base = {"alg": "zosah", "obj": "rosenbrock", "max_evals": 100}
+        cfg = ExperimentConfig(**base, seeds=[0, 1], x0=x0)
+        tuple_form = ExperimentConfig(**base, seeds=(0, 1), x0=(1.0, 2.0))
+        assert cfg.seeds == (0, 1) and cfg.x0 == (1.0, 2.0)
+        assert all(type(v) is float for v in cfg.x0)
+        assert cfg == tuple_form and hash(cfg) == hash(tuple_form)
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_shared_fields_reach_the_algorithm_config(self, alg):

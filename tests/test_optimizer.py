@@ -804,18 +804,19 @@ class TestRepeatedDirection:
 
 class TestTraceProperties:
     """Every algorithm, on small random convex quadratics: the trace never
-    increases, it ends at the oracle's count, and a rerun repeats it."""
+    increases, it ends at the oracle's count, a rerun repeats it, and each
+    step leaves one ``StepStats`` that accounts for its queries."""
 
     @staticmethod
     def run(alg, objective, x0, budget, seed, m, T):
-        """(trace rows, the oracle's count) of one run."""
+        """(trace rows, the optimizer) of one run."""
         oracle = CountedOracle(objective)
         if alg in BASELINES:
             opt = BASELINES[alg](oracle, x0, BaselineConfig(max_evals=budget, seed=seed))
         else:
             cfg = ZosahConfig(max_evals=budget, seed=seed, m=m, T=T, hessian_mode=alg)
             opt = ZosahOptimizer(oracle, x0, cfg)
-        return opt.run(), oracle.count
+        return opt.run(), opt
 
     @settings(max_examples=200)
     @given(alg=st.sampled_from(optimizer_mod.HESSIAN_MODES + tuple(BASELINES)),
@@ -828,10 +829,16 @@ class TestTraceProperties:
         A = B @ B.T + 0.1 * np.eye(d)
         objective = quadratic_objective(A, rng.standard_normal(d), float(rng.standard_normal()))
         x0 = rng.standard_normal(d)
-        rows, count = self.run(alg, objective, x0, budget, seed, m, T)
+        rows, opt = self.run(alg, objective, x0, budget, seed, m, T)
         f = [row.f_value for row in rows]
         assert all(b <= a for a, b in zip(f, f[1:]))
-        assert rows[-1].cum_evals == count
+        assert rows[-1].cum_evals == opt.oracle.count
+        assert len(opt.stats) == len(rows) - 1
+        assert [s.total_evals for s in opt.stats] == [
+            b.cum_evals - a.cum_evals for a, b in zip(rows, rows[1:])]
+        if alg in BASELINES:
+            assert {(s.grad_evals, s.hess_evals, s.pair_hess_evals) for s in opt.stats} == {
+                (opt.cfg.q, 0, ())}
         again, _ = self.run(alg, objective, x0, budget, seed, m, T)
         assert [(r.step, r.cum_evals, r.f_value.hex()) for r in again] == [
             (r.step, r.cum_evals, r.f_value.hex()) for r in rows]
