@@ -1,17 +1,23 @@
-"""Reuse of recent function evaluations for the curvature fits.
+"""Fresh curvature samples, and the evaluation window of the per-pair views.
 
-Sampling fresh points for every 2x2 fit would triple the per-step query
-bill.  Instead the cache banks, for every pair of the current plan, the
-gradient probes of the two preceding steps (plus the fresh samples drawn
-when a subspace period begins) and replays them, recentred on the current
-slice point:
+The optimizer's step calls only :meth:`EvalCache.draw_fresh`: at a period's
+first step it draws 3 points on a small circle around every pair's current
+slice point (re-drawn while their fit system is ill-conditioned), and every
+pair's draws come from one scan of the generator's stream, which draws
+exactly the candidate sets it scans. Later steps of the period reuse the
+gradients they pay for through their secants (``estimator._secant_rows``),
+so no sample is banked or replayed.
 
-- first step of a period: nothing to reuse, draw 3 fresh points on a small
-  circle around the current point (re-drawn while their fit system is
-  ill-conditioned); every pair's draws come from one scan of the generator's
-  stream, which draws exactly the candidate sets it scans;
-- second step: reuse the previous step's 2 probes and 3 fresh samples;
-- every later step: reuse the 4 gradient probes of the two preceding steps.
+The rest of the class is the evaluation window that the per-pair views
+(``gather_samples``, ``record_probes``, ``record_fresh``) still keep, for
+the benchmark's tracer, which wraps them by name. It banks, for every pair of
+the current plan, the gradient probes of the two preceding steps plus the
+fresh samples drawn when a subspace period begins, and serves them recentred
+on the current slice point:
+
+- first step of a period: nothing to reuse, draw fresh points;
+- second step: the previous step's 2 probes and 3 fresh samples;
+- every later step: the 4 gradient probes of the two preceding steps.
 
 The plan is the (P, 2) array of pair coordinates that ``make_plan`` draws,
 and row j of the window belongs to its pair j. The window is two arrays,
@@ -20,9 +26,9 @@ split into three slot groups: the older probes, the newer probes and the
 period's fresh samples, each tagged with the step it was recorded at. A
 step's sample set is always one contiguous slot range (newer probes + fresh,
 or older + newer probes), so every pair's samples come out as one (P, s, 2)
-slab for the batched fit. A slot not written at its group's step holds NaN
-and counts as missing. The window is cleared on every plan switch, so it
-never serves points recorded under a different plan.
+slab. A slot not written at its group's step holds NaN and counts as
+missing. ``reset`` clears the window for a new plan, so it never serves
+points recorded under a different plan.
 """
 
 from __future__ import annotations

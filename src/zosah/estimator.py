@@ -1,13 +1,15 @@
 """Gradient and curvature estimation for 2-d coordinate slices.
 
 The slice gradient is measured with two forward differences sharing the
-already-known value at the current point. The 2x2 curvature matrix comes from
-a least-squares fit of a quadratic model to nearby function values: with the
-current point mapped to the origin and the constant and linear terms pinned
-to f(theta) and the measured gradient, each sample contributes one row of
-second-order monomials. The fitted matrix is then eigen-decomposed in closed
-form and repaired to be positive definite so the resulting Newton direction
-always points downhill for the local model.
+already-known value at the current point. A pair's 2x2 curvature matrix
+comes from two sources. At a period's first step it is a least-squares fit
+of a quadratic model to nearby function values: with the current point
+mapped to the origin and the constant and linear terms pinned to f(theta)
+and the measured gradient, each sample contributes one row of second-order
+monomials. At later steps it is updated from secants of the gradients the
+steps have already paid for (``_secant_rows``). The matrix is then
+eigen-decomposed in closed form and repaired to be positive definite so the
+resulting Newton direction always points downhill for the local model.
 
 The module has two layers. The first is the rows pass the optimizer runs
 for all P pairs of a plan, from probes to Newton directions.
@@ -42,18 +44,18 @@ its own pair, where np.linalg would raise for the whole stack. No (P, 2, 2)
 matrix stack is built on the way. So the fit's cost grows little with P,
 but the repair and solve loop over the pairs in Python.
 
-A plan of one pair (m = 2, as on Rosenbrock) takes a one-pair path through
-both, chosen by the pair count alone: ``_fit_one`` forms the monomials,
-pinned targets, trace and ridge on Python floats and calls the 2-d
-``phi.T.dot`` for the Gram syrk and rhs gemv, and ``_repair_one`` makes one
-scalar ``np.hypot``, two 1-d ddots and one 2-d gemm (``ndarray.dot``): the
-stack's routines on the same operands, so a pair's bits do not depend on the
-path. In interleaved timeit runs (2-core x86_64 VM, one BLAS thread;
-``BENCH_29.json``), ``_fit_rows`` on one pair took 12.5 us on the ridge path
-(4 samples) and 15.6 us on the exact path (5 samples), against 17.0 and
-18.3 us stacked, and 34 us at P = 10 either way; ``_newton_rows`` took
-8.9 us on one non-diagonal row against 12.9 us stacked, 36 us on ten either
-way, and 2.5 us on one diagonal row.
+``_secant_rows`` updates every pair's carried matrix the same way: the
+branches on Python floats, and one stacked ``eigvalsh`` and one stacked
+``solve`` for the pairs whose two secants pin the matrix.
+
+A non-diagonal row of a one-pair plan (m = 2, as on Rosenbrock) takes a
+one-pair path through the repair, chosen by the pair count alone:
+``_repair_one`` makes one scalar ``np.hypot``, two 1-d ddots and one 2-d gemm
+(``ndarray.dot``), the stack's routines on the same operands, so a pair's
+bits do not depend on the path. In interleaved timeit runs (2-core x86_64
+VM, one BLAS thread; ``BENCH_29.json``), ``_newton_rows`` took 8.9 us on one
+non-diagonal row against 12.9 us stacked, 36 us on ten either way, and
+2.5 us on one diagonal row.
 
 The second layer is per pair: ``estimate_gradient``, ``fd_subspace_hessian``,
 ``make_pd`` and ``newton_direction`` are one-pair views of the rows pass.
@@ -102,6 +104,10 @@ GAMMA_FLOOR = 1e-10
 # few samples, a singular or non-finite system or solution), where the
 # optimizer falls back to kappa * I.
 EXACT, RIDGE, FAILED = 0, 1, 2
+
+# Conditioning floor of the two-secant solve: lambda_min / lambda_max of its
+# 3x3 Gram matrix, a singular-value ratio of 1e-8 in the 4x3 system.
+_SECANT_RCOND = 1e-16
 
 _EYE3 = np.eye(3)
 # Slice displacements, per unit eps, of the gradient probes and of the
@@ -348,41 +354,6 @@ def _traces(gram: np.ndarray) -> list[float]:
     return [(a + b) + c for a, b, c in gram.reshape(-1, 9)[:, ::4].tolist()]
 
 
-def _fit_one(
-    theta_bar: np.ndarray,
-    values: np.ndarray,
-    lin: np.ndarray,
-    f_theta: float,
-) -> tuple[list, list[int]]:
-    """:func:`_fit_rows` of one pair, given its samples' ddots ``lin``.
-
-    The monomials, pinned targets, trace and ridge are Python floats, the
-    roundings of numpy's elementwise ops; the Gram syrk and rhs gemv are the
-    2-d ``phi.T.dot``, the BLAS calls of the stacked matmul. ``eigvalsh``
-    runs only when the trace clears half the floor, and ``solve`` as in the
-    stack.
-    """
-    t = theta_bar.ravel().tolist()
-    s = len(t) // 2
-    pq = [m for a, b in zip(t[::2], t[1::2]) for m in ((0.5 * a) * a, a * b, (0.5 * b) * b)]
-    pq += [(v - lv) - f_theta for v, lv in zip(values.ravel().tolist(), lin.ravel().tolist())]
-    pq = np.array(pq)
-    phi = pq[:3 * s].reshape(s, 3)
-    gram = phi.T.dot(phi)
-    rhs = phi.T.dot(pq[3 * s:])
-    (g0, _, _), (_, g1, _), (_, _, g2) = gram.tolist()
-    trace = (g0 + g1) + g2  # np.trace's order, as _traces
-    if trace < 0.5 * GAMMA_FLOOR:
-        outcome = RIDGE
-    else:
-        e = _eigvalsh(gram)[0]
-        outcome = EXACT if e >= GAMMA_FLOOR else RIDGE if e < GAMMA_FLOOR else FAILED
-    if outcome != EXACT:
-        gram = gram + (0.0 if outcome == FAILED else 1e-8 * trace / 3.0) * _EYE3
-    h = _solve(gram, rhs[:, None]).ravel().tolist()
-    return [h], [outcome if _all_finite(h) else FAILED]
-
-
 def _fit_rows(
     theta_bar: np.ndarray,
     values: np.ndarray,
@@ -411,19 +382,13 @@ def _fit_rows(
     nan for their own pair only: a non-finite Gram matrix's smallest
     eigenvalue is nan, which fails the pair, and a singular system's solution
     row is nan, which fails it through the finiteness check. So one stacked
-    ``eigvalsh`` and one stacked ``solve`` serve every pair.
-
-    One pair (P == 1) takes :func:`_fit_one` after the stacked ddot: the
-    same roundings with fewer numpy calls (12.5 us against 17.0 us per
-    ridge fit of 4 samples), so its row and outcome are those it has in
-    any stack.
+    ``eigvalsh`` and one stacked ``solve`` serve every pair, and a pair's row
+    and outcome do not depend on the stack it is in.
     """
     n_pairs, s, _ = theta_bar.shape
     if s < 3:
         return [(0.0, 0.0, 0.0)] * n_pairs, [FAILED] * n_pairs
     lin = g_hat[:, None, None, :] @ theta_bar[..., None]
-    if n_pairs == 1:
-        return _fit_one(theta_bar, values, lin, f_theta)
     phi = quad_monomials(theta_bar)
     q = values - lin[..., 0, 0] - f_theta
     phi_t = phi.transpose(0, 2, 1)
@@ -450,6 +415,71 @@ def _fit_rows(
     if not _all_finite(h):  # a singular system's row is nan: a non-finite row fails
         outcome = [o if _all_finite(row) else FAILED for row, o in zip(rows, outcome)]
     return rows, outcome
+
+
+def _psb(row, secant):
+    """One Powell-symmetric-Broyden update of the (h0, h1, h2) ``row`` with the
+    (s0, s1, y0, y1) ``secant``: B + (r s^T + s r^T) / s.s - (r.s) s s^T / (s.s)^2,
+    r = y - B s; ``row`` itself where s . s underflows to 0 or the update is
+    not finite."""
+    h0, h1, h2 = row
+    s0, s1, y0, y1 = secant
+    ss = s0 * s0 + s1 * s1
+    if ss == 0.0:
+        return row
+    r0 = y0 - (h0 * s0 + h1 * s1)
+    r1 = y1 - (h1 * s0 + h2 * s1)
+    c = (r0 * s0 + r1 * s1) / ss / ss
+    out = (h0 + 2.0 * r0 * s0 / ss - c * s0 * s0,
+           h1 + (r0 * s1 + r1 * s0) / ss - c * s0 * s1,
+           h2 + 2.0 * r1 * s1 / ss - c * s1 * s1)
+    return out if _all_finite(out) else row
+
+
+def _secant_rows(rows, last, steps, dg) -> tuple[list, list]:
+    """Every pair's carried curvature updated from this step's secant.
+
+    ``rows`` holds each pair's carried matrix [[h0, h1], [h1, h2]] as an
+    (h0, h1, h2) row, ``last`` each pair's latest nonzero secant
+    (s0, s1, y0, y1) or None, and ``steps`` and ``dg`` each pair's
+    s = theta_k - theta_{k-1} and y = g_k - g_{k-1} as (s0, s1) and (y0, y1)
+    rows of Python floats. Returns the updated rows and latest secants.
+
+    A pair whose s is zero adds no secant and keeps its row. A pair with a
+    latest secant and a new one solves B s = y for both in least squares,
+    the 4x3 system [s0 s1 0; 0 s0 s1] (h0, h1, h2) = y stacked, through its
+    3x3 normal equations, and takes the solution when it is finite and
+    lambda_min / lambda_max of the Gram matrix exceeds ``_SECANT_RCOND`` (a
+    singular-value ratio of 1e-8); the Gram matrices and right-hand sides
+    are Python floats, and one stacked :func:`_eigvalsh` and one stacked
+    :func:`_solve` serve all such pairs. Any other pair with a new secant
+    takes one :func:`_psb` update with it.
+    """
+    rows = list(rows)
+    new = [(s0, s1, y0, y1) if s0 or s1 else None for (s0, s1), (y0, y1) in zip(steps, dg)]
+    both = [j for j, (o, n) in enumerate(zip(last, new)) if o is not None and n is not None]
+    solved = {}
+    if both:
+        gram = []
+        rhs = []
+        for j in both:
+            a0, a1, p0, p1 = last[j]
+            b0, b1, q0, q1 = new[j]
+            g00 = a0 * a0 + b0 * b0
+            g01 = a0 * a1 + b0 * b1
+            g22 = a1 * a1 + b1 * b1
+            gram += (g00, g01, 0.0, g01, g00 + g22, g01, 0.0, g01, g22)
+            rhs += (a0 * p0 + b0 * q0, (a1 * p0 + a0 * p1) + (b1 * q0 + b0 * q1), a1 * p1 + b1 * q1)
+        gram = np.array(gram).reshape(-1, 3, 3)
+        lam = _eigvalsh(gram)[:, ::2].tolist()
+        h = _solve(gram, np.array(rhs).reshape(-1, 3, 1)).reshape(-1, 3).tolist()
+        for j, (lo, hi), hj in zip(both, lam, h):
+            if lo > _SECANT_RCOND * hi and _all_finite(hj):
+                solved[j] = tuple(hj)
+    for j, n in enumerate(new):
+        if n is not None:
+            rows[j] = solved[j] if j in solved else _psb(rows[j], n)
+    return rows, [o if n is None else n for o, n in zip(last, new)]
 
 
 def _rows(H: np.ndarray) -> list[tuple[float, float, float]]:

@@ -3,30 +3,33 @@
 One outer step: pay one query for the current value, refresh the
 coordinate-pair plan if the period rolled over, then measure every pair's 2-d
 slice gradient (2 probes per pair), obtain every pair's 2x2 curvature matrix
-(a stacked least-squares fit on cached evaluations by default, coordinate
-finite differences in the ablation mode), then repair every matrix to be
-positive definite and solve for every pair's Newton direction. The directions
-add up to one full-space update. A backtracking line search along the negated
-update either accepts a step length or leaves the iterate unchanged, so the
-accepted value sequence never increases.
+(by default, a stacked least-squares fit on 3 fresh samples per pair at a
+period's first step and secant updates from the paid gradients at every
+later step; coordinate finite differences in the ablation mode), then repair
+every matrix to be positive definite and solve for every pair's Newton
+direction. The directions add up to one full-space update. A backtracking
+line search along the negated update either accepts a step length or leaves
+the iterate unchanged, so the accepted value sequence never increases.
 
 The step runs all pairs through the estimator's rows pass: ``_gradients``,
-then ``_fit_rows`` (or ``_fd_rows``), then ``_newton_rows``. The curvature
-stage hands each pair's matrix on as a row of Python floats with its fit
-outcome, the step swaps a failed fit's row for kappa * I (and, in the diag
-variant, drops the off-diagonal) on those rows, and the repair-and-solve
-stage turns the rows into directions. A step whose direction inputs (f(x),
-gradients, and the fit's samples and values or the fd rows), concatenated as
-one byte string, repeat the previous step's bit for bit, as at a point the
-line search cannot leave, reuses that step's direction and skips those
-stages; it still pays every query. A plan switch drops the stored direction,
-so none outlives its plan. A plan switch also builds the plan's probe-lift
-positions (``_lift_index``) once, for the gradient probes and for the fd
-probes, so each of their lifts is one ``ndarray.repeat`` of x and one
-``ndarray.put``; the positions are the plan's coordinates added to row
-offsets built once per shape (P, n, d), so a switch pays one addition. The
-fresh samples are drawn only at a plan switch, so the step builds their
-positions where it queries them.
+then the curvature stage, then ``_newton_rows``. In ``fit`` and ``diag``
+mode a period's first step fits every pair on its fresh samples
+(``_fit_rows``, kappa * I where a fit fails), and every later step updates
+that matrix from the secants of the gradients the period has paid for
+(``_secant_rows``); the optimizer keeps this history per plan, and the diag
+variant drops the off-diagonal at use. ``zosah-fd`` measures every step's
+matrices with ``_fd_rows``. Each pair's matrix goes on as an (h0, h1, h2)
+row of Python floats. A step whose direction inputs (f(x), gradients and
+rows), concatenated as one byte string, repeat the previous step's bit for
+bit, as at a point the line search cannot leave, reuses that step's
+direction and skips the repair and solve; it still pays every query.
+A plan switch drops the stored direction, so none outlives its plan. A plan
+switch also builds the plan's probe-lift positions (``_lift_index``) once,
+for the gradient probes and for the fd probes, so each of their lifts is one
+``ndarray.repeat`` of x and one ``ndarray.put``; the positions are the
+plan's coordinates added to row offsets built once per shape (P, n, d), so a
+switch pays one addition. The fresh samples are drawn only at a plan switch,
+so the step builds their positions where it queries them.
 The per-pair functions
 (``estimate_gradient``, ``fd_subspace_hessian``, ``make_pd``,
 ``newton_direction``) are one-pair views of the same pass, and the fit's
@@ -61,6 +64,7 @@ from .estimator import (
     _newton_rows,
     _probe,
     _require_fd_eps,
+    _secant_rows,
 )
 # Per-pair estimators the step does not call; bench/tracer.py looks them up
 # in this module.
@@ -114,9 +118,9 @@ class ZosahConfig:
     ``m`` is the number of coordinates worked on per period (even, at most
     the problem dimension); None picks min(d, 20) rounded down to even.
     ``T`` is the number of steps a coordinate plan stays alive; it defaults
-    to 3 because samples replayed later in a period were recorded where the
-    other coordinates have since moved, so on the logistic set T = 3 needs
-    about a third of T = 20's queries to its target (README's T sweep).
+    to 3, which needed the fewest queries to the 20-d quadratic's target of
+    T = 1, 3 and 20 and is within 2 of T = 1's 158 on the logistic set, over
+    10 seeds (README's T sweep).
     """
 
     max_evals: int
@@ -317,7 +321,8 @@ class BudgetedOptimizer:
 
 
 class ZosahOptimizer(BudgetedOptimizer):
-    """Subspace approximate-Hessian optimizer with evaluation caching."""
+    """Subspace approximate-Hessian optimizer: each period's curvature is fitted
+    on fresh samples at its first step and updated from paid gradients' secants."""
 
     def __init__(self, oracle: CountedOracle, x0: np.ndarray, cfg: ZosahConfig):
         super().__init__(oracle, x0, cfg)
@@ -340,6 +345,11 @@ class ZosahOptimizer(BudgetedOptimizer):
         # own bits. A repeated step hands the same _v to its search, so
         # nothing may write to it.
         self._memo = self._v = None
+        # the plan's secant history (fit and diag): the last step's slice
+        # points and gradients, each pair's latest nonzero secant and its
+        # carried matrix as an (h0, h1, h2) row; a period's first step
+        # starts it over
+        self._theta = self._g = self._last = self._B = None
 
     def _direction(self, x: np.ndarray, f_x: float) -> tuple[np.ndarray, tuple]:
         cfg = self.cfg
@@ -348,7 +358,6 @@ class ZosahOptimizer(BudgetedOptimizer):
         if k % cfg.T == 0:  # k starts at 0, so the first step draws a plan
             d = oracle.dim
             self._idx = idx = make_plan(d, self.m, self.rng)
-            self.cache.reset(idx)
             self._grad_lift = _lift_index(idx, d, 2)
             if cfg.hessian_mode == "fd":
                 self._fd_lift = _lift_index(idx, d, 3, by_probe=True)
@@ -357,7 +366,7 @@ class ZosahOptimizer(BudgetedOptimizer):
         idx = self._idx
         n_pairs = len(idx)
         theta = x[idx]
-        g, probe_points, probe_f = _gradients(
+        g, _, probe_f = _gradients(
             oracle, x, self._grad_lift, theta, self._grad_steps, cfg.eps, f_x
         )
         fresh_paid = 0  # per pair
@@ -368,8 +377,6 @@ class ZosahOptimizer(BudgetedOptimizer):
                 oracle, x, self._fd_lift, theta, self._fd_steps, cfg.eps, f_x, probe_f.tolist()
             )
             fresh_paid = 3
-            key = _F64.pack(f_x) + g.tobytes() + np.array(rows).tobytes()
-            repeated = key == self._memo
         else:
             if k % cfg.T == 0:
                 points, flags = self.cache.draw_fresh(theta, self.rng, cfg.hess_radius)
@@ -379,29 +386,24 @@ class ZosahOptimizer(BudgetedOptimizer):
                     oracle, x, _lift_index(idx, x.size, 3), theta[:, None, :] + theta_bar,
                     "curvature sample",
                 )).reshape(n_pairs, 3)
-                self.cache.store_fresh(k, points, values)
                 fresh_paid = 3
                 degraded = int(flags.sum())
-            else:
-                points, values = self.cache.window(k, cfg.T)
-                theta_bar = points - theta[:, None, :]
-            # bytes, taken before store_probes overwrites the window's views;
-            # within a plan P is fixed and the key is 8 + 24 P s + 16 P bytes
-            # long for a window of s samples, so equal keys mean equal inputs
-            key = (_F64.pack(f_x) + values.tobytes() + g.tobytes()
-                   + theta_bar.tobytes())
-            repeated = key == self._memo
-            if not repeated:
-                rows, outcome = _fit_rows(theta_bar, values, g, f_x)
-                # a failed fit falls back to a scaled gradient step (kappa * I);
-                # the diag variant drops the fitted off-diagonal
+                fitted, outcome = _fit_rows(theta_bar, values, g, f_x)
+                # a failed fit starts the pair at a scaled gradient step (kappa * I)
                 kappa_eye = (cfg.kappa, 0.0, cfg.kappa)
-                diag = cfg.hessian_mode == "diag"
-                rows = [
-                    kappa_eye if o == FAILED else (h[0], 0.0, h[2]) if diag else h
-                    for h, o in zip(rows, outcome)
-                ]
-            self.cache.store_probes(k, probe_points, probe_f)
+                self._B = [kappa_eye if o == FAILED else h for h, o in zip(fitted, outcome)]
+                self._last = [None] * n_pairs
+            else:
+                self._B, self._last = _secant_rows(
+                    self._B, self._last, (theta - self._theta).tolist(), (g - self._g).tolist()
+                )
+            self._theta, self._g = theta, g
+            # the diag variant drops the off-diagonal at use; B keeps it
+            rows = ([(h0, 0.0, h2) for h0, _, h2 in self._B]
+                    if cfg.hessian_mode == "diag" else self._B)
+        # within a plan P is fixed, so equal keys mean equal inputs
+        key = _F64.pack(f_x) + g.tobytes() + np.array(rows).tobytes()
+        repeated = key == self._memo
         if not repeated:
             # 0.0 + w, the bits of adding w onto zeros (-0.0 becomes +0.0, a
             # nan keeps its payload); the plan's coordinates are distinct, so

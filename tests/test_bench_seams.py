@@ -24,9 +24,9 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 # BLAS and LAPACK calls differently, so there the digests are not checked.
 PINNED_BUILD = ("2.4.6", "scipy-openblas", "0.3.31.188.0", "x86_64")
 PINNED_SHA256 = {
-    "rosenbrock": "c84d6c316128956d2e90de92f88a76c1f7ca90b746de181705e365efd508d6ec",
-    "quad20": "c592ebc6cbe9bf5a937396d9107a1855d8a7f1d009d19043bd767675e1745728",
-    "logistic123": "01caaea399948760d08719c20c4ac878ed75adae57ae2c6a477adcfc23051cc3",
+    "rosenbrock": "92735f6e12dbb3389a39ef1d29b4286fb6deee585746cd7feac65fce344b2c8f",
+    "quad20": "a092933c3b1d7d54c1b32a21ec70abc2d6abd3b833c26160650eb740344d3be2",
+    "logistic123": "f6bb83af1bd92c7b16476085f7f12f546e4d86df04481445333cd1523aafbeca",
 }
 
 

@@ -28,6 +28,7 @@ from zosah.estimator import (
     _newton_rows,
     _probe,
     _rows,
+    _secant_rows,
     _solve,
     build_fit_system,
     estimate_gradient,
@@ -962,9 +963,8 @@ _SPECIAL_DISPLACEMENTS = [0.0, -0.0, 1e-160, -1e-160, 1e150, -1e150, math.inf, m
 
 
 class TestOnePairPath:
-    """One pair takes its own path through _fit_rows and _newton_rows, with
-    the bits of the same pair inside a stack. The two paths call different
-    numpy functions, so only their floating-point warnings differ."""
+    """One pair has the bits it has inside a stack: through _fit_rows by the
+    stacked routines' contract, and through _newton_rows on its own path."""
 
     @settings(max_examples=400)
     @given(s=st.integers(3, 7),
@@ -1026,19 +1026,100 @@ class TestOnePairPath:
             stacked = _newton_rows([(a, b, d), (1.0, 0.5, 2.0)], [(g0, g1), (1.0, 1.0)], kappa)
         assert np.array(w[0]).tobytes() == np.array(stacked[0]).tobytes()
 
-    def test_one_pair_fit_warns_only_in_the_gram_dot(self):
-        # the stacked path warns in the monomials' multiply and the Gram
-        # matmul; the one-pair path forms the monomials on Python floats
-        rng = np.random.default_rng(8)
-        theta_bar = rng.standard_normal((1, 4, 2))
-        theta_bar[0, 1] = [1e200, 0.0]
-        with warnings.catch_warnings(record=True) as caught, np.errstate(
-                divide="warn", over="warn", under="ignore", invalid="warn"):
-            warnings.simplefilter("always")
-            rows, outcome = _fit_rows(theta_bar, rng.standard_normal((1, 4)),
-                                      rng.standard_normal((1, 2)), 0.5)
-        assert {str(w.message) for w in caught} == {"invalid value encountered in dot"}
-        assert outcome == [FAILED]
+
+def secant_reference(row, last, s, y):
+    """One pair's secant update from np.linalg.lstsq and the PSB matrix formula:
+    the new (h0, h1, h2) row and latest secant."""
+    if s[0] == 0.0 and s[1] == 0.0:
+        return tuple(row), last
+    new = (*s, *y)
+    if last is not None:
+        (a0, a1, p0, p1) = last
+        A = np.array([[a0, a1, 0.0], [0.0, a0, a1], [s[0], s[1], 0.0], [0.0, s[0], s[1]]])
+        h, _, _, sv = np.linalg.lstsq(A, np.array([p0, p1, *y]), rcond=None)
+        if sv[-1] > 1e-8 * sv[0] and np.isfinite(h).all():
+            return tuple(h), new
+    B = np.array([[row[0], row[1]], [row[1], row[2]]])
+    s, y = np.array(s), np.array(y)
+    r = y - B @ s
+    ss = s @ s
+    B = B + (np.outer(r, s) + np.outer(s, r)) / ss - (r @ s) * np.outer(s, s) / ss**2
+    return (B[0, 0], B[0, 1], B[1, 1]), new
+
+
+class TestSecantRows:
+    """_secant_rows against a per-pair least-squares and PSB reference."""
+
+    def random_history(self, rng, n_pairs, n_steps):
+        """Per step, each pair's s and y. s is zero, on the first axis (two
+        such steps in a row are parallel secants, whose 4x3 system has a
+        zero column, so the PSB branch runs) or random at least 30 degrees
+        from the first axis and from the pair's latest secant, so that the
+        normal equations stay well conditioned."""
+        def sin2(a, b):  # squared sine of the angle between a and b
+            return (a[0] * b[1] - a[1] * b[0]) ** 2 / ((a @ a) * (b @ b))
+
+        latest = [None] * n_pairs
+        for _ in range(n_steps):
+            steps, dg = [], []
+            for j in range(n_pairs):
+                kind = rng.choice(["random", "zero", "axis"], p=[0.5, 0.2, 0.3])
+                s = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * np.array([1.0, 0.0])
+                if kind == "zero":
+                    s[:] = 0.0
+                elif kind == "random":
+                    while True:
+                        s = rng.uniform(0.5, 2.0) * rng.standard_normal(2) / math.sqrt(2.0)
+                        if sin2(s, np.array([1.0, 0.0])) >= 0.25 and (
+                                latest[j] is None or sin2(s, latest[j]) >= 0.25):
+                            break
+                if s.any():
+                    latest[j] = s
+                steps.append(s.tolist())
+                dg.append(rng.standard_normal(2).tolist())
+            yield steps, dg
+
+    def test_matches_the_per_pair_reference(self):
+        rng = np.random.default_rng(33)
+        n_pairs = 6
+        branches = set()
+        for _ in range(20):
+            rows = [tuple(rng.standard_normal(3)) for _ in range(n_pairs)]
+            last = [None] * n_pairs
+            for steps, dg in self.random_history(rng, n_pairs, 8):
+                got, got_last = _secant_rows(rows, last, steps, dg)
+                for j in range(n_pairs):
+                    want, want_last = secant_reference(rows[j], last[j], steps[j], dg[j])
+                    assert got_last[j] == want_last
+                    scale = max(map(abs, want))
+                    assert max(abs(a - b) for a, b in zip(got[j], want)) <= 1e-12 * scale
+                    branches.add("kept" if want == tuple(rows[j]) else
+                                 "psb" if last[j] is None or want_last[0] * last[j][1]
+                                 == want_last[1] * last[j][0] else "lstsq")
+                rows, last = got, got_last
+        assert branches == {"kept", "psb", "lstsq"}
+
+    @pytest.mark.parametrize("s, y", [
+        ((1e-170, 0.0), (1.0, 1.0)),  # s . s underflows to 0
+        ((1e-170, 0.0), (1e308, -1e308)),
+        ((-0.0, 1e-170), (1.0, -1.0)),
+        ((1.0, 0.5), (1.7e308, -1.7e308)),  # the update overflows
+        ((math.nan, 1.0), (1.0, 1.0)),
+        ((1.0, 1.0), (math.inf, 0.0)),
+    ])
+    def test_an_unusable_secant_keeps_the_row(self, s, y):
+        # one secant: the PSB branch
+        row = (2.0, 0.25, 3.0)
+        with np.errstate(all="raise"):
+            rows, last = _secant_rows([row], [None], [s], [y])
+        assert rows == [row]
+        assert last == [(*s, *y)]
+
+    def test_a_zero_step_adds_no_secant(self):
+        last = (1.0, 0.5, 2.0, -1.0)
+        for s in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)):
+            rows, new_last = _secant_rows([(2.0, 0.25, 3.0)], [last], [s], [(5.0, 5.0)])
+            assert rows == [(2.0, 0.25, 3.0)] and new_last == [last]
 
 
 class TestFdSubspaceHessian:

@@ -13,11 +13,11 @@ from zosah.cache import MAX_HESS_RADIUS, EvalCache
 from zosah.estimator import (
     EXACT,
     FAILED,
-    RIDGE,
     _fd_rows,
     _gradients,
+    _psb,
+    _secant_rows,
     HessianUnavailableError,
-    InsufficientSamplesError,
     build_fit_system,
     estimate_gradient,
     fd_subspace_hessian,
@@ -508,10 +508,14 @@ class TestDiagVariant:
 
 
 def reference_trace(obj, x0, cfg):
-    """The optimizer's loop, pair by pair, from the public per-pair functions.
+    """The optimizer's loop, pair by pair, from the per-pair functions.
 
-    Banks probes and fresh samples in plain per-pair dicts and draws each
-    pair's fresh points with the per-pair EvalCache.gather_samples.
+    Draws each pair's fresh points with the per-pair
+    EvalCache.gather_samples and fits them with build_fit_system +
+    solve_hessian at a period's first step. At later steps it updates each
+    pair's carried matrix from that pair's own history (slice point,
+    gradient and latest secant, kept in a plain per-pair dict) by
+    _secant_rows on that pair alone.
     """
     oracle = CountedOracle(obj)
     rng = np.random.default_rng(cfg.seed)
@@ -524,7 +528,7 @@ def reference_trace(obj, x0, cfg):
             plan = make_plan(obj.dim, cfg.m, rng)
             sampler.reset(plan)
             pairs = [PairProjection(i1, i2) for i1, i2 in plan.tolist()]
-            banked = {p.pair: {} for p in pairs}
+            history = {p.pair: {} for p in pairs}
         f_x = oracle(x)
         v = np.zeros_like(x)
         for p in pairs:
@@ -534,28 +538,26 @@ def reference_trace(obj, x0, cfg):
                 A = fd_subspace_hessian(oracle, x, p, cfg.eps, f_x,
                                         grad.probes[0][1], grad.probes[1][1])
             else:
-                store = banked[p.pair]
+                pair = history[p.pair]
                 if k % cfg.T == 0:
                     fresh = sampler.gather_samples(k, cfg.T, p, theta, rng, cfg.hess_radius).fresh
-                    store["fresh"] = [(pt, oracle(_lift(p, pt - theta, x))) for pt in fresh]
-                    records = store["fresh"]
-                elif k % cfg.T == 1:
-                    records = store[k - 1] + store["fresh"]
+                    samples = [(pt - theta, oracle(_lift(p, pt - theta, x))) for pt in fresh]
+                    try:
+                        B = solve_hessian(build_fit_system(samples, grad.g, f_x))
+                        pair["B"] = (B[0, 0], B[0, 1], B[1, 1])
+                    except HessianUnavailableError:
+                        pair["B"] = (cfg.kappa, 0.0, cfg.kappa)
+                    pair["last"] = None
                 else:
-                    records = store[k - 2] + store[k - 1]
-                try:
-                    fit = build_fit_system([(pt - theta, f) for pt, f in records], grad.g, f_x)
-                    A = solve_hessian(fit)
-                except (InsufficientSamplesError, HessianUnavailableError):
-                    A = None
-                store[k] = list(grad.probes)
-            if A is None:
-                A_bar = cfg.kappa * np.eye(2)
-            else:
+                    (pair["B"],), (pair["last"],) = _secant_rows(
+                        [pair["B"]], [pair["last"]], [(theta - pair["theta"]).tolist()],
+                        [(grad.g - pair["g"]).tolist()])
+                pair["theta"], pair["g"] = theta, grad.g
+                a, b, d = pair["B"]
                 if cfg.hessian_mode == "diag":
-                    A = np.diag(np.diag(A))
-                A_bar = make_pd(A, cfg.kappa)
-            v = _lift(p, newton_direction(A_bar, grad.g), v)
+                    b = 0.0
+                A = np.array([[a, b], [b, d]])
+            v = _lift(p, newton_direction(make_pd(A, cfg.kappa), grad.g), v)
         rho, accepted, f_new = armijo_search(oracle, x, v, f_x)
         if accepted:
             x = x - rho * v
@@ -589,19 +591,22 @@ class TestBatchedStepMatchesPerPairReference:
             assert np.array_equal([r.f_value for r in got], [r.f_value for r in want])
 
     @pytest.mark.parametrize("mode", ["fit", "diag", "fd"])
-    def test_rosenbrock_ridge_regime_traces(self, mode, monkeypatch):
+    def test_rosenbrock_criterion_1_traces(self, mode, monkeypatch):
         # criterion 1's settings (one pair, eps = 1e-5, T = 20), the regime of
-        # the Rosenbrock benchmark: most fits take the ridge path, some of them
-        # with every Gram trace below half the floor (no eigvalsh call)
-        outcomes = []
-        real_fit = optimizer_mod._fit_rows
+        # the Rosenbrock benchmark: a fit at each period's first step, then
+        # secant steps that solve two secants, take a PSB update, or keep
+        # the matrix where a step left x as it was
+        branches = []
+        real_secant = optimizer_mod._secant_rows
 
-        def fit(*args):
-            rows, outcome = real_fit(*args)
-            outcomes.extend(outcome)
-            return rows, outcome
+        def secant(rows, last, steps, dg):
+            new_rows, new_last = real_secant(rows, last, steps, dg)
+            for row, new_row, secant_pair in zip(rows, new_rows, new_last):
+                branches.append("kept" if new_row == row else
+                                "psb" if new_row == _psb(row, secant_pair) else "two secants")
+            return new_rows, new_last
 
-        monkeypatch.setattr(optimizer_mod, "_fit_rows", fit)
+        monkeypatch.setattr(optimizer_mod, "_secant_rows", secant)
         obj = rosenbrock_objective()
         x0 = np.array([-1.2, 1.0])
         for seed in range(3):
@@ -614,8 +619,43 @@ class TestBatchedStepMatchesPerPairReference:
             ]
             assert np.array_equal([r.f_value for r in got], [r.f_value for r in want])
         if mode != "fd":
-            assert outcomes.count(RIDGE) > 0.5 * len(outcomes)
-            assert outcomes.count(EXACT) > 0
+            assert {"psb", "two secants"} <= set(branches)
+        if mode == "fit":  # zosah-diag does not stall within this budget
+            assert "kept" in branches
+
+
+class TestSecantCurvature:
+    """The fit and diag modes' curvature after a period's first step."""
+
+    def test_two_secants_recover_a_quadratic_exactly(self):
+        # the forward-difference bias eps * A_ii / 2 is the same at both ends
+        # of a secant, so it cancels in y; the period-start fit carries it
+        A = np.array([[3.0, 1.2], [1.2, 0.7]])
+        opt = ZosahOptimizer(CountedOracle(quadratic_objective(A)), np.array([1.5, -2.0]),
+                             ZosahConfig(max_evals=1000, m=2, eps=1e-3))
+        opt.step()
+        fitted = np.array(opt._B[0])
+        opt.step()
+        opt.step()
+        assert all(st.accepted for st in opt.stats)
+        assert opt._last[0] is not None
+        want = np.array([3.0, 1.2, 0.7])
+        assert np.abs(np.array(opt._B[0]) - want).max() <= 1e-9
+        assert np.abs(fitted - want).max() > 1e-2
+
+    @pytest.mark.parametrize("mode", ["fit", "diag"])
+    def test_the_step_never_reads_the_replay_window(self, mode, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the step reached the replay window")
+
+        for name in ("window", "store_probes", "store_fresh", "reset"):
+            monkeypatch.setattr(EvalCache, name, refuse)
+        obj, x0 = rotated_quadratic()
+        cfg = ZosahConfig(max_evals=600, seed=0, m=6, T=3, hessian_mode=mode)
+        opt = ZosahOptimizer(CountedOracle(obj), x0, cfg)
+        opt.run()
+        assert len(opt.stats) > 3 * cfg.T
+        assert opt.trace[-1].f_value < 1e-3 * opt.trace[0].f_value
 
 
 ROSENBROCK_CRITERION_1 = dict(m=2, T=20, eps=1e-5)
@@ -723,7 +763,7 @@ class TestRepeatedDirection:
         assert len(stalled) > 0.25 * len(moves)
 
     @pytest.mark.parametrize("mode, which", [
-        ("fit", "gradients"), ("fit", "sample points"), ("fit", "sample values"),
+        ("fit", "gradients"), ("fit", "carried matrix"), ("fit", "secants"),
         ("fd", "gradients"), ("fd", "fd rows"),
     ])
     def test_an_input_that_changes_is_never_reused(self, mode, which, monkeypatch):
@@ -738,15 +778,28 @@ class TestRepeatedDirection:
 
             return wrapped
 
-        def scale_window(out, c):
-            # in place: the window is a view of the cache, and stays one
-            out[0 if which == "sample points" else 1][...] *= c
-            return out
+        def drifting_secant_stage(nonzero):
+            # the secant stage's carried rows, or its secants, scaled before
+            # it reads them; ``nonzero`` records, per call, whether any s was
+            calls = [0]
+
+            def secant(rows, last, steps, dg):
+                calls[0] += 1
+                c = 1.0 + calls[0] * 1e-9
+                if which == "carried matrix":
+                    rows = [[h * c for h in row] for row in rows]
+                else:
+                    steps = [[v * c for v in s] for s in steps]
+                    dg = [[v * c for v in y] for y in dg]
+                nonzero.append(any(v != 0.0 for s in steps for v in s))
+                return _secant_rows(rows, last, steps, dg)
+
+            return secant
 
         cfg = ZosahConfig(max_evals=1500, seed=0, hessian_mode=mode, **ROSENBROCK_CRITERION_1)
-        real_window = EvalCache.window
         runs = []
         for clear_memo in (False, True):
+            nonzero = []
             if which == "gradients":
                 monkeypatch.setattr(optimizer_mod, "_gradients", drifting(
                     _gradients, lambda out, c: (out[0] * c, *out[1:])))
@@ -754,11 +807,20 @@ class TestRepeatedDirection:
                 monkeypatch.setattr(optimizer_mod, "_fd_rows", drifting(
                     _fd_rows, lambda out, c: (np.array(out) * c).tolist()))
             else:
-                monkeypatch.setattr(EvalCache, "window", drifting(real_window, scale_window))
+                monkeypatch.setattr(optimizer_mod, "_secant_rows", drifting_secant_stage(nonzero))
             opt = ZosahOptimizer(CountedOracle(rosenbrock_objective()), np.array([-1.2, 1.0]), cfg)
             _, directions, moves = recorded_run(opt, monkeypatch, clear_memo)
             runs.append([v.tobytes() for v in directions])
-            assert not any(s.repeated for s in opt.stats)
+            if which == "secants":
+                # a step that left x where it was has s = 0, which scales to
+                # 0: it reads no secant, keeps its matrix and may reuse; a
+                # step with a secant never does
+                mid_period = [st for st in opt.stats if st.step % cfg.T]
+                assert len(mid_period) == len(nonzero)
+                assert not any(st.repeated and n for st, n in zip(mid_period, nonzero))
+                assert clear_memo or any(st.repeated for st in mid_period)
+            else:
+                assert not any(s.repeated for s in opt.stats)
         assert runs[0] == runs[1]
         # the run does stall: many steps leave x and the plan as they were
         stalled = [m for m in moves if m[0].tobytes() == m[1].tobytes() and m[2] is m[3]]
